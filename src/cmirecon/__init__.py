@@ -13,11 +13,9 @@ from .channels import (
     transpose_channel,
 )
 from .entropy import (
-    EntropyReport,
     MeasuredReConfig,
     MeasuredReSolution,
     cmi,
-    entropy_report,
     fidelity,
     measured_relative_entropy,
     relative_entropy,
@@ -28,7 +26,6 @@ from .entropy import (
 from .markov import MarkovBlock, MarkovSpec, markov_gap, markov_state, random_markov_spec
 from .recovery import (
     OptimizerResult,
-    RecoveryConfig,
     measured_re_of_recovery,
     optimize_recovery,
     reconstruct,
@@ -51,21 +48,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Channel",
-    "EntropyReport",
     "MarkovBlock",
     "MarkovSpec",
     "MeasuredReConfig",
     "MeasuredReSolution",
     "MultipartiteState",
     "OptimizerResult",
-    "RecoveryConfig",
     "apply",
     "classical_example_state",
     "classical_state",
     "cmi",
     "compose",
     "depolarizing",
-    "entropy_report",
     "fidelity",
     "identity_channel",
     "markov_gap",

@@ -83,16 +83,6 @@ class Channel:
         return math.prod(d for _, d in self.output_dims)
 
 
-def apply_to_matrix(channel: Channel, matrix: np.ndarray) -> np.ndarray:
-    """Apply the channel to a raw matrix on its whole input space."""
-    d_in, d_out = channel.d_in, channel.d_out
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (d_in, d_in):
-        raise ValueError(f"matrix shape {matrix.shape} does not match input dim {d_in}")
-    j = channel.choi.reshape(d_in, d_out, d_in, d_out)
-    return np.einsum("ij,iojp->op", matrix, j)
-
-
 def apply(
     channel: Channel, state: MultipartiteState, on: Sequence[str] | None = None
 ) -> MultipartiteState:

@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument(
         "--objective", choices=recovery.OBJECTIVE_KINDS, default="fidelity"
     )
-    opt.add_argument("--seed", type=int, default=17)
-    opt.add_argument("--restarts", type=int, default=8)
     opt.add_argument("--max-iterations", type=int, default=2000)
     opt.add_argument("--out-json")
 
@@ -127,10 +125,9 @@ def _cmd_recover(args) -> int:
 
 def _cmd_optimize(args) -> int:
     state = states.load_state(args.state)
-    cfg = recovery.RecoveryConfig(
-        restarts=args.restarts, max_iterations=args.max_iterations, seed=args.seed
+    result = recovery.optimize_recovery(
+        state, args.objective, max_iterations=args.max_iterations
     )
-    result = recovery.optimize_recovery(state, args.objective, cfg)
     _emit_json(recovery.result_to_json_dict(result), args.out_json)
     return 0
 

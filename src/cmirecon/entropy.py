@@ -306,34 +306,3 @@ def relative_entropy_continuity_bound(dim: int, trace_distance: float, min_eigen
         return 0.0
     entropy_term = min(-t * math.log2(t), 1.0 / (math.e * LN2))
     return t * math.log2(dim) + entropy_term - t * math.log2(min_eigenvalue) / 2.0
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """Scalar panel for one (state, reconstruction) pair, all in bits."""
-
-    cmi_bits: float
-    rel_ent_bits: float
-    fidelity: float
-    renyi_half_bits: float
-    measured_re_bits: float
-
-
-def entropy_report(
-    rho_tri: MultipartiteState,
-    sigma_tri: MultipartiteState,
-    c: str = "C",
-    r: str = "R",
-    b: str = "B",
-    ms_config: MeasuredReConfig | None = None,
-) -> EntropyReport:
-    """Panel of distance measures between a tripartite state and a candidate."""
-    if rho_tri.subsystems != sigma_tri.subsystems:
-        sigma_tri = states.permute(sigma_tri, rho_tri.labels)
-    return EntropyReport(
-        cmi_bits=cmi(rho_tri, c=c, r=r, b=b),
-        rel_ent_bits=relative_entropy(rho_tri, sigma_tri),
-        fidelity=fidelity(rho_tri, sigma_tri),
-        renyi_half_bits=renyi_half(rho_tri, sigma_tri),
-        measured_re_bits=measured_relative_entropy(rho_tri, sigma_tri, ms_config).value_bits,
-    )

@@ -36,6 +36,25 @@ class Spectrum:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
+    def apply(
+        self, f: Callable[[np.ndarray], np.ndarray], cutoff: float | None = None
+    ) -> np.ndarray:
+        """V diag(f(w)) V^dag, with eigenvalues at or below the cutoff mapped to zero.
+
+        ``cutoff`` is absolute (must be >= 0); ``None`` selects the default
+        relative cutoff from this spectrum.
+        """
+        w = self.eigenvalues
+        if cutoff is None:
+            cutoff = support_cutoff(w)
+        if cutoff < 0:
+            raise ValueError(f"support cutoff must be >= 0, got {cutoff}")
+        fw = np.zeros_like(w)
+        mask = w > cutoff
+        if np.any(mask):
+            fw[mask] = f(w[mask])
+        return (self.eigenvectors * fw) @ self.eigenvectors.conj().T
+
 
 def asymmetry(a: np.ndarray) -> float:
     """Max-abs deviation of a square matrix from its adjoint."""
@@ -96,17 +115,7 @@ def matrix_function(
         cutoff: absolute eigenvalue threshold (must be >= 0); ``None``
             selects the default relative cutoff from the spectrum.
     """
-    spec = eigh(h)
-    if cutoff is None:
-        cutoff = support_cutoff(spec.eigenvalues)
-    if cutoff < 0:
-        raise ValueError(f"support cutoff must be >= 0, got {cutoff}")
-    w = spec.eigenvalues
-    fw = np.zeros_like(w)
-    mask = w > cutoff
-    if np.any(mask):
-        fw[mask] = f(w[mask])
-    return (spec.eigenvectors * fw) @ spec.eigenvectors.conj().T
+    return eigh(h).apply(f, cutoff)
 
 
 def sqrtm_psd(h: np.ndarray, cutoff: float | None = None) -> np.ndarray:

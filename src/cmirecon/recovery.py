@@ -2,9 +2,12 @@
 
 Given a tripartite state on (B, C, R), find a channel acting on B alone
 whose extension to (B, R) maps the BR marginal close to the full state.
-The search space is Stinespring isometries V: B -> (BC) (x) E, ascended by
-projected gradient with QR re-orthonormalization, restarted from the
-transpose-channel warm start plus Haar-random isometries.
+The search space is Stinespring isometries V: B -> (BC) (x) E with
+d_E = d_B d_C, ascended by projected gradient with QR re-orthonormalization
+from the transpose channel. Root fidelity is jointly concave and the
+channel enters linearly, so the fidelity of recovery is a concave program
+over channels, and the search is one deterministic ascent from that warm
+start.
 
 Supported figures of merit: fidelity (maximized, analytic gradient), the
 order-1/2 Renyi divergence (same ascent, transformed at the end), and the
@@ -26,42 +29,34 @@ from .states import MultipartiteState
 OBJECTIVE_KINDS = ("fidelity", "renyi_half", "measured_re")
 
 
-@dataclass
-class RecoveryConfig:
-    """Budget and tolerances for one optimize_recovery call.
+# Projected ascent: backtracking gives up below STEP_TOLERANCE, and the
+# ascent has converged once the objective moves by less than
+# RELATIVE_TOLERANCE over CONVERGENCE_WINDOW accepted steps.
+INITIAL_STEP = 0.2
+STEP_TOLERANCE = 1e-9
+CONVERGENCE_WINDOW = 10
+RELATIVE_TOLERANCE = 1e-11
 
-    ``restarts`` counts total starts: the transpose-channel warm start
-    plus restarts-1 Haar-random isometries. ``env_dim`` defaults to
-    d_B * d_C, enough to express every channel of Kraus rank d_B * d_C;
-    double it if the search keeps falling short of a known certificate.
-    """
-
-    restarts: int = 8
-    max_iterations: int = 2000
-    step_tolerance: float = 1e-9
-    initial_step: float = 0.2
-    convergence_window: int = 10
-    relative_tolerance: float = 1e-11
-    env_dim: int | None = None
-    seed: int = 17
-    fd_step: float = 1e-5
-    ms_config: entropy.MeasuredReConfig | None = None
+# Measured-RE objective: central finite-difference step and the budget of
+# the inner solve behind every evaluation.
+FD_STEP = 1e-5
+INNER_MEASURED_RE = entropy.MeasuredReConfig(restarts=0, max_iterations=200)
 
 
 @dataclass
 class OptimizerResult:
-    """Best reconstruction channel found, with its audit trail.
+    """Reconstruction channel found by the ascent, with its audit trail.
 
-    ``trace`` holds the accepted objective values of the winning restart,
-    in objective units: non-decreasing for fidelity, non-increasing for
-    the divergence objectives.
+    ``trace`` holds the accepted objective values in objective units:
+    non-decreasing for fidelity, non-increasing for the divergence
+    objectives. ``converged`` is False when the ascent stopped at its
+    iteration cap.
     """
 
     best_channel: Channel
     best_value: float
     objective_kind: str
     trace: list[float] = field(default_factory=list)
-    restarts_used: int = 0
     converged: bool = True
 
 
@@ -91,27 +86,6 @@ def measured_re_of_recovery(
     return entropy.measured_relative_entropy(rho_tri, sigma, config).value_bits
 
 
-def evaluate_objective(
-    rho_tri: MultipartiteState,
-    channel: Channel,
-    objective_kind: str,
-    ms_config: entropy.MeasuredReConfig | None = None,
-    b: str = "B",
-    c: str = "C",
-    r: str = "R",
-) -> float:
-    """Figure of merit of a candidate channel, in its natural units."""
-    if objective_kind not in OBJECTIVE_KINDS:
-        raise ValueError(f"unknown objective {objective_kind!r}; pick from {OBJECTIVE_KINDS}")
-    if objective_kind == "measured_re":
-        return measured_re_of_recovery(rho_tri, channel, ms_config, b=b, c=c, r=r)
-    sigma = reconstruct(rho_tri, channel, b=b, c=c, r=r)
-    f = entropy.fidelity(rho_tri, sigma)
-    if objective_kind == "fidelity":
-        return f
-    return entropy.renyi_half(rho_tri, sigma)
-
-
 class _RecoveryProblem:
     """Shared tensors for evaluating one recovery search.
 
@@ -120,13 +94,14 @@ class _RecoveryProblem:
     v[bc, e, b_in].
     """
 
-    def __init__(self, rho_tri: MultipartiteState, b: str, c: str, r: str, env_dim: int):
+    def __init__(self, rho_tri: MultipartiteState, b: str, c: str, r: str):
         ordered = states.permute(rho_tri, (b, c, r))
         self.d_b = ordered.dim_of(b)
         self.d_c = ordered.dim_of(c)
         self.d_r = ordered.dim_of(r)
         self.d_bc = self.d_b * self.d_c
-        self.d_env = env_dim
+        # room for channels of Kraus rank up to d_B d_C
+        self.d_env = self.d_bc
         self.labels = (b, c, r)
         self.target = ordered.matrix
         rho_br = states.partial_trace(ordered, [b, r])
@@ -154,14 +129,18 @@ class _RecoveryProblem:
         d = self.d_bc * self.d_r
         return self.sigma_tensor(vt).reshape(d, d)
 
+    def _inner(self, sigma: np.ndarray) -> np.ndarray:
+        # sqrt(rho) sigma sqrt(rho), whose root trace is F(rho, sigma)
+        inner = self.sqrt_target @ sigma @ self.sqrt_target
+        return (inner + inner.conj().T) / 2.0
+
     def fidelity_value(self, v: np.ndarray) -> float:
         sigma = self.sigma_matrix(v)
         if self.pure_vec is not None:
             psi = self.pure_vec.reshape(-1)
             val = float(np.real(psi.conj() @ sigma @ psi))
             return math.sqrt(max(val, 0.0))
-        inner = self.sqrt_target @ sigma @ self.sqrt_target
-        w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+        w = np.linalg.eigvalsh(self._inner(sigma))
         return float(np.sqrt(np.clip(w, 0.0, None)).sum())
 
     def fidelity_and_gradient(self, v: np.ndarray) -> tuple[float, np.ndarray]:
@@ -175,11 +154,10 @@ class _RecoveryProblem:
             f = math.sqrt(max(float(np.real(psi.conj() @ sigma @ psi)), 1e-300))
             g = np.outer(psi, psi.conj()) / (2.0 * f)
         else:
-            inner = self.sqrt_target @ sigma @ self.sqrt_target
-            inner = (inner + inner.conj().T) / 2.0
-            w = np.clip(linalg.eigh(inner).eigenvalues, 0.0, None)
-            f = float(np.sqrt(w).sum())
-            inv_root = linalg.matrix_function(inner, lambda x: 1.0 / np.sqrt(x))
+            # f and the support-restricted inverse root share one spectrum
+            spec = linalg.eigh(self._inner(sigma))
+            f = float(np.sqrt(np.clip(spec.eigenvalues, 0.0, None)).sum())
+            inv_root = spec.apply(lambda x: 1.0 / np.sqrt(x))
             g = 0.5 * self.sqrt_target @ inv_root @ self.sqrt_target
         g_t = g.reshape(self.d_bc, self.d_r, self.d_bc, self.d_r)
         grad = np.einsum(
@@ -217,21 +195,21 @@ def _warm_start_isometry(problem: _RecoveryProblem, rho_tri, b, c, r) -> np.ndar
     vt = v.reshape(problem.d_bc, problem.d_env, problem.d_b)
     for e, op in enumerate(ops[: problem.d_env]):
         vt[:, e, :] = op
-    # Kraus rank beyond env_dim only occurs for singular marginals; the
+    # Kraus rank beyond d_env only occurs for singular marginals; the
     # retraction then snaps the truncated stack back to an isometry.
     return _retract(v)
 
 
-def _ascend(problem, v0, value_and_grad, value_only, cfg: RecoveryConfig):
+def _ascend(v0, value_and_grad, value_only, max_iterations: int):
     v = _retract(v0)
     f, grad = value_and_grad(v)
     direction = _project_tangent(v, grad)
-    step = cfg.initial_step
+    step = INITIAL_STEP
     trace = [f]
     converged = False
-    for _ in range(cfg.max_iterations):
+    for _ in range(max_iterations):
         accepted = False
-        while step >= cfg.step_tolerance:
+        while step >= STEP_TOLERANCE:
             v_try = _retract(v + step * direction)
             f_try = value_only(v_try)
             if f_try > f:
@@ -246,41 +224,43 @@ def _ascend(problem, v0, value_and_grad, value_only, cfg: RecoveryConfig):
             break
         _, grad = value_and_grad(v)
         direction = _project_tangent(v, grad)
-        if len(trace) > cfg.convergence_window:
-            ref = trace[-cfg.convergence_window - 1]
-            if abs(f - ref) < cfg.relative_tolerance * max(1.0, abs(f)):
+        if len(trace) > CONVERGENCE_WINDOW:
+            ref = trace[-CONVERGENCE_WINDOW - 1]
+            if abs(f - ref) < RELATIVE_TOLERANCE * max(1.0, abs(f)):
                 converged = True
                 break
     return v, f, trace, converged
 
 
-def _finite_difference_gradient(problem, v, value_only, h: float) -> np.ndarray:
+def _finite_difference_gradient(v, value_only) -> np.ndarray:
     grad = np.zeros(v.shape, dtype=complex)
     for idx in np.ndindex(v.shape):
         for part, scale in ((1.0, 1.0), (1j, 1j)):
             delta = np.zeros(v.shape, dtype=complex)
-            delta[idx] = part * h
+            delta[idx] = part * FD_STEP
             plus = value_only(_retract(v + delta))
             minus = value_only(_retract(v - delta))
-            grad[idx] += scale * (plus - minus) / (2.0 * h)
+            grad[idx] += scale * (plus - minus) / (2.0 * FD_STEP)
     return grad / 2.0  # Wirtinger convention matching the analytic branch
 
 
 def optimize_recovery(
     rho_tri: MultipartiteState,
     objective_kind: str = "fidelity",
-    config: RecoveryConfig | None = None,
+    max_iterations: int = 2000,
     b: str = "B",
     c: str = "C",
     r: str = "R",
 ) -> OptimizerResult:
     """Search for the best reconstruction channel B -> BC for one state.
 
-    Fidelity (and its monotone transform, the order-1/2 Renyi divergence)
-    is ascended with analytic gradients; the measured-RE objective uses
-    tangent-projected central finite differences because its inner
-    variational solve makes analytic outer gradients fragile. The result
-    is never worse than the transpose-channel warm start.
+    One deterministic projected ascent from the transpose channel, capped
+    at ``max_iterations`` accepted steps. Fidelity (and its monotone
+    transform, the order-1/2 Renyi divergence) is ascended with analytic
+    gradients; the measured-RE objective uses tangent-projected central
+    finite differences because its inner variational solve makes analytic
+    outer gradients fragile. The result is never worse than the
+    transpose-channel warm start.
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective {objective_kind!r}; pick from {OBJECTIVE_KINDS}")
@@ -289,52 +269,24 @@ def optimize_recovery(
             raise ValueError(f"state has no subsystem {label!r}; labels are {rho_tri.labels}")
     if len(rho_tri.subsystems) != 3:
         raise ValueError(f"expected a tripartite state, got subsystems {rho_tri.subsystems}")
-    cfg = config or RecoveryConfig()
-    env_dim = cfg.env_dim
-    d_b = rho_tri.dim_of(b)
-    d_c = rho_tri.dim_of(c)
-    if env_dim is None:
-        env_dim = d_b * d_c
-    problem = _RecoveryProblem(rho_tri, b, c, r, env_dim)
+    problem = _RecoveryProblem(rho_tri, b, c, r)
 
     if objective_kind == "measured_re":
-        ms_cfg = cfg.ms_config or entropy.MeasuredReConfig(restarts=0, max_iterations=200)
 
         def score_only(v):
             sigma = problem.sigma_matrix(v)
-            sol = entropy.measured_relative_entropy(problem.target, sigma, ms_cfg)
+            sol = entropy.measured_relative_entropy(problem.target, sigma, INNER_MEASURED_RE)
             return -sol.value_bits
 
         def score_and_grad(v):
-            return score_only(v), _finite_difference_gradient(
-                problem, v, score_only, cfg.fd_step
-            )
+            return score_only(v), _finite_difference_gradient(v, score_only)
 
     else:
+        score_only = problem.fidelity_value
+        score_and_grad = problem.fidelity_and_gradient
 
-        def score_only(v):
-            return problem.fidelity_value(v)
-
-        def score_and_grad(v):
-            return problem.fidelity_and_gradient(v)
-
-    starts = [_warm_start_isometry(problem, rho_tri, b, c, r)]
-    rows, cols = problem.isometry_shape()
-    for k in range(max(cfg.restarts - 1, 0)):
-        rng = states.sample_rng(cfg.seed, k)
-        starts.append(channels.haar_isometry(rows, cols, rng))
-
-    best = None
-    used = 0
-    for v0 in starts:
-        v, f, trace, converged = _ascend(problem, v0, score_and_grad, score_only, cfg)
-        used += 1
-        if best is None or f > best[1]:
-            best = (v, f, trace, converged)
-        if objective_kind in ("fidelity", "renyi_half") and f >= 1.0 - 1e-9:
-            break  # fidelity cannot exceed 1
-
-    v, f, trace, converged = best
+    v0 = _warm_start_isometry(problem, rho_tri, b, c, r)
+    v, f, trace, converged = _ascend(v0, score_and_grad, score_only, max_iterations)
 
     def to_units(score: float) -> float:
         if objective_kind == "fidelity":
@@ -348,7 +300,6 @@ def optimize_recovery(
         best_value=to_units(f),
         objective_kind=objective_kind,
         trace=[to_units(t) for t in trace],
-        restarts_used=used,
         converged=converged,
     )
 
@@ -364,7 +315,6 @@ def result_to_json_dict(result: OptimizerResult) -> dict:
         "best_value": encode(result.best_value),
         "best_value_is_infinite": not math.isfinite(result.best_value),
         "trace": [encode(t) for t in result.trace],
-        "restarts_used": result.restarts_used,
         "converged": result.converged,
         "best_channel": channels.to_json_dict(result.best_channel),
     }

@@ -117,7 +117,6 @@ class TestOptimizeCommand:
         code, _, _ = run_cli(
             capsys,
             "optimize", str(state_path),
-            "--restarts", "2",
             "--max-iterations", "200",
             "--out-json", str(out_path),
         )

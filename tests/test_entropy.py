@@ -274,15 +274,18 @@ class TestDataProcessing:
         assert entropy.fidelity(rho_out, sigma_out) >= entropy.fidelity(rho, sigma) - 1e-9
 
 
-class TestEntropyReport:
+class TestDistancePanel:
     def test_panel_invariants(self):
         rng = states.rng_from_seed(12)
         rho = states.random_pure((2, 2, 2), rng, ("B", "C", "R"))
         sigma = states.random_mixed((2, 2, 2), rng, ("B", "C", "R"))
-        report = entropy.entropy_report(rho, sigma)
-        if math.isfinite(report.renyi_half_bits):
-            assert abs(report.renyi_half_bits + 2 * math.log2(report.fidelity)) < 1e-9
-        if math.isfinite(report.rel_ent_bits):
-            assert report.measured_re_bits <= report.rel_ent_bits + 1e-7
-        assert report.measured_re_bits >= report.renyi_half_bits - 1e-6
-        assert 0.0 <= report.fidelity <= 1.0
+        rel_ent = entropy.relative_entropy(rho, sigma)
+        fid = entropy.fidelity(rho, sigma)
+        shalf = entropy.renyi_half(rho, sigma)
+        measured = entropy.measured_relative_entropy(rho, sigma).value_bits
+        if math.isfinite(shalf):
+            assert abs(shalf + 2 * math.log2(fid)) < 1e-9
+        if math.isfinite(rel_ent):
+            assert measured <= rel_ent + 1e-7
+        assert measured >= shalf - 1e-6
+        assert 0.0 <= fid <= 1.0

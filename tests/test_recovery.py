@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from cmirecon import channels, entropy, markov, recovery, states
-from cmirecon.recovery import RecoveryConfig
 
-SMALL_BUDGET = RecoveryConfig(restarts=3, max_iterations=400)
+SMALL_BUDGET = 400  # ascent iteration cap for the quick checks
 
 
 class TestOptimizeRecoveryFidelity:
@@ -24,9 +23,20 @@ class TestOptimizeRecoveryFidelity:
         result = recovery.optimize_recovery(rho, "fidelity")
         assert result.best_value >= 1.0 - 1e-6
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_pure_states_meet_cmi_certificate(self, seed):
-        rho = states.random_pure((2, 2, 2), states.sample_rng(700, seed), ("B", "C", "R"))
+    # rank-2 mixed states take the sqrt/eigh branch of the fidelity, pure
+    # states the rank-1 shortcut
+    @pytest.mark.parametrize(
+        "rank, seed",
+        [pytest.param(1, seed, id=str(seed)) for seed in range(8)]
+        + [pytest.param(2, seed, id=f"rank2-{seed}") for seed in range(8)],
+    )
+    def test_random_pure_states_meet_cmi_certificate(self, rank, seed):
+        labels = ("B", "C", "R")
+        if rank == 1:
+            rho = states.random_pure((2, 2, 2), states.sample_rng(700, seed), labels)
+        else:
+            rng = states.sample_rng(701, seed)
+            rho = states.random_mixed((2, 2, 2), rng, labels, ancilla_dim=rank)
         result = recovery.optimize_recovery(rho, "fidelity")
         shalf = -2.0 * math.log2(result.best_value)
         assert shalf <= entropy.cmi(rho) + 1e-4
@@ -35,19 +45,19 @@ class TestOptimizeRecoveryFidelity:
         rho = states.random_pure((2, 2, 2), states.rng_from_seed(2), ("B", "C", "R"))
         rho_bc = states.permute(states.partial_trace(rho, ["B", "C"]), ("B", "C"))
         warm = channels.transpose_channel(rho_bc)
-        warm_fid = recovery.evaluate_objective(rho, warm, "fidelity")
-        result = recovery.optimize_recovery(rho, "fidelity", SMALL_BUDGET)
+        warm_fid = entropy.fidelity(rho, recovery.reconstruct(rho, warm))
+        result = recovery.optimize_recovery(rho, "fidelity", max_iterations=SMALL_BUDGET)
         assert result.best_value >= warm_fid - 1e-9
 
     def test_best_value_reproducible_from_channel(self):
         rho = states.random_pure((2, 2, 2), states.rng_from_seed(3), ("B", "C", "R"))
-        result = recovery.optimize_recovery(rho, "fidelity", SMALL_BUDGET)
-        re_eval = recovery.evaluate_objective(rho, result.best_channel, "fidelity")
+        result = recovery.optimize_recovery(rho, "fidelity", max_iterations=SMALL_BUDGET)
+        re_eval = entropy.fidelity(rho, recovery.reconstruct(rho, result.best_channel))
         assert abs(re_eval - result.best_value) < 1e-7
 
     def test_trace_monotone_and_bounded(self):
         rho = states.random_pure((2, 2, 2), states.rng_from_seed(4), ("B", "C", "R"))
-        result = recovery.optimize_recovery(rho, "fidelity", SMALL_BUDGET)
+        result = recovery.optimize_recovery(rho, "fidelity", max_iterations=SMALL_BUDGET)
         trace = np.array(result.trace)
         assert np.all(np.diff(trace) >= -1e-10)
         assert np.all(trace <= 1.0 + 1e-9)
@@ -56,10 +66,24 @@ class TestOptimizeRecoveryFidelity:
 
     def test_mixed_target_state(self):
         rho = states.random_mixed((2, 2, 2), states.rng_from_seed(5), ("B", "C", "R"))
-        result = recovery.optimize_recovery(rho, "fidelity", SMALL_BUDGET)
+        result = recovery.optimize_recovery(rho, "fidelity", max_iterations=SMALL_BUDGET)
         assert 0.0 < result.best_value <= 1.0
-        re_eval = recovery.evaluate_objective(rho, result.best_channel, "fidelity")
+        re_eval = entropy.fidelity(rho, recovery.reconstruct(rho, result.best_channel))
         assert abs(re_eval - result.best_value) < 1e-7
+
+    def test_search_draws_no_random_numbers(self, monkeypatch):
+        rho = states.random_mixed(
+            (2, 2, 2), states.rng_from_seed(13), ("B", "C", "R"), ancilla_dim=2
+        )
+        first = recovery.optimize_recovery(rho, "fidelity", max_iterations=SMALL_BUDGET)
+
+        def no_streams(*args):
+            raise AssertionError("the recovery search drew a random stream")
+
+        monkeypatch.setattr(states, "sample_rng", no_streams)
+        second = recovery.optimize_recovery(rho, "fidelity", max_iterations=SMALL_BUDGET)
+        assert first.trace == second.trace
+        assert np.array_equal(first.best_channel.choi, second.best_channel.choi)
 
     def test_rejects_bad_inputs(self):
         rho = states.random_pure((2, 2), states.rng_from_seed(6), ("B", "C"))
@@ -73,14 +97,14 @@ class TestOptimizeRecoveryFidelity:
 class TestRenyiHalfObjective:
     def test_markov_state_reaches_zero(self):
         sigma = markov.markov_state(markov.random_markov_spec(states.rng_from_seed(7)))
-        result = recovery.optimize_recovery(sigma, "renyi_half", SMALL_BUDGET)
+        result = recovery.optimize_recovery(sigma, "renyi_half", max_iterations=SMALL_BUDGET)
         assert result.best_value < 1e-5
 
     def test_trace_non_increasing(self):
         rho = states.random_pure((2, 2, 2), states.rng_from_seed(8), ("B", "C", "R"))
-        result = recovery.optimize_recovery(rho, "renyi_half", SMALL_BUDGET)
+        result = recovery.optimize_recovery(rho, "renyi_half", max_iterations=SMALL_BUDGET)
         assert np.all(np.diff(np.array(result.trace)) <= 1e-10)
-        re_eval = recovery.evaluate_objective(rho, result.best_channel, "renyi_half")
+        re_eval = entropy.renyi_half(rho, recovery.reconstruct(rho, result.best_channel))
         assert abs(re_eval - result.best_value) < 1e-7
 
 
@@ -126,20 +150,17 @@ class TestMeasuredReObjective:
         left = states.random_mixed((2, 1), rng, ("C", "BL"))
         right = states.random_mixed((2, 2), rng, ("BR", "R"))
         sigma = markov.markov_state(markov.MarkovSpec((markov.MarkovBlock(1.0, left, right),)))
-        cfg = RecoveryConfig(restarts=1, max_iterations=2)
-        result = recovery.optimize_recovery(sigma, "measured_re", cfg)
+        result = recovery.optimize_recovery(sigma, "measured_re", max_iterations=2)
         # the transpose warm start alone already achieves zero for a Markov state
         assert result.best_value < 1e-5
-        re_eval = recovery.evaluate_objective(
-            sigma, result.best_channel, "measured_re", cfg.ms_config
-        )
+        re_eval = recovery.measured_re_of_recovery(sigma, result.best_channel)
         assert abs(re_eval - result.best_value) < 1e-7
 
 
 class TestResultSerialization:
     def test_json_round_trip_channel(self, tmp_path):
         rho = states.random_pure((2, 2, 2), states.rng_from_seed(12), ("B", "C", "R"))
-        result = recovery.optimize_recovery(rho, "fidelity", SMALL_BUDGET)
+        result = recovery.optimize_recovery(rho, "fidelity", max_iterations=SMALL_BUDGET)
         path = tmp_path / "result.json"
         recovery.save_result(result, path)
         doc = json.loads(path.read_text())
