@@ -13,7 +13,6 @@ from .channels import (
     transpose_channel,
 )
 from .entropy import (
-    MeasuredReConfig,
     MeasuredReSolution,
     cmi,
     fidelity,
@@ -50,7 +49,6 @@ __all__ = [
     "Channel",
     "MarkovBlock",
     "MarkovSpec",
-    "MeasuredReConfig",
     "MeasuredReSolution",
     "MultipartiteState",
     "OptimizerResult",

@@ -51,7 +51,7 @@ class Channel:
                 f"Choi matrix shape {m.shape} does not match input {d_in} x output {d_out}"
             )
         asym = linalg.asymmetry(m)
-        if asym > 1e-9:
+        if asym > linalg.HERMITICITY_ATOL:
             raise ValueError(f"Choi matrix is not Hermitian: asymmetry {asym:.3e}")
         if linalg.min_eigenvalue(m) < -CHOI_PSD_ATOL:
             raise ValueError(
@@ -165,8 +165,9 @@ def transpose_channel(rho_bc: MultipartiteState) -> Channel:
     (b_label, d_b), (c_label, d_c) = rho_bc.subsystems
     rho_b = states.partial_trace(rho_bc, [b_label]).matrix
     sqrt_bc = linalg.sqrtm_psd(rho_bc.matrix)
-    inv_sqrt_b = linalg.inv_sqrtm_psd(rho_b)
-    proj_b = linalg.support_projector(rho_b)
+    spec_b = linalg.eigh(rho_b)
+    inv_sqrt_b = spec_b.apply(lambda x: 1.0 / np.sqrt(x))
+    proj_b = spec_b.apply(np.ones_like)
     k = sqrt_bc @ np.kron(inv_sqrt_b, np.eye(d_c))
     kt = k.reshape(d_b * d_c, d_b, d_c)
     choi = np.einsum("oic,pjc->iojp", kt, kt.conj())

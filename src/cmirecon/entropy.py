@@ -101,7 +101,7 @@ def relative_entropy(rho, sigma) -> float:
     w = linalg.eigh(rho).eigenvalues
     w = w[w > linalg.support_cutoff(w)]
     tr_rho_log_rho = float((w * np.log(w)).sum())
-    log_sigma = linalg.logm_support(sigma)
+    log_sigma = sigma_spec.apply(np.log)
     tr_rho_log_sigma = float(np.trace(rho @ log_sigma).real)
     return (tr_rho_log_rho - tr_rho_log_sigma) / LN2
 
@@ -131,17 +131,15 @@ def renyi_half(rho, sigma) -> float:
 
 # --- measured relative entropy ----------------------------------------------
 
-@dataclass
-class MeasuredReConfig:
-    """Budget for the measured-relative-entropy ascent."""
-
-    restarts: int = 5              # random starts beyond the identity start
-    max_iterations: int = 600
-    convergence_window: int = 8
-    relative_tolerance: float = 1e-9
-    initial_step: float = 1.0
-    min_step: float = 1e-14
-    seed: int = 99                 # stream for the random starts
+# Measured-RE ascent: backtracking gives up below MRE_MIN_STEP, and a start
+# has converged once the objective moves by less than MRE_RELATIVE_TOLERANCE
+# over MRE_CONVERGENCE_WINDOW accepted steps. Random starts are drawn from
+# stream MRE_SEED.
+MRE_CONVERGENCE_WINDOW = 8
+MRE_RELATIVE_TOLERANCE = 1e-9
+MRE_INITIAL_STEP = 1.0
+MRE_MIN_STEP = 1e-14
+MRE_SEED = 99
 
 
 @dataclass
@@ -173,7 +171,7 @@ def measured_re_objective_bits(rho, sigma, witness: np.ndarray) -> float:
     return val / LN2
 
 
-def _ascend_measured_re(rho, sigma, h0, cfg: MeasuredReConfig):
+def _ascend_measured_re(rho, sigma, h0, max_iterations: int):
     """Gradient ascent of f(H) = tr(rho H) + 1 - tr(sigma e^H) with line search."""
 
     def evaluate(h):
@@ -200,12 +198,12 @@ def _ascend_measured_re(rho, sigma, h0, cfg: MeasuredReConfig):
     h = h0.copy()
     f, decomp, su = evaluate(h)
     grad = gradient(decomp, su)
-    step = cfg.initial_step
+    step = MRE_INITIAL_STEP
     trace = [f]
     converged = False
-    for _ in range(cfg.max_iterations):
+    for _ in range(max_iterations):
         accepted = False
-        while step >= cfg.min_step:
+        while step >= MRE_MIN_STEP:
             f_try, decomp_try, su_try = evaluate(h + step * grad)
             if f_try > f:
                 h = h + step * grad
@@ -219,16 +217,16 @@ def _ascend_measured_re(rho, sigma, h0, cfg: MeasuredReConfig):
             converged = True
             break
         grad = gradient(decomp, su)
-        if len(trace) > cfg.convergence_window:
-            ref = trace[-cfg.convergence_window - 1]
-            if abs(f - ref) < cfg.relative_tolerance * max(1.0, abs(f)):
+        if len(trace) > MRE_CONVERGENCE_WINDOW:
+            ref = trace[-MRE_CONVERGENCE_WINDOW - 1]
+            if abs(f - ref) < MRE_RELATIVE_TOLERANCE * max(1.0, abs(f)):
                 converged = True
                 break
     return f, h, trace, converged
 
 
 def measured_relative_entropy(
-    rho, sigma, config: MeasuredReConfig | None = None
+    rho, sigma, restarts: int = 5, max_iterations: int = 600
 ) -> MeasuredReSolution:
     """Measured relative entropy via its concave variational program.
 
@@ -238,11 +236,14 @@ def measured_relative_entropy(
     restarts. The returned value is a certified lower bound on the
     measurement supremum and is bounded above by S(rho||sigma).
 
+    Keywords:
+        restarts: random Hermitian starts run after those two.
+        max_iterations: cap on accepted ascent steps per start.
+
     A rank-deficient sigma is mixed with 1e-12 of the maximally mixed
     state first, which keeps the objective finite and shifts the result
     far below reporting tolerance.
     """
-    cfg = config or MeasuredReConfig()
     rho = _density(rho)
     sigma = _density(sigma)
     if rho.shape != sigma.shape:
@@ -265,14 +266,14 @@ def measured_relative_entropy(
         sigma, np.log, cutoff=0.0
     )
     starts.append(warm)
-    for k in range(cfg.restarts):
-        rng = states.sample_rng(cfg.seed, k)
+    for k in range(restarts):
+        rng = states.sample_rng(MRE_SEED, k)
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         starts.append((g + g.conj().T) / 2.0)
 
     best = None
     for h0 in starts:
-        f, h, trace, converged = _ascend_measured_re(rho, sigma, h0, cfg)
+        f, h, trace, converged = _ascend_measured_re(rho, sigma, h0, max_iterations)
         if best is None or f > best[0]:
             best = (f, h, trace, converged)
 

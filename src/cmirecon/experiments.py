@@ -38,9 +38,6 @@ class RunConfig:
     n_samples: int = 10000
     dims: tuple[int, int, int] = (2, 2, 2)
     workers: int = 1
-    out_csv: str | None = None
-    out_json: str | None = None
-    out_svg: str | None = None
     include_measured_re: bool = False
 
     def __post_init__(self):
@@ -106,7 +103,7 @@ def transpose_reconstruction_metrics(
     }
     if include_measured_re:
         out["measured_re_transpose_bits"] = entropy.measured_relative_entropy(
-            rho_tri.matrix, states.permute(sigma, rho_tri.labels).matrix
+            rho_tri.matrix, sigma.matrix
         ).value_bits
     return out
 

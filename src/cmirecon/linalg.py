@@ -128,11 +128,6 @@ def inv_sqrtm_psd(h: np.ndarray, cutoff: float | None = None) -> np.ndarray:
     return matrix_function(h, lambda x: 1.0 / np.sqrt(x), cutoff)
 
 
-def logm_support(h: np.ndarray, cutoff: float | None = None) -> np.ndarray:
-    """Natural log of a PSD matrix restricted to its support."""
-    return matrix_function(h, np.log, cutoff)
-
-
 def support_projector(h: np.ndarray, cutoff: float | None = None) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors above the cutoff."""
     return matrix_function(h, np.ones_like, cutoff)

@@ -11,7 +11,9 @@ start.
 
 Supported figures of merit: fidelity (maximized, analytic gradient), the
 order-1/2 Renyi divergence (same ascent, transformed at the end), and the
-measured relative entropy (minimized, central finite differences).
+measured relative entropy (minimized). All three gradients are analytic:
+the measured-RE gradient in sigma is -w*/ln 2, with w* the witness of the
+inner variational solve (Danskin's theorem).
 """
 
 from __future__ import annotations
@@ -37,10 +39,8 @@ STEP_TOLERANCE = 1e-9
 CONVERGENCE_WINDOW = 10
 RELATIVE_TOLERANCE = 1e-11
 
-# Measured-RE objective: central finite-difference step and the budget of
-# the inner solve behind every evaluation.
-FD_STEP = 1e-5
-INNER_MEASURED_RE = entropy.MeasuredReConfig(restarts=0, max_iterations=200)
+# Measured-RE objective: budget of the inner solve behind every evaluation.
+INNER_MEASURED_RE_ITERATIONS = 200
 
 
 @dataclass
@@ -76,14 +76,13 @@ def reconstruct(
 def measured_re_of_recovery(
     rho_tri: MultipartiteState,
     channel: Channel,
-    config: entropy.MeasuredReConfig | None = None,
     b: str = "B",
     c: str = "C",
     r: str = "R",
 ) -> float:
     """Measured relative entropy between rho and its reconstruction, in bits."""
     sigma = reconstruct(rho_tri, channel, b=b, c=c, r=r)
-    return entropy.measured_relative_entropy(rho_tri, sigma, config).value_bits
+    return entropy.measured_relative_entropy(rho_tri, sigma).value_bits
 
 
 class _RecoveryProblem:
@@ -159,11 +158,36 @@ class _RecoveryProblem:
             f = float(np.sqrt(np.clip(spec.eigenvalues, 0.0, None)).sum())
             inv_root = spec.apply(lambda x: 1.0 / np.sqrt(x))
             g = 0.5 * self.sqrt_target @ inv_root @ self.sqrt_target
+        return f, self.pullback(v, g)
+
+    def pullback(self, v: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Gradient dF/dV* from the Hermitian gradient g = dF/dsigma."""
+        vt = v.reshape(self.d_bc, self.d_env, self.d_b)
         g_t = g.reshape(self.d_bc, self.d_r, self.d_bc, self.d_r)
-        grad = np.einsum(
+        return np.einsum(
             "ospt,pec,ctbs->oeb", g_t, vt, self.rho_br_t, optimize=True
         ).reshape(self.isometry_shape())
-        return f, grad
+
+    def _inner_measured_re(self, v: np.ndarray) -> entropy.MeasuredReSolution:
+        return entropy.measured_relative_entropy(
+            self.target,
+            self.sigma_matrix(v),
+            restarts=0,
+            max_iterations=INNER_MEASURED_RE_ITERATIONS,
+        )
+
+    def measured_re_score(self, v: np.ndarray) -> float:
+        """Ascended score -D_M(rho || sigma(V)) in bits."""
+        return -self._inner_measured_re(v).value_bits
+
+    def measured_re_score_and_gradient(self, v: np.ndarray) -> tuple[float, np.ndarray]:
+        """The score and its envelope gradient d/dV*, from one inner solve.
+
+        D_M ln 2 = max_w tr(rho ln w) + 1 - tr(sigma w), so by Danskin's
+        theorem the score's gradient in sigma is w*/ln 2 at the witness w*.
+        """
+        sol = self._inner_measured_re(v)
+        return -sol.value_bits, self.pullback(v, sol.witness / entropy.LN2)
 
     def channel_from(self, v: np.ndarray) -> Channel:
         b, c, _ = self.labels
@@ -232,18 +256,6 @@ def _ascend(v0, value_and_grad, value_only, max_iterations: int):
     return v, f, trace, converged
 
 
-def _finite_difference_gradient(v, value_only) -> np.ndarray:
-    grad = np.zeros(v.shape, dtype=complex)
-    for idx in np.ndindex(v.shape):
-        for part, scale in ((1.0, 1.0), (1j, 1j)):
-            delta = np.zeros(v.shape, dtype=complex)
-            delta[idx] = part * FD_STEP
-            plus = value_only(_retract(v + delta))
-            minus = value_only(_retract(v - delta))
-            grad[idx] += scale * (plus - minus) / (2.0 * FD_STEP)
-    return grad / 2.0  # Wirtinger convention matching the analytic branch
-
-
 def optimize_recovery(
     rho_tri: MultipartiteState,
     objective_kind: str = "fidelity",
@@ -256,11 +268,13 @@ def optimize_recovery(
 
     One deterministic projected ascent from the transpose channel, capped
     at ``max_iterations`` accepted steps. Fidelity (and its monotone
-    transform, the order-1/2 Renyi divergence) is ascended with analytic
-    gradients; the measured-RE objective uses tangent-projected central
-    finite differences because its inner variational solve makes analytic
-    outer gradients fragile. The result is never worse than the
-    transpose-channel warm start.
+    transform, the order-1/2 Renyi divergence) is ascended with its
+    analytic gradient. The measured-RE objective takes the envelope
+    gradient: by Danskin's theorem dD_M/dsigma = -w*/ln 2 at the witness
+    w* of one inner solve, which is exact only as far as that solve has
+    converged; the line search accepts a step only if the value improves,
+    so the trace stays monotone either way. The result is never worse
+    than the transpose-channel warm start.
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective {objective_kind!r}; pick from {OBJECTIVE_KINDS}")
@@ -272,15 +286,8 @@ def optimize_recovery(
     problem = _RecoveryProblem(rho_tri, b, c, r)
 
     if objective_kind == "measured_re":
-
-        def score_only(v):
-            sigma = problem.sigma_matrix(v)
-            sol = entropy.measured_relative_entropy(problem.target, sigma, INNER_MEASURED_RE)
-            return -sol.value_bits
-
-        def score_and_grad(v):
-            return score_only(v), _finite_difference_gradient(v, score_only)
-
+        score_only = problem.measured_re_score
+        score_and_grad = problem.measured_re_score_and_gradient
     else:
         score_only = problem.fidelity_value
         score_and_grad = problem.fidelity_and_gradient

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import linalg
 
-HERMITICITY_ATOL = 1e-9
 TRACE_ATOL = 1e-9
 EIGENVALUE_ATOL = 1e-9
 
@@ -85,7 +84,7 @@ class MultipartiteState:
                 f"multiply to {d}, but the matrix is {m.shape[0]}x{m.shape[0]}"
             )
         asym = linalg.asymmetry(m)
-        if asym > HERMITICITY_ATOL:
+        if asym > linalg.HERMITICITY_ATOL:
             raise ValueError(f"state is not Hermitian: asymmetry {asym:.3e}")
         tr = float(m.trace().real)
         if abs(tr - 1.0) > TRACE_ATOL:

@@ -126,3 +126,15 @@ class TestOptimizeCommand:
         assert 0.0 < doc["best_value"] <= 1.0
         assert doc["converged"] in (True, False)
         assert doc["best_channel"]["input"] == [{"label": "B", "dim": 2}]
+
+    def test_measured_re_objective(self, tmp_path, capsys):
+        rho = states.random_mixed((2, 2, 2), states.rng_from_seed(7), ("B", "C", "R"))
+        state_path = tmp_path / "state.json"
+        states.save_state(rho, state_path)
+        code, _, _ = run_cli(
+            capsys,
+            "optimize", str(state_path),
+            "--objective", "measured_re",
+            "--max-iterations", "3",
+        )
+        assert code == 0

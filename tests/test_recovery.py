@@ -156,6 +156,38 @@ class TestMeasuredReObjective:
         re_eval = recovery.measured_re_of_recovery(sigma, result.best_channel)
         assert abs(re_eval - result.best_value) < 1e-7
 
+    def test_envelope_gradient_matches_central_differences(self):
+        # the gradient is only as exact as the 200-step inner solve's
+        # witness: close on this full-rank state, off by up to 50% on
+        # rank-deficient ones
+        labels = ("B", "C", "R")
+        rho = states.random_mixed((2, 2, 2), states.rng_from_seed(7), labels)
+        problem = recovery._RecoveryProblem(rho, *labels)
+        v = recovery._warm_start_isometry(problem, rho, *labels)
+        _, grad = problem.measured_re_score_and_gradient(v)
+        rng = np.random.default_rng(0)
+        h = 1e-5
+        for _ in range(3):
+            z = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+            d = recovery._project_tangent(v, z)
+            d /= np.linalg.norm(d)
+            plus = problem.measured_re_score(recovery._retract(v + h * d))
+            minus = problem.measured_re_score(recovery._retract(v - h * d))
+            central = (plus - minus) / (2.0 * h)
+            analytic = 2.0 * np.real(np.vdot(grad, d))
+            assert abs(analytic - central) <= 1e-2 * abs(central)
+
+    def test_search_on_non_markov_state(self):
+        rho = states.random_mixed((2, 2, 2), states.rng_from_seed(7), ("B", "C", "R"))
+        result = recovery.optimize_recovery(rho, "measured_re", max_iterations=20)
+        trace = np.array(result.trace)
+        assert np.all(np.diff(trace) <= 0.0)
+        assert result.best_value <= trace[0]
+        assert result.best_value <= entropy.cmi(rho) + 1e-4
+        # the default solver runs a superset of the inner starts, for longer
+        re_eval = recovery.measured_re_of_recovery(rho, result.best_channel)
+        assert re_eval >= result.best_value - 1e-9
+
 
 class TestResultSerialization:
     def test_json_round_trip_channel(self, tmp_path):
