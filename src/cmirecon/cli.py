@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit status: 0 when all requested checks pass, 1 on an invariant or check
-failure, 2 on a usage error.
+failure, 2 on a usage error: bad arguments, or a missing or malformed
+input file.
 """
 
 from __future__ import annotations
@@ -9,8 +10,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import experiments, recovery, states
+from .states import MultipartiteState
+
+
+class _InputError(Exception):
+    """A command's inputs were rejected while parsing or loading them."""
+
+
+@contextmanager
+def _reading_inputs():
+    """Scope in which a ValueError is bad input (exit 2), not a failed run (exit 1)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
@@ -21,6 +37,31 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     if len(dims) != 3:
         raise argparse.ArgumentTypeError(f"expected three dimensions, got {text!r}")
     return dims
+
+
+def _bounded(convert, accept, expected: str):
+    """argparse type: ``convert`` the text, then require ``accept(value)``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _bounded(int, lambda n: n >= 1, "an integer >= 1")
+
+
+def _load_tripartite(path) -> MultipartiteState:
+    state = states.load_state(path)
+    if sorted(state.labels) != ["B", "C", "R"]:
+        raise ValueError(f"expected a state on subsystems B, C, R, got labels {state.labels}")
+    return state
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,14 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--measured-re", action="store_true", help="add the measured-RE column")
 
     cls = sub.add_parser("classical-example", help="classically correlated benchmark report")
-    cls.add_argument("--d", type=int, default=16)
-    cls.add_argument("--eps", type=float, default=0.1)
+    cls.add_argument("--d", type=_bounded(int, lambda d: d >= 2, "an integer >= 2"), default=16)
+    cls.add_argument(
+        "--eps", type=_bounded(float, lambda e: 0.0 <= e < 1.0, "a number in [0, 1)"), default=0.1
+    )
     cls.add_argument("--out-json")
 
     ver = sub.add_parser("verify", help="run the inequality suite")
     ver.add_argument("--seed", type=int, default=42)
-    ver.add_argument("--samples", type=int, default=200)
-    ver.add_argument("--certificate-samples", type=int, default=None)
+    ver.add_argument("--samples", type=_positive_int, default=200)
+    ver.add_argument("--certificate-samples", type=_positive_int, default=None)
 
     rec = sub.add_parser("recover", help="transpose-channel report for a JSON state file")
     rec.add_argument("state", help="path to a tripartite state JSON file")
@@ -79,13 +122,14 @@ def _emit_json(payload: dict, out_json: str | None) -> None:
 
 
 def _cmd_figure1(args) -> int:
-    cfg = experiments.RunConfig(
-        seed=args.seed,
-        n_samples=args.samples,
-        dims=args.dims,
-        workers=args.workers,
-        include_measured_re=args.measured_re,
-    )
+    with _reading_inputs():
+        cfg = experiments.RunConfig(
+            seed=args.seed,
+            n_samples=args.samples,
+            dims=args.dims,
+            workers=args.workers,
+            include_measured_re=args.measured_re,
+        )
     records, summary = experiments.figure1_experiment(cfg)
     experiments.emit_outputs(
         records, summary, out_csv=args.out_csv, out_json=args.out_json, out_svg=args.out_svg
@@ -115,7 +159,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    state = states.load_state(args.state)
+    with _reading_inputs():
+        state = _load_tripartite(args.state)
     metrics = experiments.transpose_reconstruction_metrics(
         state, include_measured_re=args.measured_re
     )
@@ -124,7 +169,8 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    state = states.load_state(args.state)
+    with _reading_inputs():
+        state = _load_tripartite(args.state)
     result = recovery.optimize_recovery(
         state, args.objective, max_iterations=args.max_iterations
     )
@@ -146,13 +192,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
+    except (_InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +138,9 @@ def figure1_experiment(cfg: RunConfig) -> tuple[list[ExperimentRecord], dict]:
     if cfg.workers == 1:
         records = [_sample_record(cfg.seed, i, cfg.dims, cfg.include_measured_re) for i in ids]
     else:
+        # imported here so that importing the package loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, math.ceil(cfg.n_samples / (cfg.workers * 8)))
         batches = [
             (cfg.seed, ids[k : k + chunk], cfg.dims, cfg.include_measured_re)

@@ -14,6 +14,13 @@ order-1/2 Renyi divergence (same ascent, transformed at the end), and the
 measured relative entropy (minimized). All three gradients are analytic:
 the measured-RE gradient in sigma is -w*/ln 2, with w* the witness of the
 inner variational solve (Danskin's theorem).
+
+The line search evaluates each trial point once, and the gradient at an
+accepted point comes from what its evaluation already holds: psi^dag
+sigma psi for a pure target, the spectrum of sqrt(rho) sigma sqrt(rho)
+for a mixed one, the inner solve's witness for measured RE. The channel
+image sigma(V) and the adjoint map back to V are two matrix products each
+on operands of rho_BR arranged once per search.
 """
 
 from __future__ import annotations
@@ -89,8 +96,13 @@ class _RecoveryProblem:
     """Shared tensors for evaluating one recovery search.
 
     Works in the subsystem order (B, C, R) so the target density matrix is
-    a plain matrix on (BC) (x) R, and the isometry is stored as a tensor
-    v[bc, e, b_in].
+    a plain matrix on (BC) (x) R, and the isometry is a matrix v[(bc, e), b_in].
+
+    Each objective has an evaluate step, ``fidelity_value`` or
+    ``measured_re_score``, returning the score at V and what the gradient
+    needs, and a gradient step, ``fidelity_and_gradient`` or
+    ``measured_re_score_and_gradient``, turning that into the score and
+    dF/dV* without evaluating V again.
     """
 
     def __init__(self, rho_tri: MultipartiteState, b: str, c: str, r: str):
@@ -103,8 +115,14 @@ class _RecoveryProblem:
         self.d_env = self.d_bc
         self.labels = (b, c, r)
         self.target = ordered.matrix
-        rho_br = states.partial_trace(ordered, [b, r])
-        self.rho_br_t = rho_br.matrix.reshape(self.d_b, self.d_r, self.d_b, self.d_r)
+        rho_br = states.partial_trace(ordered, [b, r]).matrix
+        # rho_BR[(b,s),(c,t)] as the matmul operands of sigma_tensor and
+        # pullback: [b, (s,c,t)] and [(s,t,c), b]
+        d_b, d_r = self.d_b, self.d_r
+        self.rho_b_sct = rho_br.reshape(d_b, d_r * d_b * d_r)
+        self.rho_stc_b = np.ascontiguousarray(
+            rho_br.reshape(d_b, d_r, d_b, d_r).transpose(3, 1, 0, 2)
+        ).reshape(d_r * d_r * d_b, d_b)
 
         spec = linalg.eigh(self.target)
         top = spec.eigenvalues[-1]
@@ -112,81 +130,85 @@ class _RecoveryProblem:
         # threshold keeps the rank-1 shortcut's error below the 1e-7
         # re-evaluation contract: |F(rho,.) - F(psi,.)| <= sqrt(1 - top)
         if top > 1.0 - 4e-15:
-            self.pure_vec = spec.eigenvectors[:, -1].reshape(self.d_bc, self.d_r)
+            self.pure_vec = spec.eigenvectors[:, -1]
         else:
             self.sqrt_target = linalg.sqrtm_psd(self.target)
 
     def isometry_shape(self) -> tuple[int, int]:
         return (self.d_bc * self.d_env, self.d_b)
 
-    def sigma_tensor(self, vt: np.ndarray) -> np.ndarray:
-        # sigma[o,s,p,t] = <o,s| (channel (x) id_R)(rho_BR) |p,t>
-        return np.einsum("oeb,bsct,pec->ospt", vt, self.rho_br_t, vt.conj(), optimize=True)
+    def sigma_tensor(self, v: np.ndarray) -> np.ndarray:
+        """sigma = (channel (x) id_R)(rho_BR) as a matrix on (BC) (x) R."""
+        d_bc, d_env, d_b, d_r = self.d_bc, self.d_env, self.d_b, self.d_r
+        # x[o,e,s,c,t] = sum_b v[oe,b] rho[b,sct], regrouped as [(o,s,t),(e,c)]
+        x = (v @ self.rho_b_sct).reshape(d_bc, d_env, d_r, d_b, d_r)
+        x = x.transpose(0, 2, 4, 1, 3).reshape(d_bc * d_r * d_r, d_env * d_b)
+        # sigma[o,s,t,p] = sum_ec x[ost,ec] conj(v[pe,c])
+        sigma = (x @ v.reshape(d_bc, d_env * d_b).conj().T).reshape(d_bc, d_r, d_r, d_bc)
+        return sigma.transpose(0, 1, 3, 2).reshape(d_bc * d_r, d_bc * d_r)
 
-    def sigma_matrix(self, v: np.ndarray) -> np.ndarray:
-        vt = v.reshape(self.d_bc, self.d_env, self.d_b)
-        d = self.d_bc * self.d_r
-        return self.sigma_tensor(vt).reshape(d, d)
+    def pullback(self, v: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Gradient dF/dV* from the Hermitian gradient g = dF/dsigma.
 
-    def _inner(self, sigma: np.ndarray) -> np.ndarray:
-        # sqrt(rho) sigma sqrt(rho), whose root trace is F(rho, sigma)
-        inner = self.sqrt_target @ sigma @ self.sqrt_target
-        return (inner + inner.conj().T) / 2.0
+        For each environment index e this is Tr_R[g (V_e (x) 1_R) rho_BR].
+        """
+        d_bc, d_env, d_b, d_r = self.d_bc, self.d_env, self.d_b, self.d_r
+        # y[o,s,t,e,c] = sum_p g[os,pt] v[pe,c], regrouped as [(o,e),(s,t,c)]
+        g_t = g.reshape(d_bc, d_r, d_bc, d_r).transpose(0, 1, 3, 2)
+        g_t = g_t.reshape(d_bc * d_r * d_r, d_bc)
+        y = (g_t @ v.reshape(d_bc, d_env * d_b)).reshape(d_bc, d_r, d_r, d_env, d_b)
+        y = y.transpose(0, 3, 1, 2, 4).reshape(d_bc * d_env, d_r * d_r * d_b)
+        # dF/dV*[oe,b] = sum_stc y[oe,stc] rho[ct,bs]
+        return y @ self.rho_stc_b
 
-    def fidelity_value(self, v: np.ndarray) -> float:
-        sigma = self.sigma_matrix(v)
+    def fidelity_value(self, v: np.ndarray):
+        """F(rho, sigma(V)) and what its gradient needs.
+
+        That is psi^dag sigma psi when rho = |psi><psi|, and otherwise the
+        spectrum of sqrt(rho) sigma sqrt(rho), whose root trace is F.
+        """
+        sigma = self.sigma_tensor(v)
         if self.pure_vec is not None:
-            psi = self.pure_vec.reshape(-1)
-            val = float(np.real(psi.conj() @ sigma @ psi))
-            return math.sqrt(max(val, 0.0))
-        w = np.linalg.eigvalsh(self._inner(sigma))
-        return float(np.sqrt(np.clip(w, 0.0, None)).sum())
+            psi = self.pure_vec
+            overlap = float(np.real(psi.conj() @ sigma @ psi))
+            return math.sqrt(max(overlap, 0.0)), overlap
+        spec = linalg.eigh(self.sqrt_target @ sigma @ self.sqrt_target)
+        return float(np.sqrt(np.clip(spec.eigenvalues, 0.0, None)).sum()), spec
 
-    def fidelity_and_gradient(self, v: np.ndarray) -> tuple[float, np.ndarray]:
-        """F(V) and its Euclidean Wirtinger gradient dF/dV*."""
-        vt = v.reshape(self.d_bc, self.d_env, self.d_b)
-        sigma_t = self.sigma_tensor(vt)
-        d = self.d_bc * self.d_r
-        sigma = sigma_t.reshape(d, d)
+    def fidelity_and_gradient(self, v: np.ndarray, held) -> tuple[float, np.ndarray]:
+        """F(V) and its Euclidean Wirtinger gradient dF/dV*.
+
+        ``held`` is what ``fidelity_value(v)`` returned beside F.
+        """
         if self.pure_vec is not None:
-            psi = self.pure_vec.reshape(-1)
-            f = math.sqrt(max(float(np.real(psi.conj() @ sigma @ psi)), 1e-300))
+            psi = self.pure_vec
+            f = math.sqrt(max(held, 1e-300))
             g = np.outer(psi, psi.conj()) / (2.0 * f)
         else:
             # f and the support-restricted inverse root share one spectrum
-            spec = linalg.eigh(self._inner(sigma))
-            f = float(np.sqrt(np.clip(spec.eigenvalues, 0.0, None)).sum())
-            inv_root = spec.apply(lambda x: 1.0 / np.sqrt(x))
+            f = float(np.sqrt(np.clip(held.eigenvalues, 0.0, None)).sum())
+            inv_root = held.apply(lambda x: 1.0 / np.sqrt(x))
             g = 0.5 * self.sqrt_target @ inv_root @ self.sqrt_target
         return f, self.pullback(v, g)
 
-    def pullback(self, v: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Gradient dF/dV* from the Hermitian gradient g = dF/dsigma."""
-        vt = v.reshape(self.d_bc, self.d_env, self.d_b)
-        g_t = g.reshape(self.d_bc, self.d_r, self.d_bc, self.d_r)
-        return np.einsum(
-            "ospt,pec,ctbs->oeb", g_t, vt, self.rho_br_t, optimize=True
-        ).reshape(self.isometry_shape())
-
-    def _inner_measured_re(self, v: np.ndarray) -> entropy.MeasuredReSolution:
-        return entropy.measured_relative_entropy(
+    def measured_re_score(self, v: np.ndarray) -> tuple[float, entropy.MeasuredReSolution]:
+        """Ascended score -D_M(rho || sigma(V)) in bits, and the inner solve behind it."""
+        sol = entropy.measured_relative_entropy(
             self.target,
-            self.sigma_matrix(v),
+            self.sigma_tensor(v),
             restarts=0,
             max_iterations=INNER_MEASURED_RE_ITERATIONS,
         )
+        return -sol.value_bits, sol
 
-    def measured_re_score(self, v: np.ndarray) -> float:
-        """Ascended score -D_M(rho || sigma(V)) in bits."""
-        return -self._inner_measured_re(v).value_bits
-
-    def measured_re_score_and_gradient(self, v: np.ndarray) -> tuple[float, np.ndarray]:
-        """The score and its envelope gradient d/dV*, from one inner solve.
+    def measured_re_score_and_gradient(
+        self, v: np.ndarray, sol: entropy.MeasuredReSolution
+    ) -> tuple[float, np.ndarray]:
+        """The score and its envelope gradient d/dV*, from the inner solve at V.
 
         D_M ln 2 = max_w tr(rho ln w) + 1 - tr(sigma w), so by Danskin's
         theorem the score's gradient in sigma is w*/ln 2 at the witness w*.
         """
-        sol = self._inner_measured_re(v)
         return -sol.value_bits, self.pullback(v, sol.witness / entropy.LN2)
 
     def channel_from(self, v: np.ndarray) -> Channel:
@@ -224,20 +246,27 @@ def _warm_start_isometry(problem: _RecoveryProblem, rho_tri, b, c, r) -> np.ndar
     return _retract(v)
 
 
-def _ascend(v0, value_and_grad, value_only, max_iterations: int):
+def _ascend(v0, evaluate, gradient, max_iterations: int):
+    """Projected gradient ascent with a backtracking line search from ``v0``.
+
+    ``evaluate(v)`` returns (score, held) and ``gradient(v, held)`` returns
+    (score, dF/dV*) from what the evaluation held, so every trial point is
+    evaluated once and only accepted points are differentiated. Returns
+    (v, f, trace, converged); ``trace`` holds the accepted scores.
+    """
     v = _retract(v0)
-    f, grad = value_and_grad(v)
-    direction = _project_tangent(v, grad)
+    f, held = evaluate(v)
     step = INITIAL_STEP
     trace = [f]
     converged = False
     for _ in range(max_iterations):
+        direction = _project_tangent(v, gradient(v, held)[1])
         accepted = False
         while step >= STEP_TOLERANCE:
             v_try = _retract(v + step * direction)
-            f_try = value_only(v_try)
+            f_try, held_try = evaluate(v_try)
             if f_try > f:
-                v, f = v_try, f_try
+                v, f, held = v_try, f_try, held_try
                 trace.append(f)
                 accepted = True
                 step *= 1.3
@@ -246,8 +275,6 @@ def _ascend(v0, value_and_grad, value_only, max_iterations: int):
         if not accepted:
             converged = True
             break
-        _, grad = value_and_grad(v)
-        direction = _project_tangent(v, grad)
         if len(trace) > CONVERGENCE_WINDOW:
             ref = trace[-CONVERGENCE_WINDOW - 1]
             if abs(f - ref) < RELATIVE_TOLERANCE * max(1.0, abs(f)):
@@ -286,14 +313,14 @@ def optimize_recovery(
     problem = _RecoveryProblem(rho_tri, b, c, r)
 
     if objective_kind == "measured_re":
-        score_only = problem.measured_re_score
-        score_and_grad = problem.measured_re_score_and_gradient
+        evaluate = problem.measured_re_score
+        gradient = problem.measured_re_score_and_gradient
     else:
-        score_only = problem.fidelity_value
-        score_and_grad = problem.fidelity_and_gradient
+        evaluate = problem.fidelity_value
+        gradient = problem.fidelity_and_gradient
 
     v0 = _warm_start_isometry(problem, rho_tri, b, c, r)
-    v, f, trace, converged = _ascend(v0, score_and_grad, score_only, max_iterations)
+    v, f, trace, converged = _ascend(v0, evaluate, gradient, max_iterations)
 
     def to_units(score: float) -> float:
         if objective_kind == "fidelity":

@@ -52,6 +52,15 @@ class TestFigure1Command:
         assert code == 2
         assert "n_samples" in errtext
 
+    def test_value_error_after_inputs_accepted_returns_1(self, capsys, monkeypatch):
+        def broken_run(cfg):
+            raise ValueError("invariant broke mid-run")
+
+        monkeypatch.setattr("cmirecon.experiments.figure1_experiment", broken_run)
+        code, _, errtext = run_cli(capsys, "figure1", "--samples", "3")
+        assert code == 1
+        assert "invariant broke mid-run" in errtext
+
 
 class TestClassicalExampleCommand:
     def test_prints_report(self, capsys):
@@ -61,6 +70,12 @@ class TestClassicalExampleCommand:
         assert doc["d"] == 4
         assert "measured_bound_bits" in doc and "measured_bound_nats" in doc
 
+    @pytest.mark.parametrize("argv", [["--d", "1"], ["--eps", "1.0"], ["--eps", "x"]])
+    def test_bad_arguments_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["classical-example", *argv])
+        assert err.value.code == 2
+
     def test_writes_json(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         code, _, _ = run_cli(capsys, "classical-example", "--out-json", str(path))
@@ -69,6 +84,12 @@ class TestClassicalExampleCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("flag", ["--samples", "--certificate-samples"])
+    def test_zero_samples_is_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", flag, "0"])
+        assert err.value.code == 2
+
     def test_passes_on_small_budget(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--seed", "2", "--samples", "15", "--certificate-samples", "3"
@@ -106,6 +127,17 @@ class TestRecoverCommand:
         code, _, errtext = run_cli(capsys, "recover", "/nonexistent/state.json")
         assert code == 2
         assert "error" in errtext
+
+    @pytest.mark.parametrize("command", ["recover", "optimize"])
+    def test_malformed_or_wrong_state_is_usage_error(self, tmp_path, capsys, command):
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("{not json")
+        bipartite = tmp_path / "bipartite.json"
+        states.save_state(states.random_pure((2, 2), states.rng_from_seed(3), ("B", "C")), bipartite)
+        for path in (garbled, bipartite):
+            code, _, errtext = run_cli(capsys, command, str(path))
+            assert code == 2
+            assert "error" in errtext
 
 
 class TestOptimizeCommand:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cmirecon
 import cmirecon.entropy
 from cmirecon import experiments, markov, states
 from cmirecon.experiments import ExperimentRecord, RunConfig
@@ -38,6 +42,16 @@ class TestFigure1:
         rec1, _ = experiments.figure1_experiment(cfg1)
         rec2, _ = experiments.figure1_experiment(cfg2)
         assert experiments.records_to_csv_text(rec1) == experiments.records_to_csv_text(rec2)
+
+    def test_importing_the_package_loads_no_multiprocessing(self):
+        # the process pool is imported only when figure1 runs with workers > 1
+        src = os.path.dirname(os.path.dirname(cmirecon.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, cmirecon, cmirecon.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_markov_control_sample_sits_at_origin(self):
         sigma = markov.markov_state(markov.random_markov_spec(states.rng_from_seed(3)))

@@ -94,6 +94,84 @@ class TestOptimizeRecoveryFidelity:
             recovery.optimize_recovery(rho3, "trace_distance")
 
 
+def _count_calls(monkeypatch, owner, name, log):
+    """Replace owner.name by a wrapper that logs the bytes of each call's second argument.
+
+    That is the isometry V for the problem's methods and sigma for
+    measured_relative_entropy(rho, sigma).
+    """
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        log.append(np.asarray(args[1]).tobytes())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestSearchEvaluations:
+    def test_fidelity_evaluates_each_trial_point_once(self, monkeypatch):
+        rho = states.random_mixed(
+            (2, 2, 2), states.sample_rng(701, 0), ("B", "C", "R"), ancilla_dim=2
+        )
+        values, sigmas, gradients = [], [], []
+        problem = recovery._RecoveryProblem
+        _count_calls(monkeypatch, problem, "fidelity_value", values)
+        _count_calls(monkeypatch, problem, "sigma_tensor", sigmas)
+        _count_calls(monkeypatch, problem, "fidelity_and_gradient", gradients)
+        result = recovery.optimize_recovery(rho, "fidelity", max_iterations=20)
+        assert len(result.trace) == 21
+        assert len(values) > len(result.trace)  # some trial points were rejected
+        assert sigmas == values
+        assert len(set(sigmas)) == len(sigmas)
+        # gradients only at accepted points, each once
+        assert len(gradients) == len(set(gradients)) <= len(result.trace)
+
+    def test_measured_re_solves_once_per_trial_point(self, monkeypatch):
+        rho = states.random_mixed((2, 2, 2), states.rng_from_seed(7), ("B", "C", "R"))
+        scores, solves = [], []
+        _count_calls(monkeypatch, recovery._RecoveryProblem, "measured_re_score", scores)
+        _count_calls(monkeypatch, entropy, "measured_relative_entropy", solves)
+        recovery.optimize_recovery(rho, "measured_re", max_iterations=3)
+        assert len(solves) == len(scores) > 0
+        assert len(set(solves)) == len(solves)
+
+
+class TestContractions:
+    """The matmul contractions against the einsum definitions."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2)], ids=["222", "232", "322"])
+    @pytest.mark.parametrize("rank", [1, 2], ids=["pure", "rank2"])
+    def test_sigma_tensor_and_pullback_match_einsum(self, dims, rank):
+        labels = ("B", "C", "R")
+        rng = states.rng_from_seed(31)
+        if rank == 1:
+            rho = states.random_pure(dims, rng, labels)
+        else:
+            rho = states.random_mixed(dims, rng, labels, ancilla_dim=rank)
+        problem = recovery._RecoveryProblem(rho, *labels)
+        d_b, d_c, d_r = dims
+        d_bc, d_env = d_b * d_c, problem.d_env
+        rho_br = states.partial_trace(rho, ["B", "R"]).matrix.reshape(d_b, d_r, d_b, d_r)
+        draw = np.random.default_rng(rank * 100 + sum(dims))
+        for _ in range(3):
+            z = draw.standard_normal(problem.isometry_shape()) + 1j * draw.standard_normal(
+                problem.isometry_shape()
+            )
+            v = np.linalg.qr(z)[0]
+            vt = v.reshape(d_bc, d_env, d_b)
+            d = d_bc * d_r
+            h = draw.standard_normal((d, d)) + 1j * draw.standard_normal((d, d))
+            g = (h + h.conj().T) / 2.0
+
+            sigma = np.einsum("oeb,bsct,pec->ospt", vt, rho_br, vt.conj()).reshape(d, d)
+            grad = np.einsum(
+                "ospt,pec,ctbs->oeb", g.reshape(d_bc, d_r, d_bc, d_r), vt, rho_br
+            ).reshape(problem.isometry_shape())
+            assert np.abs(problem.sigma_tensor(v) - sigma).max() < 1e-13
+            assert np.abs(problem.pullback(v, g) - grad).max() < 1e-13
+
+
 class TestRenyiHalfObjective:
     def test_markov_state_reaches_zero(self):
         sigma = markov.markov_state(markov.random_markov_spec(states.rng_from_seed(7)))
@@ -164,15 +242,15 @@ class TestMeasuredReObjective:
         rho = states.random_mixed((2, 2, 2), states.rng_from_seed(7), labels)
         problem = recovery._RecoveryProblem(rho, *labels)
         v = recovery._warm_start_isometry(problem, rho, *labels)
-        _, grad = problem.measured_re_score_and_gradient(v)
+        _, grad = problem.measured_re_score_and_gradient(v, problem.measured_re_score(v)[1])
         rng = np.random.default_rng(0)
         h = 1e-5
         for _ in range(3):
             z = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
             d = recovery._project_tangent(v, z)
             d /= np.linalg.norm(d)
-            plus = problem.measured_re_score(recovery._retract(v + h * d))
-            minus = problem.measured_re_score(recovery._retract(v - h * d))
+            plus, _ = problem.measured_re_score(recovery._retract(v + h * d))
+            minus, _ = problem.measured_re_score(recovery._retract(v - h * d))
             central = (plus - minus) / (2.0 * h)
             analytic = 2.0 * np.real(np.vdot(grad, d))
             assert abs(analytic - central) <= 1e-2 * abs(central)
