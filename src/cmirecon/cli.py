@@ -55,6 +55,7 @@ def _bounded(convert, accept, expected: str):
 
 
 _positive_int = _bounded(int, lambda n: n >= 1, "an integer >= 1")
+_nonnegative_int = _bounded(int, lambda n: n >= 0, "an integer >= 0")
 
 
 def _load_tripartite(path) -> MultipartiteState:
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument(
         "--objective", choices=recovery.OBJECTIVE_KINDS, default="fidelity"
     )
-    opt.add_argument("--max-iterations", type=int, default=2000)
+    opt.add_argument("--max-iterations", type=_nonnegative_int, default=2000)
     opt.add_argument("--out-json")
 
     return parser

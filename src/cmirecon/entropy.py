@@ -35,16 +35,12 @@ def _density(state_or_matrix) -> np.ndarray:
     return np.asarray(state_or_matrix, dtype=complex)
 
 
-def _psd_part(m: np.ndarray, with_min: bool = False):
-    """Clip round-off-negative eigenvalues to zero."""
+def _psd_part(m: np.ndarray) -> tuple[np.ndarray, linalg.Spectrum]:
+    """Clip round-off-negative eigenvalues to zero; also return m's spectrum."""
     spec = linalg.eigh(m)
-    low = float(spec.eigenvalues[0])
-    if low >= 0.0:
-        out = m
-    else:
-        w = np.clip(spec.eigenvalues, 0.0, None)
-        out = (spec.eigenvectors * w) @ spec.eigenvectors.conj().T
-    return (out, low) if with_min else out
+    if spec.eigenvalues[0] < 0.0:
+        m = spec.apply(lambda w: w, cutoff=0.0)
+    return m, spec
 
 
 def von_neumann(state_or_matrix) -> float:
@@ -251,9 +247,10 @@ def measured_relative_entropy(
     d = sigma.shape[0]
     # strict positivity of both spectra keeps the ascent from milking
     # unbounded objective out of round-off-negative directions
-    rho = _psd_part(rho)
-    sigma, sigma_min = _psd_part(sigma, with_min=True)
-    if sigma_min <= linalg.support_cutoff(linalg.eigh(sigma).eigenvalues):
+    rho, _ = _psd_part(rho)
+    sigma, sigma_spec = _psd_part(sigma)
+    # a clipped sigma had a negative minimum: below the cutoff either way
+    if sigma_spec.eigenvalues[0] <= linalg.support_cutoff(sigma_spec.eigenvalues):
         delta = SIGMA_REGULARIZATION
         sigma = (1.0 - delta) * sigma + delta * np.eye(d) / d
 

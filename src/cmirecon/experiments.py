@@ -25,6 +25,10 @@ from .states import MultipartiteState
 STRICT_TOL = 1e-9
 
 SSA_TOL = 1e-9
+CLASSICAL_CMI_TOL = 1e-9
+# -2 log2 F <= CMI + CERTIFICATE_TOL_BITS must hold on CERTIFICATE_MIN_PASS of states
+CERTIFICATE_TOL_BITS = 1e-4
+CERTIFICATE_MIN_PASS = 0.99
 
 TRIPARTITE_LABELS = ("B", "C", "R")
 
@@ -312,7 +316,7 @@ def _classical_cmi_oracle(table: np.ndarray) -> float:
     return total
 
 
-def _check_classical_equality(seed, n, tol=1e-9):
+def _check_classical_equality(seed, n):
     failures = []
     worst = 0.0
     for i in range(n):
@@ -324,7 +328,7 @@ def _check_classical_equality(seed, n, tol=1e-9):
         target = _classical_cmi_oracle(table)
         err = abs(value - target)
         worst = max(worst, err)
-        if err > tol:
+        if err > CLASSICAL_CMI_TOL:
             failures.append(i)
     return CheckResult(
         "classical-cmi-equality", n, not failures, f"max deviation {worst:.2e} bits", failures
@@ -418,7 +422,7 @@ def _check_markov_gap(seed, n):
     return CheckResult("markov-gap-nonnegative", n, not failures, "", failures)
 
 
-def _check_recovery_certificate(seed, n, tol_bits=1e-4, min_pass=0.99, sampler=None):
+def _check_recovery_certificate(seed, n, sampler=None):
     if sampler is None:
         sampler = lambda rng: states.random_pure((2, 2, 2), rng, TRIPARTITE_LABELS)
     failures = []
@@ -427,13 +431,13 @@ def _check_recovery_certificate(seed, n, tol_bits=1e-4, min_pass=0.99, sampler=N
         rho = sampler(rng)
         result = recovery.optimize_recovery(rho, "fidelity")
         shalf = math.inf if result.best_value <= 0 else -2.0 * math.log2(result.best_value)
-        if shalf > entropy.cmi(rho) + tol_bits:
+        if shalf > entropy.cmi(rho) + CERTIFICATE_TOL_BITS:
             failures.append(i)
     fraction = 1.0 - len(failures) / n
     return CheckResult(
         "recovery-certificate",
         n,
-        fraction >= min_pass,
+        fraction >= CERTIFICATE_MIN_PASS,
         f"witness within tolerance on {fraction:.1%}",
         failures,
     )

@@ -132,7 +132,7 @@ class _RecoveryProblem:
         if top > 1.0 - 4e-15:
             self.pure_vec = spec.eigenvectors[:, -1]
         else:
-            self.sqrt_target = linalg.sqrtm_psd(self.target)
+            self.sqrt_target = spec.apply(np.sqrt)
 
     def isometry_shape(self) -> tuple[int, int]:
         return (self.d_bc * self.d_env, self.d_b)
@@ -310,6 +310,8 @@ def optimize_recovery(
             raise ValueError(f"state has no subsystem {label!r}; labels are {rho_tri.labels}")
     if len(rho_tri.subsystems) != 3:
         raise ValueError(f"expected a tripartite state, got subsystems {rho_tri.subsystems}")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
     problem = _RecoveryProblem(rho_tri, b, c, r)
 
     if objective_kind == "measured_re":

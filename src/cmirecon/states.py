@@ -146,17 +146,21 @@ def random_mixed(
 ) -> MultipartiteState:
     """Random mixed state: the marginal of a Haar-random purification.
 
-    ``ancilla_dim`` controls the rank (defaults to the full dimension,
-    which gives almost-surely full-rank output).
+    Built as M M^dag / tr(M M^dag) for an i.i.d. complex Gaussian d x d_anc
+    matrix M, which has exactly that distribution (Zyczkowski-Sommers), from
+    the draws ``random_pure`` makes on ``dims + (d_anc,)``. ``ancilla_dim``
+    (d_anc) sets the rank, almost surely full at its default, the full dimension.
     """
     dims = tuple(int(d) for d in dims)
     if labels is None:
         labels = tuple(f"s{k}" for k in range(len(dims)))
-    if ancilla_dim is None:
-        ancilla_dim = math.prod(dims)
-    anc = "+ancilla"
-    pure = random_pure(tuple(dims) + (ancilla_dim,), rng, tuple(labels) + (anc,))
-    return partial_trace(pure, labels)
+    d = math.prod(dims)
+    ancilla_dim = d if ancilla_dim is None else int(ancilla_dim)
+    if ancilla_dim < 1 or any(dim < 1 for dim in dims):
+        raise ValueError(f"dimensions must be >= 1, got {dims} and ancilla {ancilla_dim}")
+    psi = rng.standard_normal(d * ancilla_dim) + 1j * rng.standard_normal(d * ancilla_dim)
+    m = psi.reshape(d, ancilla_dim) / np.linalg.norm(psi)
+    return MultipartiteState(m @ m.conj().T, tuple(zip(labels, dims)))
 
 
 def partial_trace(state: MultipartiteState, keep: Iterable[str] | str) -> MultipartiteState:
@@ -218,18 +222,12 @@ def purify(state: MultipartiteState, ancilla_label: str) -> MultipartiteState:
     if ancilla_label in state.labels:
         raise ValueError(f"ancilla label {ancilla_label!r} collides with {state.labels}")
     spec = linalg.eigh(state.matrix)
-    cutoff = linalg.support_cutoff(spec.eigenvalues)
-    idx = np.nonzero(spec.eigenvalues > cutoff)[0]
-    if len(idx) == 0:
+    keep = spec.eigenvalues > linalg.support_cutoff(spec.eigenvalues)
+    if not np.any(keep):
         raise ValueError("state has numerically empty support")
-    rank = len(idx)
-    d = state.dim
-    psi = np.zeros(d * rank, dtype=complex)
-    for out_col, i in enumerate(idx):
-        vec = np.zeros(rank, dtype=complex)
-        vec[out_col] = 1.0
-        psi += np.sqrt(spec.eigenvalues[i]) * np.kron(spec.eigenvectors[:, i], vec)
-    subs = state.subsystems + ((ancilla_label, rank),)
+    # psi[(a, k)] = sqrt(w_k) v_k[a] over the kept eigenpairs
+    psi = (spec.eigenvectors[:, keep] * np.sqrt(spec.eigenvalues[keep])).reshape(-1)
+    subs = state.subsystems + ((ancilla_label, int(np.count_nonzero(keep))),)
     return MultipartiteState(np.outer(psi, psi.conj()), subs)
 
 
@@ -271,13 +269,10 @@ def classical_example_state(
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
     c_label, b_label, r_label = labels
-    table_cr = np.zeros((d, d))
-    table_cr[0, 0] = 1.0 - eps
-    for k in range(1, d):
-        table_cr[k, k] = eps / (d - 1)
-    rho_cr = classical_state(table_cr, (c_label, r_label))
-    tau_b = classical_state(np.full(2, 0.5), (b_label,))
-    return permute(tensor(rho_cr, tau_b), (c_label, b_label, r_label))
+    p_cr = np.full(d, eps / (d - 1))
+    p_cr[0] = 1.0 - eps
+    table = np.diag(p_cr)[:, None, :] * np.full((2, 1), 0.5)  # (C, B, R)
+    return classical_state(table, (c_label, b_label, r_label))
 
 
 # --- JSON interchange -------------------------------------------------------

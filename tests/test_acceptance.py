@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from cmirecon import channels, entropy, linalg, markov, recovery, states
+from cmirecon import channels, entropy, experiments, linalg, markov, recovery, states
 from cmirecon.experiments import (
     RunConfig,
     figure1_experiment,
@@ -97,81 +97,35 @@ def test_markov_recovery_exactness():
 
 
 def test_classical_equality():
-    worst = 0.0
-    failures = []
-    for i in range(200):
-        rng = states.sample_rng(FIG1_SEED + 3, i)
-        dims = tuple(int(rng.integers(2, 5)) for _ in range(3))
-        table = rng.dirichlet(np.ones(math.prod(dims))).reshape(dims)
-        rho = states.classical_state(table, ("X", "Y", "Z"))
-        quantum = entropy.cmi(rho, c="X", r="Z", b="Y")
-
-        # independent classical oracle: KL(p || p_y p_{x|y} p_{z|y})
-        p_y = table.sum(axis=(0, 2))
-        p_xy = table.sum(axis=2)
-        p_zy = table.sum(axis=0)
-        classical = 0.0
-        for x in range(dims[0]):
-            for y in range(dims[1]):
-                for z in range(dims[2]):
-                    p = table[x, y, z]
-                    if p > 0 and p_y[y] > 0:
-                        classical += p * math.log2(p * p_y[y] / (p_xy[x, y] * p_zy[y, z]))
-        err = abs(quantum - classical)
-        worst = max(worst, err)
-        if err > 1e-9:
-            failures.append(i)
+    result = experiments._check_classical_equality(FIG1_SEED + 3, 200)
     report(
         "classical-cmi-equality",
-        not failures,
-        f"200 tables: max |CMI - KL| = {worst:.2e} bits (tol 1e-9)",
+        result.passed,
+        f"200 tables: {result.detail} between CMI and the classical KL oracle (tol 1e-9); "
+        f"failures {result.failures}",
     )
 
 
 def test_recovery_certificate():
-    n = 500
-    failures = []
-    for i in range(n):
-        rng = states.sample_rng(FIG1_SEED + 4, i)
-        rho = states.random_pure((2, 2, 2), rng, ("B", "C", "R"))
-        result = recovery.optimize_recovery(rho, "fidelity")
-        shalf = math.inf if result.best_value <= 0 else -2.0 * math.log2(result.best_value)
-        if shalf > entropy.cmi(rho) + 1e-4:
-            failures.append((FIG1_SEED + 4, i))
-    fraction = 1.0 - len(failures) / n
-    if failures:
-        print(f"certificate failures (seed, sample): {failures}")
+    result = experiments._check_recovery_certificate(FIG1_SEED + 4, 500)
+    if result.failures:
+        print(f"certificate failures (seed {FIG1_SEED + 4}, sample): {result.failures}")
     report(
         "recovery-certificate",
-        fraction >= 0.99,
-        f"-2 log2 F <= CMI + 1e-4 bits on {fraction:.1%} of {n} states (>= 99% required)",
+        result.passed,
+        f"-2 log2 F <= CMI + 1e-4 bits: {result.detail} of 500 states (>= 99% required)",
     )
 
 
 def test_ordering_panel():
-    n = 500
-    failures = []
-    for i in range(n):
-        rng = states.sample_rng(FIG1_SEED + 5, i)
-        d = int(rng.integers(2, 9))
-        rho = states.random_mixed((d,), rng, ("A",))
-        sigma = states.random_mixed((d,), rng, ("A",))
-        ms = entropy.measured_relative_entropy(rho, sigma).value_bits
-        rel = entropy.relative_entropy(rho, sigma)
-        shalf = entropy.renyi_half(rho, sigma)
-        ok = ms <= rel + 1e-7 and ms >= shalf - 1e-6
-        beta = linalg.eigh(sigma.matrix).eigenvalues[0]
-        if beta > linalg.support_cutoff(linalg.eigh(sigma.matrix).eigenvalues):
-            t = linalg.trace_norm(rho.matrix - sigma.matrix)
-            bound = entropy.relative_entropy_continuity_bound(d, t, beta)
-            ok = ok and rel <= bound + 1e-9
-        if not ok:
-            failures.append(i)
+    ordering = experiments._check_ordering_panel(FIG1_SEED + 5, 500)
+    continuity = experiments._check_continuity_bound(FIG1_SEED + 5, 500)
+    exceptions = sorted(set(ordering.failures) | set(continuity.failures))
     report(
         "ordering-panel",
-        not failures,
-        f"{n} pairs (d <= 8): MS <= S + 1e-7, MS >= -2log2F - 1e-6, "
-        f"S <= continuity bound; {len(failures)} exceptions",
+        ordering.passed and continuity.passed,
+        f"500 pairs (d <= 8): MS <= S + 1e-7, MS >= -2log2F - 1e-6, "
+        f"S <= continuity bound; {len(exceptions)} exceptions {exceptions}",
     )
 
 

@@ -70,10 +70,18 @@ class TestClassicalExampleCommand:
         assert doc["d"] == 4
         assert "measured_bound_bits" in doc and "measured_bound_nats" in doc
 
-    @pytest.mark.parametrize("argv", [["--d", "1"], ["--eps", "1.0"], ["--eps", "x"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classical-example", "--d", "1"],
+            ["classical-example", "--eps", "1.0"],
+            ["classical-example", "--eps", "x"],
+            ["optimize", "state.json", "--max-iterations", "-3"],
+        ],
+    )
     def test_bad_arguments_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
-            cli.main(["classical-example", *argv])
+            cli.main(argv)
         assert err.value.code == 2
 
     def test_writes_json(self, tmp_path, capsys):

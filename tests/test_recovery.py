@@ -92,6 +92,8 @@ class TestOptimizeRecoveryFidelity:
         rho3 = states.random_pure((2, 2, 2), states.rng_from_seed(6), ("B", "C", "R"))
         with pytest.raises(ValueError, match="unknown objective"):
             recovery.optimize_recovery(rho3, "trace_distance")
+        with pytest.raises(ValueError, match="max_iterations"):
+            recovery.optimize_recovery(rho3, "fidelity", max_iterations=-3)
 
 
 def _count_calls(monkeypatch, owner, name, log):

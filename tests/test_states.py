@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,46 @@ class TestRandomPure:
         vals, vals_rot = np.array(vals), np.array(vals_rot)
         se = math.hypot(vals.std() / math.sqrt(n), vals_rot.std() / math.sqrt(n))
         assert abs(vals.mean() - vals_rot.mean()) <= 3 * se
+
+
+def purification_marginal(dims, rng, labels, ancilla_dim=None):
+    """Reference for random_mixed: trace the ancilla out of a Haar-random pure state."""
+    k = math.prod(dims) if ancilla_dim is None else ancilla_dim
+    pure = states.random_pure(tuple(dims) + (k,), rng, tuple(labels) + ("anc",))
+    return states.partial_trace(pure, labels)
+
+
+class TestRandomMixed:
+    @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2, 2), (2, 3, 2), (3, 3, 3)])
+    @pytest.mark.parametrize("ancilla_dim", [None, 1, 2])
+    def test_matches_purification_marginal(self, dims, ancilla_dim):
+        labels = tuple(f"s{k}" for k in range(len(dims)))
+        for i in range(5):
+            rng, rng_ref = states.sample_rng(71, i), states.sample_rng(71, i)
+            rho = states.random_mixed(dims, rng, labels, ancilla_dim=ancilla_dim)
+            oracle = purification_marginal(dims, rng_ref, labels, ancilla_dim)
+            assert rho.subsystems == oracle.subsystems
+            assert np.abs(rho.matrix - oracle.matrix).max() < 1e-14
+            # both leave the generator at the same position
+            assert rng.standard_normal() == rng_ref.standard_normal()
+
+    @pytest.mark.parametrize(
+        "dims, ancilla_dim", [((2, 2), 0), ((2, 0), None), ((0,), 2), ((2, -1), 3)]
+    )
+    def test_rejects_bad_dimensions(self, dims, ancilla_dim):
+        with pytest.raises(ValueError, match="dimension"):
+            states.random_mixed(dims, states.rng_from_seed(0), ancilla_dim=ancilla_dim)
+
+    def test_builds_no_purification(self):
+        # the purification of a (3,3,3) state is a 729 x 729 complex matrix (8.5 MB)
+        rng = states.rng_from_seed(5)
+        tracemalloc.start()
+        try:
+            states.random_mixed((3, 3, 3), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestPartialTrace:
@@ -176,6 +217,22 @@ class TestPurify:
         out = states.purify(rho, "E")
         assert np.abs(states.partial_trace(out, ["A"]).matrix - rho.matrix).max() < 1e-9
 
+    @pytest.mark.parametrize("dims, ancilla_dim", [((4,), None), ((2, 3), 2), ((2, 2), 1)])
+    def test_matches_kron_construction(self, dims, ancilla_dim):
+        for seed in range(5):
+            rho = states.random_mixed(dims, states.sample_rng(12, seed), ancilla_dim=ancilla_dim)
+            # reference: psi = sum over kept eigenpairs of sqrt(w_k) v_k (x) e_k
+            spec = linalg.eigh(rho.matrix)
+            idx = np.nonzero(spec.eigenvalues > linalg.support_cutoff(spec.eigenvalues))[0]
+            psi = np.zeros(rho.dim * len(idx), dtype=complex)
+            for col, i in enumerate(idx):
+                e = np.zeros(len(idx), dtype=complex)
+                e[col] = 1.0
+                psi += np.sqrt(spec.eigenvalues[i]) * np.kron(spec.eigenvectors[:, i], e)
+            out = states.purify(rho, "E")
+            assert out.dims == rho.dims + (len(idx),)
+            assert np.array_equal(out.matrix, np.outer(psi, psi.conj()))
+
     def test_entropy_duality_for_pure_tripartite(self):
         for seed in range(5):
             rho = states.random_pure((2, 3, 2), states.sample_rng(50, seed), ("B", "C", "R"))
@@ -241,6 +298,20 @@ class TestClassicalExampleState:
         )
         h2 = -eps * math.log2(eps) - (1 - eps) * math.log2(1 - eps)
         assert abs(i_cr - (h2 + eps * math.log2(d - 1))) < 1e-10
+
+    @pytest.mark.parametrize("d, eps", [(2, 0.3), (16, 0.1), (5, 0.0), (3, 1.0)])
+    def test_matches_tensor_construction(self, d, eps):
+        # reference: the (C, R) state tensored with a maximally mixed qubit B, reordered
+        table_cr = np.zeros((d, d))
+        table_cr[0, 0] = 1.0 - eps
+        for k in range(1, d):
+            table_cr[k, k] = eps / (d - 1)
+        rho_cr = states.classical_state(table_cr, ("C", "R"))
+        tau_b = states.classical_state(np.full(2, 0.5), ("B",))
+        oracle = states.permute(states.tensor(rho_cr, tau_b), ("C", "B", "R"))
+        rho = states.classical_example_state(d, eps)
+        assert rho.subsystems == oracle.subsystems
+        assert np.array_equal(rho.matrix, oracle.matrix)
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError, match="d >= 2"):
