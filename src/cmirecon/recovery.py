@@ -3,11 +3,21 @@
 Given a tripartite state on (B, C, R), find a channel acting on B alone
 whose extension to (B, R) maps the BR marginal close to the full state.
 The search space is Stinespring isometries V: B -> (BC) (x) E with
-d_E = d_B d_C, ascended by projected gradient with QR re-orthonormalization
-from the transpose channel. Root fidelity is jointly concave and the
-channel enters linearly, so the fidelity of recovery is a concave program
-over channels, and the search is one deterministic ascent from that warm
-start.
+d_E = d_B d_C, a complex Stiefel manifold, ascended from the transpose
+channel by Riemannian L-BFGS: curvature pairs carried between tangent
+spaces by projection, a backtracking line search that accepts only rising
+steps, and a Gram-Schmidt (Cholesky-QR2) retraction. Root fidelity is
+jointly concave and the channel enters linearly, so the fidelity of
+recovery is a concave program over channels, and the search is one
+deterministic ascent from that warm start.
+
+For a pure target rho = |psi><psi|, F^2 = tr(M J) is linear in the Choi
+matrix J, so the search is a semidefinite program whose dual (min tr Y
+subject to 1_BC (x) Y^T >= M) gives a certificate from the gradient at
+hand: the search stops once the dual gap tr Y - F^2 is below DUAL_GAP_TOL,
+and ``converged`` means certified. Mixed targets and the measured-RE
+objective have no such bound here and stop by a window rule on the
+objective.
 
 Supported figures of merit: fidelity (maximized, analytic gradient), the
 order-1/2 Renyi divergence (same ascent, transformed at the end), and the
@@ -18,9 +28,9 @@ inner variational solve (Danskin's theorem).
 The line search evaluates each trial point once, and the gradient at an
 accepted point comes from what its evaluation already holds: psi^dag
 sigma psi for a pure target, the spectrum of sqrt(rho) sigma sqrt(rho)
-for a mixed one, the inner solve's witness for measured RE. The channel
-image sigma(V) and the adjoint map back to V are two matrix products each
-on operands of rho_BR arranged once per search.
+restricted to rho's support for a mixed one, the inner solve's witness for
+measured RE. The channel image sigma(V) and the adjoint map back to V are
+two matrix products each on operands of rho_BR arranged once per search.
 """
 
 from __future__ import annotations
@@ -38,13 +48,22 @@ from .states import MultipartiteState
 OBJECTIVE_KINDS = ("fidelity", "renyi_half", "measured_re")
 
 
-# Projected ascent: backtracking gives up below STEP_TOLERANCE, and the
-# ascent has converged once the objective moves by less than
-# RELATIVE_TOLERANCE over CONVERGENCE_WINDOW accepted steps.
+# Riemannian L-BFGS ascent: LBFGS_MEMORY curvature pairs shape the step, a
+# step without them (projected gradient) starts at INITIAL_STEP, and
+# backtracking gives up below STEP_TOLERANCE.
+LBFGS_MEMORY = 6
 INITIAL_STEP = 0.2
 STEP_TOLERANCE = 1e-9
+# A pure-target fidelity search stops once its dual gap tr Y - F^2 is below
+# DUAL_GAP_TOL (about 2e-8 bits of -2 log2 F). The other searches stop once
+# the objective moves by less than RELATIVE_TOLERANCE over
+# CONVERGENCE_WINDOW accepted steps.
+DUAL_GAP_TOL = 1e-8
 CONVERGENCE_WINDOW = 10
 RELATIVE_TOLERANCE = 1e-11
+# The retraction falls back to Householder QR when Gram-Schmidt leaves a
+# column with less than this share of its squared norm.
+COLLAPSE_TOLERANCE = 1e-10
 
 # Measured-RE objective: budget of the inner solve behind every evaluation.
 INNER_MEASURED_RE_ITERATIONS = 200
@@ -56,8 +75,15 @@ class OptimizerResult:
 
     ``trace`` holds the accepted objective values in objective units:
     non-decreasing for fidelity, non-increasing for the divergence
-    objectives. ``converged`` is False when the ascent stopped at its
-    iteration cap.
+    objectives.
+
+    For a pure target under the fidelity or Renyi-1/2 objective,
+    ``dual_gap`` is tr Y - F^2 at the returned channel, with Y a feasible
+    point of the dual SDP: no channel reaches F^2 above best F^2 +
+    ``dual_gap``. ``converged`` then means certified, ``dual_gap <
+    DUAL_GAP_TOL``. For mixed targets and the measured-RE objective,
+    ``dual_gap`` is None and ``converged`` means the objective stalled
+    (window rule or no improving step); it is False at the iteration cap.
     """
 
     best_channel: Channel
@@ -65,6 +91,7 @@ class OptimizerResult:
     objective_kind: str
     trace: list[float] = field(default_factory=list)
     converged: bool = True
+    dual_gap: float | None = None
 
 
 def reconstruct(
@@ -102,7 +129,9 @@ class _RecoveryProblem:
     ``measured_re_score``, returning the score at V and what the gradient
     needs, and a gradient step, ``fidelity_and_gradient`` or
     ``measured_re_score_and_gradient``, turning that into the score and
-    dF/dV* without evaluating V again.
+    dF/dV* without evaluating V again. A pure target also gets the matrix
+    M of F^2 = sum_e x_e^dag M x_e, and ``dual_gap`` turns a fidelity
+    gradient into the certificate of the search.
     """
 
     def __init__(self, rho_tri: MultipartiteState, b: str, c: str, r: str):
@@ -131,8 +160,19 @@ class _RecoveryProblem:
         # re-evaluation contract: |F(rho,.) - F(psi,.)| <= sqrt(1 - top)
         if top > 1.0 - 4e-15:
             self.pure_vec = spec.eigenvectors[:, -1]
+            # F^2 = sum_e x_e^dag M x_e with x_e[o,b] = v[(o,e),b]:
+            # M[ob,pc] = sum_st psi[o,s] rho[ct,bs] conj(psi[p,t])
+            psi = self.pure_vec.reshape(self.d_bc, d_r)
+            self.overlap_form = np.einsum(
+                "os,ctbs,pt->obpc", psi, rho_br.reshape(d_b, d_r, d_b, d_r), psi.conj()
+            ).reshape(self.d_bc * d_b, self.d_bc * d_b)
         else:
-            self.sqrt_target = spec.apply(np.sqrt)
+            # sqrt(rho) = W U^dag on rho's support U, so sqrt(rho) sigma
+            # sqrt(rho) and the rank x rank W^dag sigma W share their
+            # nonzero spectrum; the full product's off-support round-off
+            # eigenvalues (~1e-17) would add their roots, ~1e-8, to F
+            keep = spec.eigenvalues > linalg.support_cutoff(spec.eigenvalues)
+            self.root_factor = spec.eigenvectors[:, keep] * np.sqrt(spec.eigenvalues[keep])
 
     def isometry_shape(self) -> tuple[int, int]:
         return (self.d_bc * self.d_env, self.d_b)
@@ -165,14 +205,15 @@ class _RecoveryProblem:
         """F(rho, sigma(V)) and what its gradient needs.
 
         That is psi^dag sigma psi when rho = |psi><psi|, and otherwise the
-        spectrum of sqrt(rho) sigma sqrt(rho), whose root trace is F.
+        spectrum of W^dag sigma W, whose root trace is F.
         """
         sigma = self.sigma_tensor(v)
         if self.pure_vec is not None:
             psi = self.pure_vec
             overlap = float(np.real(psi.conj() @ sigma @ psi))
             return math.sqrt(max(overlap, 0.0)), overlap
-        spec = linalg.eigh(self.sqrt_target @ sigma @ self.sqrt_target)
+        w = self.root_factor
+        spec = linalg.eigh(w.conj().T @ sigma @ w)
         return float(np.sqrt(np.clip(spec.eigenvalues, 0.0, None)).sum()), spec
 
     def fidelity_and_gradient(self, v: np.ndarray, held) -> tuple[float, np.ndarray]:
@@ -188,8 +229,25 @@ class _RecoveryProblem:
             # f and the support-restricted inverse root share one spectrum
             f = float(np.sqrt(np.clip(held.eigenvalues, 0.0, None)).sum())
             inv_root = held.apply(lambda x: 1.0 / np.sqrt(x))
-            g = 0.5 * self.sqrt_target @ inv_root @ self.sqrt_target
+            g = 0.5 * self.root_factor @ inv_root @ self.root_factor.conj().T
         return f, self.pullback(v, g)
+
+    def dual_gap(self, v: np.ndarray, f: float, grad: np.ndarray) -> float:
+        """tr Y - F^2 for a pure target, from the gradient dF/dV* at V.
+
+        max F^2 = max tr(M J) over Choi matrices J has the dual min tr Y
+        subject to 1_BC (x) Y^T >= M. Y0 = Herm(V^dag dF^2/dV*) is the
+        dual point at which V is stationary; shifting it by the largest
+        eigenvalue of M - 1_BC (x) Y0^T makes it feasible.
+        """
+        y0 = (2.0 * f) * (v.conj().T @ grad)
+        y0 = (y0 + y0.conj().T) / 2.0
+        slack = self.overlap_form.copy()
+        blocks = slack.reshape(self.d_bc, self.d_b, self.d_bc, self.d_b)
+        diag = np.arange(self.d_bc)
+        blocks[diag, :, diag, :] -= y0.T
+        shift = max(float(np.linalg.eigvalsh(slack)[-1]), 0.0)
+        return float(np.trace(y0).real) + self.d_b * shift - f * f
 
     def measured_re_score(self, v: np.ndarray) -> tuple[float, entropy.MeasuredReSolution]:
         """Ascended score -D_M(rho || sigma(V)) in bits, and the inner solve behind it."""
@@ -222,15 +280,45 @@ class _RecoveryProblem:
 
 
 def _project_tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Projection of grad, or of a stack of them, on the tangent space at v."""
     vg = v.conj().T @ grad
-    return grad - v @ (vg + vg.conj().T) / 2.0
+    return grad - v @ (vg + np.swapaxes(vg.conj(), -1, -2)) / 2.0
 
 
 def _retract(v: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(v)
-    d = np.diag(r)
-    safe = np.where(np.abs(d) > 0, d, 1.0)
-    return q * (safe / np.abs(safe))
+    """The isometry Q of v = QR with R's diagonal positive.
+
+    Gram-Schmidt twice (Cholesky-QR2): each pass orthonormalizes the
+    columns through their Gram matrix, in scalar arithmetic since the
+    isometries here have d_B <= 3 columns. Householder QR takes over when a
+    column's norm collapses, so a rank-deficient input still gives an
+    isometry.
+    """
+    k = v.shape[1]
+    q = v
+    for _ in range(2):
+        gram = (q.conj().T @ q).tolist()
+        # column j of the triangular factor expresses the j-th orthonormal
+        # vector in the columns of q
+        cols: list[list[complex]] = []
+        for j in range(k):
+            w = [0j] * k
+            w[j] = 1.0
+            norm2 = gram[j][j].real
+            for c in cols:
+                overlap = sum(c[m].conjugate() * gram[m][j] for m in range(k))
+                norm2 -= abs(overlap) ** 2
+                for m in range(k):
+                    w[m] -= overlap * c[m]
+            if not norm2 > COLLAPSE_TOLERANCE * gram[j][j].real:
+                q, r = np.linalg.qr(v)
+                d = np.diag(r)
+                safe = np.where(np.abs(d) > 0, d, 1.0)
+                return q * (safe / np.abs(safe))
+            scale = 1.0 / math.sqrt(norm2)
+            cols.append([x * scale for x in w])
+        q = q @ np.array(cols).T
+    return q
 
 
 def _warm_start_isometry(problem: _RecoveryProblem, rho_tri, b, c, r) -> np.ndarray:
@@ -246,41 +334,104 @@ def _warm_start_isometry(problem: _RecoveryProblem, rho_tri, b, c, r) -> np.ndar
     return _retract(v)
 
 
-def _ascend(v0, evaluate, gradient, max_iterations: int):
-    """Projected gradient ascent with a backtracking line search from ``v0``.
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Real inner product Re tr(a^dag b) of tangent vectors."""
+    return float(np.vdot(a, b).real)
+
+
+def _lbfgs_direction(g: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """H g for the L-BFGS inverse-Hessian estimate H of the curvature pairs.
+
+    ``pairs[i]`` stacks (s_i, y_i), oldest first, with <s_i, y_i> > 0
+    (two-loop recursion).
+    """
+    rho = [1.0 / _inner(s, y) for s, y in pairs]
+    alphas = [0.0] * len(pairs)
+    q = g
+    for i in reversed(range(len(pairs))):
+        alphas[i] = rho[i] * _inner(pairs[i, 0], q)
+        q = q - alphas[i] * pairs[i, 1]
+    s, y = pairs[-1]
+    r = (_inner(s, y) / _inner(y, y)) * q
+    for i, (s, y) in enumerate(pairs):
+        r = r + (alphas[i] - rho[i] * _inner(y, r)) * s
+    return r
+
+
+def _transport(v: np.ndarray, pairs, s: np.ndarray, y: np.ndarray):
+    """The newest LBFGS_MEMORY curvature pairs, (s, y) last, moved to the tangent space at v.
+
+    Pairs that projection leaves with <s, y> <= 0 are dropped; returns None
+    when none is left.
+    """
+    new = np.stack([s, y])[None]
+    pairs = new if pairs is None else np.concatenate([pairs, new])[-LBFGS_MEMORY:]
+    pairs = _project_tangent(v, pairs)
+    keep = np.einsum("mij,mij->m", pairs[:, 0].conj(), pairs[:, 1]).real > 0.0
+    return pairs[keep] if keep.any() else None
+
+
+def _ascend(v0, evaluate, gradient, max_iterations: int, dual_gap=None):
+    """Riemannian L-BFGS ascent on the isometries, from ``v0``.
 
     ``evaluate(v)`` returns (score, held) and ``gradient(v, held)`` returns
     (score, dF/dV*) from what the evaluation held, so every trial point is
-    evaluated once and only accepted points are differentiated. Returns
-    (v, f, trace, converged); ``trace`` holds the accepted scores.
+    evaluated once and only accepted points are differentiated. The step
+    is the L-BFGS direction of the last LBFGS_MEMORY curvature pairs,
+    carried between tangent spaces by projection, tried at length 1 and
+    halved until the score rises; a direction that is not an ascent
+    direction drops the pairs for the projected gradient. Only rising steps
+    are accepted, so the trace is monotone.
+
+    With ``dual_gap(v, f, grad)`` (pure-target fidelity), the ascent stops
+    certified once the gap is below DUAL_GAP_TOL, and stalling with the gap
+    open is not convergence. Without it (mixed targets, measured RE), it
+    stops converged when CONVERGENCE_WINDOW accepted steps gain less than
+    RELATIVE_TOLERANCE or no step rises. Returns (v, f, trace, converged,
+    gap); ``trace`` holds the accepted scores, ``gap`` the last dual gap or
+    None.
     """
     v = _retract(v0)
     f, held = evaluate(v)
-    step = INITIAL_STEP
     trace = [f]
+    gap = None
     converged = False
-    for _ in range(max_iterations):
-        direction = _project_tangent(v, gradient(v, held)[1])
-        accepted = False
+    pairs = None  # curvature pairs (s, y) at v, oldest first
+    last_step = last_g = None
+    while True:
+        grad = gradient(v, held)[1]
+        if dual_gap is not None:
+            gap = dual_gap(v, f, grad)
+            if gap < DUAL_GAP_TOL:
+                converged = True
+                break
+        if len(trace) > max_iterations:
+            break
+        g = _project_tangent(v, grad)
+        if last_step is not None:
+            pairs = _transport(v, pairs, last_step, last_g - g)
+        direction = g if pairs is None else _lbfgs_direction(g, pairs)
+        if _inner(direction, g) <= 0.0:
+            pairs, direction = None, g
+        step = INITIAL_STEP if pairs is None else 1.0
         while step >= STEP_TOLERANCE:
             v_try = _retract(v + step * direction)
             f_try, held_try = evaluate(v_try)
             if f_try > f:
-                v, f, held = v_try, f_try, held_try
-                trace.append(f)
-                accepted = True
-                step *= 1.3
                 break
             step *= 0.5
-        if not accepted:
-            converged = True
+        else:
+            converged = dual_gap is None
             break
-        if len(trace) > CONVERGENCE_WINDOW:
+        last_step, last_g = step * direction, g
+        v, f, held = v_try, f_try, held_try
+        trace.append(f)
+        if dual_gap is None and len(trace) > CONVERGENCE_WINDOW:
             ref = trace[-CONVERGENCE_WINDOW - 1]
             if abs(f - ref) < RELATIVE_TOLERANCE * max(1.0, abs(f)):
                 converged = True
                 break
-    return v, f, trace, converged
+    return v, f, trace, converged, gap
 
 
 def optimize_recovery(
@@ -293,15 +444,18 @@ def optimize_recovery(
 ) -> OptimizerResult:
     """Search for the best reconstruction channel B -> BC for one state.
 
-    One deterministic projected ascent from the transpose channel, capped
-    at ``max_iterations`` accepted steps. Fidelity (and its monotone
+    One deterministic Riemannian L-BFGS ascent from the transpose channel,
+    capped at ``max_iterations`` accepted steps. Fidelity (and its monotone
     transform, the order-1/2 Renyi divergence) is ascended with its
-    analytic gradient. The measured-RE objective takes the envelope
-    gradient: by Danskin's theorem dD_M/dsigma = -w*/ln 2 at the witness
-    w* of one inner solve, which is exact only as far as that solve has
-    converged; the line search accepts a step only if the value improves,
-    so the trace stays monotone either way. The result is never worse
-    than the transpose-channel warm start.
+    analytic gradient. For a pure target the search stops once the dual
+    gap certifies the fidelity to within DUAL_GAP_TOL in F^2, and
+    ``converged`` means certified; mixed targets and the measured-RE
+    objective stop by the window rule (see ``OptimizerResult``). The
+    measured-RE objective takes the envelope gradient: by Danskin's theorem
+    dD_M/dsigma = -w*/ln 2 at the witness w* of one inner solve, which is
+    exact only as far as that solve has converged; the line search accepts
+    a step only if the value improves, so the trace stays monotone either
+    way. The result is never worse than the transpose-channel warm start.
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective {objective_kind!r}; pick from {OBJECTIVE_KINDS}")
@@ -314,15 +468,18 @@ def optimize_recovery(
         raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
     problem = _RecoveryProblem(rho_tri, b, c, r)
 
+    dual_gap = None
     if objective_kind == "measured_re":
         evaluate = problem.measured_re_score
         gradient = problem.measured_re_score_and_gradient
     else:
         evaluate = problem.fidelity_value
         gradient = problem.fidelity_and_gradient
+        if problem.pure_vec is not None:
+            dual_gap = problem.dual_gap
 
     v0 = _warm_start_isometry(problem, rho_tri, b, c, r)
-    v, f, trace, converged = _ascend(v0, evaluate, gradient, max_iterations)
+    v, f, trace, converged, gap = _ascend(v0, evaluate, gradient, max_iterations, dual_gap)
 
     def to_units(score: float) -> float:
         if objective_kind == "fidelity":
@@ -337,6 +494,7 @@ def optimize_recovery(
         objective_kind=objective_kind,
         trace=[to_units(t) for t in trace],
         converged=converged,
+        dual_gap=gap,
     )
 
 
@@ -352,6 +510,7 @@ def result_to_json_dict(result: OptimizerResult) -> dict:
         "best_value_is_infinite": not math.isfinite(result.best_value),
         "trace": [encode(t) for t in result.trace],
         "converged": result.converged,
+        "dual_gap": result.dual_gap,
         "best_channel": channels.to_json_dict(result.best_channel),
     }
 

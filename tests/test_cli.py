@@ -165,6 +165,7 @@ class TestOptimizeCommand:
         assert doc["objective_kind"] == "fidelity"
         assert 0.0 < doc["best_value"] <= 1.0
         assert doc["converged"] in (True, False)
+        assert doc["dual_gap"] < 1e-8 or not doc["converged"]
         assert doc["best_channel"]["input"] == [{"label": "B", "dim": 2}]
 
     def test_measured_re_objective(self, tmp_path, capsys):

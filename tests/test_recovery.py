@@ -174,6 +174,127 @@ class TestContractions:
             assert np.abs(problem.pullback(v, g) - grad).max() < 1e-13
 
 
+def _random_isometry(shape, draw):
+    z = draw.standard_normal(shape) + 1j * draw.standard_normal(shape)
+    return np.linalg.qr(z)[0]
+
+
+def _singular_b_state():
+    """A full-rank (2,2,2) state with B embedded in dimension 4: rho_B has rank 2.
+
+    The transpose channel's completion then has Kraus rank 10, above
+    d_env = 8, so the warm start truncates its Kraus stack.
+    """
+    rho = states.random_mixed((2, 2, 2), states.rng_from_seed(5), ("B", "C", "R"))
+    m = rho.matrix.reshape(2, 4, 2, 4)
+    big = np.zeros((4, 4, 4, 4), dtype=complex)
+    big[:2, :, :2, :] = m
+    return states.MultipartiteState(big.reshape(16, 16), (("B", 4), ("C", 2), ("R", 2)))
+
+
+class TestRetraction:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [3, 8, 16, 36])
+    def test_matches_householder_qr(self, n, k):
+        draw = np.random.default_rng(10 * n + k)
+        for _ in range(5):
+            z = draw.standard_normal((n, k)) + 1j * draw.standard_normal((n, k))
+            q, r = np.linalg.qr(z)
+            d = np.diag(r)
+            assert np.abs(recovery._retract(z) - q * (d / np.abs(d))).max() < 1e-13
+
+    def test_nearly_parallel_columns_stay_orthonormal(self):
+        # one Cholesky-QR pass loses orthogonality as cond^2 = 1e8 here
+        draw = np.random.default_rng(3)
+        z = draw.standard_normal((16, 2)) + 1j * draw.standard_normal((16, 2))
+        z[:, 1] = z[:, 0] + 1e-4 * z[:, 1]
+        q = recovery._retract(z)
+        assert np.abs(q.conj().T @ q - np.eye(2)).max() < 1e-13
+        ref, r = np.linalg.qr(z)
+        d = np.diag(r)
+        assert np.abs(q - ref * (d / np.abs(d))).max() < 1e-8
+
+    @pytest.mark.parametrize("k, zero", [(2, 1), (3, 0), (3, 2)])
+    def test_zero_column_returns_isometry(self, k, zero):
+        draw = np.random.default_rng(k + zero)
+        z = draw.standard_normal((16, k)) + 1j * draw.standard_normal((16, k))
+        z[:, zero] = 0.0
+        q = recovery._retract(z)
+        assert np.abs(q.conj().T @ q - np.eye(k)).max() < 1e-13
+
+    def test_completion_branch_warm_start(self):
+        labels = ("B", "C", "R")
+        rho = _singular_b_state()
+        rho_b = states.partial_trace(rho, ["B"]).matrix
+        assert np.sum(np.linalg.eigvalsh(rho_b) > 1e-12) == 2
+        problem = recovery._RecoveryProblem(rho, *labels)
+        rho_bc = states.permute(states.partial_trace(rho, ["B", "C"]), ("B", "C"))
+        warm = channels.transpose_channel(rho_bc)
+        assert len(channels.kraus_operators(warm)) > problem.d_env
+        v0 = recovery._warm_start_isometry(problem, rho, *labels)
+        assert np.abs(v0.conj().T @ v0 - np.eye(4)).max() < 1e-13
+        warm_fid = entropy.fidelity(rho, recovery.reconstruct(rho, warm))
+        result = recovery.optimize_recovery(rho, "fidelity", max_iterations=SMALL_BUDGET)
+        assert result.trace[0] >= warm_fid - 1e-9
+        assert result.best_value >= warm_fid - 1e-9
+        assert np.all(np.diff(result.trace) > 0.0)
+
+
+class TestDualBound:
+    """The dual certificate of pure-target fidelity searches."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2)], ids=["222", "232", "322"])
+    def test_bound_holds_at_random_isometries(self, dims):
+        labels = ("B", "C", "R")
+        rho = states.random_pure(dims, states.rng_from_seed(41), labels)
+        problem = recovery._RecoveryProblem(rho, *labels)
+        best = recovery.optimize_recovery(rho, "fidelity").best_value
+        draw = np.random.default_rng(sum(dims))
+        d_bc, d_env, d_b = problem.d_bc, problem.d_env, problem.d_b
+        for _ in range(10):
+            v = _random_isometry(problem.isometry_shape(), draw)
+            f, held = problem.fidelity_value(v)
+            # F^2 is the quadratic form of M in the Kraus operators
+            x = v.reshape(d_bc, d_env, d_b).transpose(1, 0, 2).reshape(d_env, d_bc * d_b)
+            form = np.einsum("ei,ij,ej->", x.conj(), problem.overlap_form, x).real
+            assert abs(form - f * f) < 1e-13
+            gap = problem.dual_gap(v, f, problem.fidelity_and_gradient(v, held)[1])
+            # tr Y bounds F^2 here and at every other channel, the best found included
+            assert gap >= -1e-13
+            assert f * f + gap >= best**2 - 1e-13
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("kind", ["fidelity", "renyi_half"])
+    def test_converged_pure_searches_are_certified(self, kind, seed):
+        rho = states.random_pure((2, 2, 2), states.sample_rng(700, seed), ("B", "C", "R"))
+        result = recovery.optimize_recovery(rho, kind)
+        assert result.converged
+        assert result.dual_gap < recovery.DUAL_GAP_TOL
+
+    def test_open_gap_is_not_convergence(self):
+        rho = states.random_pure((2, 2, 2), states.sample_rng(700, 0), ("B", "C", "R"))
+        result = recovery.optimize_recovery(rho, "fidelity", max_iterations=2)
+        assert len(result.trace) == 3
+        assert not result.converged
+        assert result.dual_gap >= recovery.DUAL_GAP_TOL
+
+    def test_gap_only_for_pure_fidelity_searches(self):
+        labels = ("B", "C", "R")
+        mixed = states.random_mixed((2, 2, 2), states.sample_rng(701, 0), labels, ancilla_dim=2)
+        assert recovery.optimize_recovery(mixed, "fidelity", max_iterations=20).dual_gap is None
+        pure = states.random_pure((2, 2, 2), states.sample_rng(700, 0), labels)
+        assert recovery.optimize_recovery(pure, "measured_re", max_iterations=1).dual_gap is None
+
+    def test_former_cap_hitter_certifies(self):
+        # the certificate benchmark's unit 22, which projected gradient ran
+        # to its 2000-step cap at F = 0.8581571282
+        rho = states.random_pure((2, 2, 2), states.sample_rng(14114921, 22), labels=("B", "C", "R"))
+        result = recovery.optimize_recovery(rho, "fidelity")
+        assert result.converged and result.dual_gap < recovery.DUAL_GAP_TOL
+        assert len(result.trace) - 1 <= 100
+        assert result.best_value >= 0.8581571282
+
+
 class TestRenyiHalfObjective:
     def test_markov_state_reaches_zero(self):
         sigma = markov.markov_state(markov.random_markov_spec(states.rng_from_seed(7)))
@@ -281,3 +402,4 @@ class TestResultSerialization:
         loaded = channels.from_json_dict(doc["best_channel"])
         assert np.abs(loaded.choi - result.best_channel.choi).max() < 1e-12
         assert abs(doc["best_value"] - result.best_value) < 1e-15
+        assert doc["dual_gap"] == result.dual_gap < recovery.DUAL_GAP_TOL
