@@ -6,10 +6,10 @@ The search space is Stinespring isometries V: B -> (BC) (x) E with
 d_E = d_B d_C, a complex Stiefel manifold, ascended from the transpose
 channel by Riemannian L-BFGS: curvature pairs carried between tangent
 spaces by projection, a backtracking line search that accepts only rising
-steps, and a Gram-Schmidt (Cholesky-QR2) retraction. Root fidelity is
-jointly concave and the channel enters linearly, so the fidelity of
-recovery is a concave program over channels, and the search is one
-deterministic ascent from that warm start.
+steps, and a QR retraction. Root fidelity is jointly concave and the
+channel enters linearly, so the fidelity of recovery is a concave program
+over channels, and the search is one deterministic ascent from that warm
+start.
 
 For a pure target rho = |psi><psi|, F^2 = tr(M J) is linear in the Choi
 matrix J, so the search is a semidefinite program whose dual (min tr Y
@@ -61,9 +61,6 @@ STEP_TOLERANCE = 1e-9
 DUAL_GAP_TOL = 1e-8
 CONVERGENCE_WINDOW = 10
 RELATIVE_TOLERANCE = 1e-11
-# The retraction falls back to Householder QR when Gram-Schmidt leaves a
-# column with less than this share of its squared norm.
-COLLAPSE_TOLERANCE = 1e-10
 
 # Measured-RE objective: budget of the inner solve behind every evaluation.
 INNER_MEASURED_RE_ITERATIONS = 200
@@ -286,39 +283,11 @@ def _project_tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _retract(v: np.ndarray) -> np.ndarray:
-    """The isometry Q of v = QR with R's diagonal positive.
-
-    Gram-Schmidt twice (Cholesky-QR2): each pass orthonormalizes the
-    columns through their Gram matrix, in scalar arithmetic since the
-    isometries here have d_B <= 3 columns. Householder QR takes over when a
-    column's norm collapses, so a rank-deficient input still gives an
-    isometry.
-    """
-    k = v.shape[1]
-    q = v
-    for _ in range(2):
-        gram = (q.conj().T @ q).tolist()
-        # column j of the triangular factor expresses the j-th orthonormal
-        # vector in the columns of q
-        cols: list[list[complex]] = []
-        for j in range(k):
-            w = [0j] * k
-            w[j] = 1.0
-            norm2 = gram[j][j].real
-            for c in cols:
-                overlap = sum(c[m].conjugate() * gram[m][j] for m in range(k))
-                norm2 -= abs(overlap) ** 2
-                for m in range(k):
-                    w[m] -= overlap * c[m]
-            if not norm2 > COLLAPSE_TOLERANCE * gram[j][j].real:
-                q, r = np.linalg.qr(v)
-                d = np.diag(r)
-                safe = np.where(np.abs(d) > 0, d, 1.0)
-                return q * (safe / np.abs(safe))
-            scale = 1.0 / math.sqrt(norm2)
-            cols.append([x * scale for x in w])
-        q = q @ np.array(cols).T
-    return q
+    """The isometry Q of v = QR with R's diagonal positive (Householder QR)."""
+    q, r = np.linalg.qr(v)
+    d = np.diag(r)
+    safe = np.where(np.abs(d) > 0, d, 1.0)
+    return q * (safe / np.abs(safe))
 
 
 def _warm_start_isometry(problem: _RecoveryProblem, rho_tri, b, c, r) -> np.ndarray:
@@ -371,6 +340,20 @@ def _transport(v: np.ndarray, pairs, s: np.ndarray, y: np.ndarray):
     return pairs[keep] if keep.any() else None
 
 
+def _line_search(v, f, direction, step, evaluate):
+    """First rising point along ``direction``, from ``step`` halved down to STEP_TOLERANCE.
+
+    Returns (step, v, score, held) at that point, or None when no step rises.
+    """
+    while step >= STEP_TOLERANCE:
+        v_try = _retract(v + step * direction)
+        f_try, held = evaluate(v_try)
+        if f_try > f:
+            return step, v_try, f_try, held
+        step *= 0.5
+    return None
+
+
 def _ascend(v0, evaluate, gradient, max_iterations: int, dual_gap=None):
     """Riemannian L-BFGS ascent on the isometries, from ``v0``.
 
@@ -379,17 +362,20 @@ def _ascend(v0, evaluate, gradient, max_iterations: int, dual_gap=None):
     evaluated once and only accepted points are differentiated. The step
     is the L-BFGS direction of the last LBFGS_MEMORY curvature pairs,
     carried between tangent spaces by projection, tried at length 1 and
-    halved until the score rises; a direction that is not an ascent
-    direction drops the pairs for the projected gradient. Only rising steps
-    are accepted, so the trace is monotone.
+    halved until the score rises. A direction that is not an ascent
+    direction, or along which no step rises, drops the pairs for the
+    projected gradient from INITIAL_STEP; the search stops unconverged
+    only when that fails too. Only rising steps are accepted, so the trace
+    is monotone.
 
     With ``dual_gap(v, f, grad)`` (pure-target fidelity), the ascent stops
     certified once the gap is below DUAL_GAP_TOL, and stalling with the gap
     open is not convergence. Without it (mixed targets, measured RE), it
     stops converged when CONVERGENCE_WINDOW accepted steps gain less than
-    RELATIVE_TOLERANCE or no step rises. Returns (v, f, trace, converged,
-    gap); ``trace`` holds the accepted scores, ``gap`` the last dual gap or
-    None.
+    RELATIVE_TOLERANCE or not even the projected gradient rises, and takes
+    no gradient at the point where it reaches the cap. Returns (v, f,
+    trace, converged, gap); ``trace`` holds the accepted scores, ``gap``
+    the last dual gap or None.
     """
     v = _retract(v0)
     f, held = evaluate(v)
@@ -399,32 +385,33 @@ def _ascend(v0, evaluate, gradient, max_iterations: int, dual_gap=None):
     pairs = None  # curvature pairs (s, y) at v, oldest first
     last_step = last_g = None
     while True:
+        capped = len(trace) > max_iterations
+        if capped and dual_gap is None:
+            break
         grad = gradient(v, held)[1]
         if dual_gap is not None:
             gap = dual_gap(v, f, grad)
             if gap < DUAL_GAP_TOL:
                 converged = True
                 break
-        if len(trace) > max_iterations:
-            break
+            if capped:
+                break
         g = _project_tangent(v, grad)
         if last_step is not None:
             pairs = _transport(v, pairs, last_step, last_g - g)
         direction = g if pairs is None else _lbfgs_direction(g, pairs)
         if _inner(direction, g) <= 0.0:
             pairs, direction = None, g
-        step = INITIAL_STEP if pairs is None else 1.0
-        while step >= STEP_TOLERANCE:
-            v_try = _retract(v + step * direction)
-            f_try, held_try = evaluate(v_try)
-            if f_try > f:
-                break
-            step *= 0.5
-        else:
+        found = _line_search(v, f, direction, INITIAL_STEP if pairs is None else 1.0, evaluate)
+        if found is None and pairs is not None:
+            # a badly scaled quasi-Newton step can fail where the gradient rises
+            pairs, direction = None, g
+            found = _line_search(v, f, direction, INITIAL_STEP, evaluate)
+        if found is None:
             converged = dual_gap is None
             break
+        step, v, f, held = found
         last_step, last_g = step * direction, g
-        v, f, held = v_try, f_try, held_try
         trace.append(f)
         if dual_gap is None and len(trace) > CONVERGENCE_WINDOW:
             ref = trace[-CONVERGENCE_WINDOW - 1]

@@ -139,6 +139,32 @@ class TestSearchEvaluations:
         assert len(set(solves)) == len(solves)
 
 
+class TestAscentSteps:
+    def test_failed_quasi_newton_step_falls_back_to_gradient(self, monkeypatch):
+        # a quasi-Newton direction scaled so that no halving of it rises
+        rho = states.random_mixed(
+            (2, 2, 2), states.sample_rng(701, 0), ("B", "C", "R"), ancilla_dim=2
+        )
+        monkeypatch.setattr(recovery, "_lbfgs_direction", lambda g, pairs: 1e15 * g)
+        result = recovery.optimize_recovery(rho, "fidelity", max_iterations=50)
+        # every step falls back to the projected gradient and rises
+        assert len(result.trace) == 51
+        assert not result.converged
+        assert np.all(np.diff(result.trace) > 0.0)
+
+    @pytest.mark.parametrize("kind, cap", [("fidelity", 20), ("measured_re", 3)])
+    def test_no_gradient_where_the_cap_stops_the_search(self, monkeypatch, kind, cap):
+        rho = states.random_mixed(
+            (2, 2, 2), states.sample_rng(701, 0), ("B", "C", "R"), ancilla_dim=2
+        )
+        name = "fidelity_and_gradient" if kind == "fidelity" else "measured_re_score_and_gradient"
+        gradients = []
+        _count_calls(monkeypatch, recovery._RecoveryProblem, name, gradients)
+        result = recovery.optimize_recovery(rho, kind, max_iterations=cap)
+        assert len(result.trace) == cap + 1
+        assert len(gradients) == cap
+
+
 class TestContractions:
     """The matmul contractions against the einsum definitions."""
 
@@ -204,7 +230,7 @@ class TestRetraction:
             assert np.abs(recovery._retract(z) - q * (d / np.abs(d))).max() < 1e-13
 
     def test_nearly_parallel_columns_stay_orthonormal(self):
-        # one Cholesky-QR pass loses orthogonality as cond^2 = 1e8 here
+        # ill-conditioned input, cond ~ 1e4
         draw = np.random.default_rng(3)
         z = draw.standard_normal((16, 2)) + 1j * draw.standard_normal((16, 2))
         z[:, 1] = z[:, 0] + 1e-4 * z[:, 1]
