@@ -221,13 +221,18 @@ def _singular_b_state():
 class TestRetraction:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [3, 8, 16, 36])
-    def test_matches_householder_qr(self, n, k):
+    def test_is_the_q_factor_with_positive_diagonal(self, n, k):
         draw = np.random.default_rng(10 * n + k)
         for _ in range(5):
             z = draw.standard_normal((n, k)) + 1j * draw.standard_normal((n, k))
-            q, r = np.linalg.qr(z)
-            d = np.diag(r)
-            assert np.abs(recovery._retract(z) - q * (d / np.abs(d))).max() < 1e-13
+            q = recovery._retract(z)
+            assert np.abs(q.conj().T @ q - np.eye(k)).max() < 1e-13
+            # z = q r with r upper triangular, its diagonal real and positive
+            r = q.conj().T @ z
+            assert np.abs(q @ r - z).max() < 1e-12
+            assert np.abs(np.tril(r, -1)).max() < 1e-12
+            assert np.all(np.diag(r).real > 0.0)
+            assert np.abs(np.diag(r).imag).max() < 1e-12
 
     def test_nearly_parallel_columns_stay_orthonormal(self):
         # ill-conditioned input, cond ~ 1e4
