@@ -4,10 +4,6 @@ for small multipartite quantum states."""
 from .channels import (
     Channel,
     apply,
-    compose,
-    depolarizing,
-    identity_channel,
-    mix,
     random_channel,
     stinespring_to_channel,
     transpose_channel,
@@ -56,15 +52,11 @@ __all__ = [
     "classical_example_state",
     "classical_state",
     "cmi",
-    "compose",
-    "depolarizing",
     "fidelity",
-    "identity_channel",
     "markov_gap",
     "markov_state",
     "measured_re_of_recovery",
     "measured_relative_entropy",
-    "mix",
     "optimize_recovery",
     "partial_trace",
     "permute",

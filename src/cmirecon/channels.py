@@ -1,8 +1,8 @@
 """Quantum channels in Choi form.
 
-Application to labeled states, composition, CPTP validation, the transpose
-recovery channel built from a bipartite state, the depolarizing channel,
-and random channels through Stinespring isometries.
+Application to labeled states, CPTP validation, the transpose recovery
+channel built from a bipartite state, Kraus operators, and random channels
+through Stinespring isometries.
 
 Choi convention: choi = (id (x) channel)(|O><O|) with |O> the unnormalized
 maximally entangled vector, scaled so that tracing out the output leaves
@@ -12,9 +12,8 @@ factor: channel(pi) = tr_in[(pi^T (x) I) choi].
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,13 +31,16 @@ class Channel:
     """Completely positive trace-preserving map in Choi form.
 
     The Choi matrix lives on input (x) output with the input factor first.
-    Validation checks positivity (min eigenvalue >= -1e-9) and trace
-    preservation (tr_out choi = identity on the input, within 1e-8).
+    Validation checks that it is finite and Hermitian (``linalg.eigh``),
+    positivity (min eigenvalue >= -1e-9) and trace preservation (tr_out
+    choi = identity on the input, within 1e-8). The eigendecomposition made
+    by that check is kept as ``spectrum``; the Kraus operators read it.
     """
 
     choi: np.ndarray
     input_dims: Subsystems
     output_dims: Subsystems
+    spectrum: linalg.Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.choi, dtype=complex)
@@ -50,12 +52,10 @@ class Channel:
             raise ValueError(
                 f"Choi matrix shape {m.shape} does not match input {d_in} x output {d_out}"
             )
-        asym = linalg.asymmetry(m)
-        if asym > linalg.HERMITICITY_ATOL:
-            raise ValueError(f"Choi matrix is not Hermitian: asymmetry {asym:.3e}")
-        if linalg.min_eigenvalue(m) < -CHOI_PSD_ATOL:
+        spectrum = linalg.eigh(m)
+        if spectrum.eigenvalues[0] < -CHOI_PSD_ATOL:
             raise ValueError(
-                f"Choi matrix has eigenvalue {linalg.min_eigenvalue(m):.3e}; map is not CP"
+                f"Choi matrix has eigenvalue {spectrum.eigenvalues[0]:.3e}; map is not CP"
             )
         marginal = np.trace(m.reshape(d_in, d_out, d_in, d_out), axis1=1, axis2=3)
         dev = float(np.abs(marginal - np.eye(d_in)).max())
@@ -65,6 +65,7 @@ class Channel:
         object.__setattr__(self, "choi", m)
         object.__setattr__(self, "input_dims", ins)
         object.__setattr__(self, "output_dims", outs)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def input_labels(self) -> tuple[str, ...]:
@@ -132,23 +133,6 @@ def apply(
     return states.permute(result, new_order)
 
 
-def identity_channel(dims: Subsystems | Iterable) -> Channel:
-    dims = _normalize_subsystems(dims)
-    d = math.prod(dim for _, dim in dims)
-    omega = np.eye(d).reshape(d * d)  # |O> = sum_i |ii>, index (i_in, i_out)
-    return Channel(np.outer(omega, omega.conj()), dims, dims)
-
-
-def depolarizing(input_dims: Subsystems | Iterable, output_dims=None) -> Channel:
-    """Constant channel mapping every input to the maximally mixed state."""
-    ins = _normalize_subsystems(input_dims)
-    outs = _normalize_subsystems(output_dims) if output_dims is not None else ins
-    d_in = math.prod(d for _, d in ins)
-    d_out = math.prod(d for _, d in outs)
-    choi = np.kron(np.eye(d_in), np.eye(d_out) / d_out)
-    return Channel(choi, ins, outs)
-
-
 def transpose_channel(rho_bc: MultipartiteState) -> Channel:
     """Transpose (Petz) recovery channel of a bipartite state.
 
@@ -163,9 +147,8 @@ def transpose_channel(rho_bc: MultipartiteState) -> Channel:
     if len(rho_bc.subsystems) != 2:
         raise ValueError(f"expected a bipartite state, got subsystems {rho_bc.subsystems}")
     (b_label, d_b), (c_label, d_c) = rho_bc.subsystems
-    rho_b = states.partial_trace(rho_bc, [b_label]).matrix
-    sqrt_bc = linalg.sqrtm_psd(rho_bc.matrix)
-    spec_b = linalg.eigh(rho_b)
+    sqrt_bc = rho_bc.spectrum.apply(np.sqrt)
+    spec_b = states.partial_trace(rho_bc, [b_label]).spectrum
     inv_sqrt_b = spec_b.apply(lambda x: 1.0 / np.sqrt(x))
     proj_b = spec_b.apply(np.ones_like)
     k = sqrt_bc @ np.kron(inv_sqrt_b, np.eye(d_c))
@@ -236,39 +219,14 @@ def random_channel(
     return stinespring_to_channel(v, ins, outs, d_env)
 
 
-def mix(ch1: Channel, ch2: Channel, weight: float) -> Channel:
-    """Convex combination: weight * ch1 + (1 - weight) * ch2."""
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"weight must lie in [0, 1], got {weight}")
-    if ch1.input_dims != ch2.input_dims or ch1.output_dims != ch2.output_dims:
-        raise ValueError("channels must share input and output subsystems")
-    choi = weight * ch1.choi + (1.0 - weight) * ch2.choi
-    return Channel(choi, ch1.input_dims, ch1.output_dims)
+def kraus_operators(channel: Channel) -> list[np.ndarray]:
+    """Kraus operators from the kept spectral decomposition of the Choi matrix.
 
-
-def compose(second: Channel, first: Channel) -> Channel:
-    """Composite channel second(first(.))."""
-    if tuple(d for _, d in first.output_dims) != tuple(d for _, d in second.input_dims):
-        raise ValueError(
-            f"cannot compose: first outputs dims {first.output_dims}, "
-            f"second expects {second.input_dims}"
-        )
-    j1 = first.choi.reshape(first.d_in, first.d_out, first.d_in, first.d_out)
-    j2 = second.choi.reshape(second.d_in, second.d_out, second.d_in, second.d_out)
-    j = np.einsum("iojp,oapb->iajb", j1, j2)
-    d_in, d_out = first.d_in, second.d_out
-    return Channel(j.reshape(d_in * d_out, d_in * d_out), first.input_dims, second.output_dims)
-
-
-def kraus_operators(channel: Channel, cutoff: float | None = None) -> list[np.ndarray]:
-    """Kraus operators from the spectral decomposition of the Choi matrix.
-
-    Ordered by decreasing weight; eigenvalues at or below the cutoff are
-    dropped.
+    Ordered by decreasing weight; eigenvalues at or below the support
+    cutoff are dropped.
     """
-    spec = linalg.eigh(channel.choi)
-    if cutoff is None:
-        cutoff = linalg.support_cutoff(spec.eigenvalues)
+    spec = channel.spectrum
+    cutoff = linalg.support_cutoff(spec.eigenvalues)
     d_in, d_out = channel.d_in, channel.d_out
     ops = []
     for i in range(len(spec.eigenvalues) - 1, -1, -1):
@@ -302,12 +260,3 @@ def from_json_dict(data: dict) -> Channel:
         raise ValueError(f"malformed channel document: {exc}") from exc
     return Channel(matrix, ins, outs)
 
-
-def save_channel(channel: Channel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(channel), fh)
-
-
-def load_channel(path) -> Channel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))

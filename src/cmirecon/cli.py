@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit status: 0 when all requested checks pass, 1 on an invariant or check
-failure, 2 on a usage error: bad arguments, or a missing or malformed
-input file.
+failure, 2 on a usage error: bad arguments, a malformed input file, or a
+file that cannot be read or written (any OSError).
 """
 
 from __future__ import annotations
@@ -193,10 +193,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (_InputError, FileNotFoundError) as exc:
+    except (_InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,18 +35,24 @@ def _density(state_or_matrix) -> np.ndarray:
     return np.asarray(state_or_matrix, dtype=complex)
 
 
-def _psd_part(m: np.ndarray) -> tuple[np.ndarray, linalg.Spectrum]:
-    """Clip round-off-negative eigenvalues to zero; also return m's spectrum."""
-    spec = linalg.eigh(m)
+def _decomposed(state_or_matrix) -> tuple[np.ndarray, linalg.Spectrum]:
+    """The density matrix and its spectrum: kept by a state, computed for a raw matrix."""
+    if isinstance(state_or_matrix, MultipartiteState):
+        return state_or_matrix.matrix, state_or_matrix.spectrum
+    m = _density(state_or_matrix)
+    return m, linalg.eigh(m)
+
+
+def _psd_part(m: np.ndarray, spec: linalg.Spectrum) -> np.ndarray:
+    """Clip round-off-negative eigenvalues of m (spectrum ``spec``) to zero."""
     if spec.eigenvalues[0] < 0.0:
-        m = spec.apply(lambda w: w, cutoff=0.0)
-    return m, spec
+        return spec.apply(lambda w: w, cutoff=0.0)
+    return m
 
 
 def von_neumann(state_or_matrix) -> float:
     """Von Neumann entropy in bits: -sum of w log2 w over the spectrum."""
-    rho = _density(state_or_matrix)
-    w = linalg.eigh(rho).eigenvalues
+    w = _decomposed(state_or_matrix)[1].eigenvalues
     w = w[w > linalg.support_cutoff(w)]
     return float(-(w * np.log(w)).sum() / LN2)
 
@@ -87,14 +93,13 @@ def relative_entropy(rho, sigma) -> float:
     Returns ``math.inf`` when the support of rho is not contained in the
     support of sigma (both supports taken at the spectral cutoff).
     """
-    rho = _density(rho)
-    sigma = _density(sigma)
+    rho, rho_spec = _decomposed(rho)
+    sigma, sigma_spec = _decomposed(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    sigma_spec = linalg.eigh(sigma)
     if not _support_contained(rho, sigma_spec):
         return math.inf
-    w = linalg.eigh(rho).eigenvalues
+    w = rho_spec.eigenvalues
     w = w[w > linalg.support_cutoff(w)]
     tr_rho_log_rho = float((w * np.log(w)).sum())
     log_sigma = sigma_spec.apply(np.log)
@@ -109,11 +114,11 @@ def fidelity(rho, sigma) -> float:
     values are the eigenvalues of the bracketed root; round-off then enters
     linearly instead of under a square root.
     """
-    rho = _density(rho)
-    sigma = _density(sigma)
+    rho, rho_spec = _decomposed(rho)
+    sigma, sigma_spec = _decomposed(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    f = linalg.trace_norm(linalg.sqrtm_psd(rho) @ linalg.sqrtm_psd(sigma))
+    f = linalg.trace_norm(rho_spec.apply(np.sqrt) @ sigma_spec.apply(np.sqrt))
     return min(max(f, 0.0), 1.0)
 
 
@@ -240,15 +245,15 @@ def measured_relative_entropy(
     state first, which keeps the objective finite and shifts the result
     far below reporting tolerance.
     """
-    rho = _density(rho)
-    sigma = _density(sigma)
+    rho, rho_spec = _decomposed(rho)
+    sigma, sigma_spec = _decomposed(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     d = sigma.shape[0]
     # strict positivity of both spectra keeps the ascent from milking
     # unbounded objective out of round-off-negative directions
-    rho, _ = _psd_part(rho)
-    sigma, sigma_spec = _psd_part(sigma)
+    rho = _psd_part(rho, rho_spec)
+    sigma = _psd_part(sigma, sigma_spec)
     # a clipped sigma had a negative minimum: below the cutoff either way
     if sigma_spec.eigenvalues[0] <= linalg.support_cutoff(sigma_spec.eigenvalues):
         delta = SIGMA_REGULARIZATION

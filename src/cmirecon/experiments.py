@@ -91,9 +91,9 @@ def transpose_reconstruction_metrics(
     fid = entropy.fidelity(rho_tri, sigma)
     shalf = math.inf if fid == 0.0 else -2.0 * math.log2(fid)
 
-    rho_b = states.partial_trace(rho_bc, [b]).matrix
-    proj_b = linalg.support_projector(rho_b)
-    off_weight = float(np.trace((np.eye(rho_b.shape[0]) - proj_b) @ rho_b).real)
+    rho_b = states.partial_trace(rho_bc, [b])
+    proj_b = rho_b.spectrum.apply(np.ones_like)
+    off_weight = float(np.trace((np.eye(rho_b.dim) - proj_b) @ rho_b.matrix).real)
 
     out = {
         "cmi_bits": cmi_bits,
@@ -383,7 +383,7 @@ def _check_log_shift_bound(seed, n):
         sigma = states.random_mixed((d,), rng, labels=("A",))
         pi = states.random_mixed((d,), rng, labels=("A",))
         rho = states.random_mixed((d,), rng, labels=("A",))
-        inv_root = linalg.inv_sqrtm_psd(sigma.matrix)
+        inv_root = sigma.spectrum.apply(lambda x: 1.0 / np.sqrt(x))
         ratio = linalg.eigh(inv_root @ pi.matrix @ inv_root, atol=1e-7).eigenvalues[-1]
         lam = math.log2(max(ratio, 1e-300))
         lhs = entropy.relative_entropy(rho, pi)
@@ -400,7 +400,7 @@ def _check_continuity_bound(seed, n):
         d = int(rng.integers(2, 9))
         rho, sigma = _random_pair(rng, d)
         t = linalg.trace_norm(rho.matrix - sigma.matrix)
-        beta = linalg.eigh(sigma.matrix).eigenvalues[0]
+        beta = sigma.spectrum.eigenvalues[0]
         if beta <= 0:
             continue
         bound = entropy.relative_entropy_continuity_bound(d, t, beta)

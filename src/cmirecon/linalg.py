@@ -31,11 +31,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Reassemble V diag(w) V^dag."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
     def apply(
         self, f: Callable[[np.ndarray], np.ndarray], cutoff: float | None = None
     ) -> np.ndarray:
@@ -56,12 +51,6 @@ class Spectrum:
         return (self.eigenvectors * fw) @ self.eigenvectors.conj().T
 
 
-def asymmetry(a: np.ndarray) -> float:
-    """Max-abs deviation of a square matrix from its adjoint."""
-    a = np.asarray(a)
-    return float(np.abs(a - a.conj().T).max())
-
-
 def _check_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -74,12 +63,14 @@ def _check_square(a: np.ndarray) -> np.ndarray:
 def eigh(h: np.ndarray, atol: float = HERMITICITY_ATOL) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
-    The input is symmetrized to (H + H^dag)/2 before decomposing, which
-    absorbs round-off accumulated by callers; asymmetry beyond ``atol``
-    is an error rather than something to hide.
+    This is the one check that a matrix is square, finite and Hermitian;
+    states and channels validate through it. The input is symmetrized to
+    (H + H^dag)/2 before decomposing, which absorbs round-off accumulated
+    by callers; asymmetry beyond ``atol`` is an error rather than
+    something to hide.
     """
     h = _check_square(h)
-    asym = asymmetry(h)
+    asym = float(np.abs(h - h.conj().T).max())
     if asym > atol:
         raise ValueError(
             f"matrix is not Hermitian: max|H - H^dag| = {asym:.3e} exceeds {atol:.1e}"
@@ -88,14 +79,14 @@ def eigh(h: np.ndarray, atol: float = HERMITICITY_ATOL) -> Spectrum:
     return Spectrum(w, v)
 
 
-def support_cutoff(eigenvalues: np.ndarray, rtol: float = SUPPORT_RTOL) -> float:
+def support_cutoff(eigenvalues: np.ndarray) -> float:
     """Absolute threshold below which eigenvalues count as numerically zero.
 
-    Scale-invariant: ``rtol`` times the largest eigenvalue (zero when the
-    spectrum has no positive part).
+    Scale-invariant: SUPPORT_RTOL times the largest eigenvalue (zero when
+    the spectrum has no positive part).
     """
     top = float(np.max(eigenvalues)) if len(eigenvalues) else 0.0
-    return rtol * max(top, 0.0)
+    return SUPPORT_RTOL * max(top, 0.0)
 
 
 def matrix_function(

@@ -35,7 +35,6 @@ two matrix products each on operands of rho_BR arranged once per search.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -121,6 +120,7 @@ class _RecoveryProblem:
 
     Works in the subsystem order (B, C, R) so the target density matrix is
     a plain matrix on (BC) (x) R, and the isometry is a matrix v[(bc, e), b_in].
+    The target is kept as that state, so its spectrum is decomposed once.
 
     Each objective has an evaluate step, ``fidelity_value`` or
     ``measured_re_score``, returning the score at V and what the gradient
@@ -140,7 +140,7 @@ class _RecoveryProblem:
         # room for channels of Kraus rank up to d_B d_C
         self.d_env = self.d_bc
         self.labels = (b, c, r)
-        self.target = ordered.matrix
+        self.target = ordered
         rho_br = states.partial_trace(ordered, [b, r]).matrix
         # rho_BR[(b,s),(c,t)] as the matmul operands of sigma_tensor and
         # pullback: [b, (s,c,t)] and [(s,t,c), b]
@@ -150,7 +150,7 @@ class _RecoveryProblem:
             rho_br.reshape(d_b, d_r, d_b, d_r).transpose(3, 1, 0, 2)
         ).reshape(d_r * d_r * d_b, d_b)
 
-        spec = linalg.eigh(self.target)
+        spec = ordered.spectrum
         top = spec.eigenvalues[-1]
         self.pure_vec = None
         # threshold keeps the rank-1 shortcut's error below the 1e-7
@@ -501,7 +501,3 @@ def result_to_json_dict(result: OptimizerResult) -> dict:
         "best_channel": channels.to_json_dict(result.best_channel),
     }
 
-
-def save_result(result: OptimizerResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result_to_json_dict(result), fh, indent=2, sort_keys=True)

@@ -1,15 +1,16 @@
 """Multipartite density matrices with labeled subsystems.
 
 Construction, tensor products, partial trace, purification, diagonal
-(classical) states, and seeded Haar-random sampling. States are immutable
-and every constructor validates the density-matrix invariants.
+(classical) states, and seeded Haar-random sampling. States are immutable;
+every constructor validates the density-matrix invariants and keeps the
+eigendecomposition that check makes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,40 +63,39 @@ def _normalize_subsystems(subsystems: Iterable) -> Subsystems:
 class MultipartiteState:
     """Density matrix over an ordered list of labeled subsystems.
 
-    Invariants checked at construction: the matrix is Hermitian within
-    1e-9, has unit trace within 1e-9, smallest eigenvalue >= -1e-9, and
-    the subsystem dimensions multiply to the matrix size.
+    Invariants checked at construction: the matrix is finite and Hermitian
+    within 1e-9 (``linalg.eigh``), has unit trace within 1e-9, smallest
+    eigenvalue >= -1e-9, and the subsystem dimensions multiply to the
+    matrix size. The eigendecomposition made by that check is kept as
+    ``spectrum``, so entropies, roots and projectors of the state need no
+    second one.
     """
 
     matrix: np.ndarray
     subsystems: Subsystems
+    spectrum: linalg.Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         subs = _normalize_subsystems(self.subsystems)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"state matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("state matrix contains non-finite entries")
+        spectrum = linalg.eigh(m)
         d = math.prod(dim for _, dim in subs)
         if m.shape[0] != d:
             raise ValueError(
                 f"subsystem dimensions {tuple(dim for _, dim in subs)} "
                 f"multiply to {d}, but the matrix is {m.shape[0]}x{m.shape[0]}"
             )
-        asym = linalg.asymmetry(m)
-        if asym > linalg.HERMITICITY_ATOL:
-            raise ValueError(f"state is not Hermitian: asymmetry {asym:.3e}")
         tr = float(m.trace().real)
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"state trace {tr!r} is not 1 within {TRACE_ATOL}")
-        if linalg.min_eigenvalue(m) < -EIGENVALUE_ATOL:
+        if spectrum.eigenvalues[0] < -EIGENVALUE_ATOL:
             raise ValueError(
-                f"state has eigenvalue {linalg.min_eigenvalue(m):.3e} below -{EIGENVALUE_ATOL}"
+                f"state has eigenvalue {spectrum.eigenvalues[0]:.3e} below -{EIGENVALUE_ATOL}"
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "subsystems", subs)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -114,9 +114,6 @@ class MultipartiteState:
             if lab == label:
                 return dim
         raise KeyError(f"unknown subsystem label {label!r}")
-
-    def purity(self) -> float:
-        return float((self.matrix @ self.matrix).trace().real)
 
 
 def random_pure(
@@ -221,7 +218,7 @@ def purify(state: MultipartiteState, ancilla_label: str) -> MultipartiteState:
     """
     if ancilla_label in state.labels:
         raise ValueError(f"ancilla label {ancilla_label!r} collides with {state.labels}")
-    spec = linalg.eigh(state.matrix)
+    spec = state.spectrum
     keep = spec.eigenvalues > linalg.support_cutoff(spec.eigenvalues)
     if not np.any(keep):
         raise ValueError("state has numerically empty support")

@@ -148,6 +148,22 @@ class TestRecoverCommand:
             assert "error" in errtext
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recover", "{dir}"],
+        ["optimize", "{dir}"],
+        ["figure1", "--samples", "2", "--out-csv", "{dir}/missing/r.csv"],
+        ["figure1", "--samples", "2", "--out-json", "{dir}/missing/r.json"],
+        ["classical-example", "--d", "2", "--out-json", "{dir}/missing/c.json"],
+    ],
+)
+def test_unreadable_or_unwritable_path_is_usage_error(tmp_path, capsys, argv):
+    code, _, errtext = run_cli(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 2
+    assert "error" in errtext
+
+
 class TestOptimizeCommand:
     def test_writes_result_json(self, tmp_path, capsys):
         rho = states.random_pure((2, 2, 2), states.rng_from_seed(2), ("B", "C", "R"))

@@ -226,6 +226,22 @@ class TestMeasuredRelativeEntropy:
         assert ms >= entropy.renyi_half(rho, sigma) - 1e-6
 
 
+class TestKeptSpectra:
+    def test_state_and_matrix_give_identical_values(self):
+        rng = states.rng_from_seed(23)
+        rho = states.random_mixed((2,), rng, ("A",))
+        sigma = states.random_mixed((2,), rng, ("A",))
+        assert entropy.von_neumann(rho) == entropy.von_neumann(rho.matrix)
+        assert entropy.relative_entropy(rho, sigma) == entropy.relative_entropy(
+            rho.matrix, sigma.matrix
+        )
+        assert entropy.fidelity(rho, sigma) == entropy.fidelity(rho.matrix, sigma.matrix)
+        from_states = entropy.measured_relative_entropy(rho, sigma)
+        from_matrices = entropy.measured_relative_entropy(rho.matrix, sigma.matrix)
+        assert from_states.value_bits == from_matrices.value_bits
+        assert np.array_equal(from_states.witness, from_matrices.witness)
+
+
 class TestContinuityBound:
     def test_zero_distance_limit(self):
         assert entropy.relative_entropy_continuity_bound(4, 0.0, 0.1) == 0.0

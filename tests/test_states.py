@@ -5,8 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cmirecon import entropy, linalg, states
+from cmirecon import channels, entropy, linalg, markov, states
 from cmirecon.states import MultipartiteState
+
+
+def purity(state):
+    return float(np.trace(state.matrix @ state.matrix).real)
 
 
 def ghz_state(labels=("B", "C", "R")):
@@ -33,16 +37,49 @@ class TestValidation:
         with pytest.raises(ValueError, match="multiply"):
             MultipartiteState(np.eye(4) / 4, (("A", 2), ("B", 3)))
 
+    def test_rejects_non_finite(self):
+        m = np.eye(2) / 2
+        m[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            MultipartiteState(m, (("A", 2),))
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="duplicate"):
             MultipartiteState(np.eye(4) / 4, (("A", 2), ("A", 2)))
+
+
+class TestKeptSpectrum:
+    def test_spectrum_is_the_eigh_of_the_matrix(self, tmp_path):
+        # one state from every constructor that returns a MultipartiteState
+        rng = states.rng_from_seed(21)
+        pure = states.random_pure((2, 3, 2), rng, ("B", "C", "R"))
+        mixed = states.random_mixed((2, 2), rng, ("A", "B"), ancilla_dim=2)
+        path = tmp_path / "state.json"
+        states.save_state(mixed, path)
+        ch = channels.random_channel(2, 3, None, rng, (("A", 2),), (("A", 3),))
+        built = {
+            "random_pure": pure,
+            "random_mixed": mixed,
+            "partial_trace": states.partial_trace(pure, ["B", "R"]),
+            "permute": states.permute(pure, ("R", "B", "C")),
+            "tensor": states.tensor(mixed, states.random_pure((2,), rng, ("C",))),
+            "purify": states.purify(mixed, "P"),
+            "classical_state": states.classical_state(np.full((2, 3), 1 / 6), ("X", "Y")),
+            "markov_state": markov.markov_state(markov.random_markov_spec(rng)),
+            "load_state": states.load_state(path),
+            "apply": channels.apply(ch, mixed, on=["A"]),
+        }
+        for name, rho in built.items():
+            fresh = linalg.eigh(rho.matrix)
+            assert np.array_equal(rho.spectrum.eigenvalues, fresh.eigenvalues), name
+            assert np.array_equal(rho.spectrum.eigenvectors, fresh.eigenvectors), name
 
 
 class TestRandomPure:
     def test_rank_one_and_trace(self):
         rho = states.random_pure((2, 2, 2), states.rng_from_seed(0))
         assert abs(np.trace(rho.matrix).real - 1.0) < 1e-9
-        assert abs(rho.purity() - 1.0) < 1e-9
+        assert abs(purity(rho) - 1.0) < 1e-9
 
     def test_same_seed_bitwise_identical(self):
         a = states.random_pure((2, 3), states.sample_rng(9, 4))
@@ -60,7 +97,7 @@ class TestRandomPure:
         n = 10_000
         for i in range(n):
             rho = states.random_pure((2, 2), states.sample_rng(77, i), ("A", "B"))
-            total += states.partial_trace(rho, ["A"]).purity()
+            total += purity(states.partial_trace(rho, ["A"]))
         assert abs(total / n - 0.8) < 0.01
 
     def test_unitary_invariance_of_haar_mean(self):
@@ -170,7 +207,7 @@ class TestTensorAndPermute:
     def test_pure_tensor_pure_is_pure(self):
         a = states.random_pure((2,), states.rng_from_seed(1), ("A",))
         b = states.random_pure((3,), states.rng_from_seed(2), ("B",))
-        assert abs(states.tensor(a, b).purity() - 1.0) < 1e-9
+        assert abs(purity(states.tensor(a, b)) - 1.0) < 1e-9
 
     def test_trace_multiplicative(self):
         a = states.random_mixed((2,), states.rng_from_seed(3), ("A",))
@@ -207,7 +244,7 @@ class TestPurify:
         tau = states.classical_state(np.full(2, 0.5), ["A"])
         out = states.purify(tau, "E")
         assert out.dims == (2, 2)
-        assert abs(out.purity() - 1.0) < 1e-9
+        assert abs(purity(out) - 1.0) < 1e-9
         marg = states.partial_trace(out, ["A"])
         assert np.abs(marg.matrix - np.eye(2) / 2).max() < 1e-9
 
