@@ -76,6 +76,9 @@ def eigh(h: np.ndarray, atol: float = HERMITICITY_ATOL) -> Spectrum:
             f"matrix is not Hermitian: max|H - H^dag| = {asym:.3e} exceeds {atol:.1e}"
         )
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    # read-only, like the matrices of the states and channels that keep them
+    w.setflags(write=False)
+    v.setflags(write=False)
     return Spectrum(w, v)
 
 

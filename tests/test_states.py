@@ -73,6 +73,8 @@ class TestKeptSpectrum:
             fresh = linalg.eigh(rho.matrix)
             assert np.array_equal(rho.spectrum.eigenvalues, fresh.eigenvalues), name
             assert np.array_equal(rho.spectrum.eigenvectors, fresh.eigenvectors), name
+            assert not rho.spectrum.eigenvalues.flags.writeable, name
+            assert not rho.spectrum.eigenvectors.flags.writeable, name
 
 
 class TestRandomPure:
