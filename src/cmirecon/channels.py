@@ -90,9 +90,10 @@ def apply(
     """Apply ``channel`` to the ``on`` subsystems of a state, identity elsewhere.
 
     The ``on`` labels (default: the channel's input labels) must match the
-    channel input dimensions in order. In the output, those subsystems are
-    replaced in place by the channel's output subsystems; a name collision
-    with an untouched subsystem is an error.
+    channel input dimensions in order. In the output, the channel's output
+    subsystems take the place of the first ``on`` subsystem in state order;
+    a name collision with an untouched subsystem is an error. Only the
+    result is built, by one contraction.
     """
     on = list(on) if on is not None else list(channel.input_labels)
     for label in on:
@@ -111,26 +112,31 @@ def apply(
     if collision:
         raise ValueError(f"channel output labels {sorted(collision)} collide with {rest}")
 
-    ordered = states.permute(state, rest + on)
-    d_rest = math.prod(ordered.dim_of(label) for label in rest) if rest else 1
-    d_in, d_out = channel.d_in, channel.d_out
-    pr = ordered.matrix.reshape(d_rest, d_in, d_rest, d_in)
-    j = channel.choi.reshape(d_in, d_out, d_in, d_out)
-    out = np.einsum("risj,iojp->rosp", pr, j).reshape(d_rest * d_out, d_rest * d_out)
-    rest_subs = tuple((label, ordered.dim_of(label)) for label in rest)
-    result = MultipartiteState(out, rest_subs + channel.output_dims)
-
-    # splice the output labels where the first consumed input label sat
-    new_order: list[str] = []
-    inserted = False
-    for label in state.labels:
-        if label in on:
-            if not inserted:
-                new_order.extend(channel.output_labels)
-                inserted = True
-        else:
-            new_order.append(label)
-    return states.permute(result, new_order)
+    # state tensor axes: rows 0..n-1, columns n..2n-1; Choi tensor axes:
+    # (in, out, in, out), its outputs numbered from 2n
+    n = len(state.labels)
+    pos = [state.labels.index(label) for label in on]
+    first = min(pos)
+    before = [k for k in range(first) if k not in pos]
+    after = [k for k in range(first + 1, n) if k not in pos]
+    n_out = len(channel.output_dims)
+    out_rows = list(range(2 * n, 2 * n + n_out))
+    out_cols = list(range(2 * n + n_out, 2 * n + 2 * n_out))
+    io_dims = tuple(d for _, d in channel.input_dims + channel.output_dims)
+    out = np.einsum(
+        state.matrix.reshape(state.dims + state.dims),
+        list(range(2 * n)),
+        channel.choi.reshape(io_dims + io_dims),
+        pos + out_rows + [n + k for k in pos] + out_cols,
+        before + out_rows + after + [n + k for k in before] + out_cols + [n + k for k in after],
+    )
+    subs = (
+        tuple(state.subsystems[k] for k in before)
+        + channel.output_dims
+        + tuple(state.subsystems[k] for k in after)
+    )
+    d = math.prod(dim for _, dim in subs)
+    return MultipartiteState(out.reshape(d, d), subs)
 
 
 def transpose_channel(rho_bc: MultipartiteState) -> Channel:

@@ -1,9 +1,9 @@
 """Scalar information measures.
 
-Von Neumann entropy, conditional mutual information, quantum relative
-entropy, fidelity and the order-1/2 Renyi divergence, a variational solver
-for the measured relative entropy, and a trace-distance continuity bound
-for the relative entropy.
+Von Neumann entropy, conditional mutual information I(C:R|B) of the
+subsystems labelled B, C and R, quantum relative entropy, fidelity and the
+order-1/2 Renyi divergence, a variational solver for the measured relative
+entropy, and a trace-distance continuity bound for the relative entropy.
 
 All public values are reported in bits; internal computation uses natural
 logs with a single conversion at the boundary.
@@ -57,23 +57,23 @@ def von_neumann(state_or_matrix) -> float:
     return float(-(w * np.log(w)).sum() / LN2)
 
 
-def cmi(state: MultipartiteState, c: str = "C", r: str = "R", b: str = "B") -> float:
-    """Conditional mutual information I(c:r|b) in bits.
+def cmi(state: MultipartiteState) -> float:
+    """Conditional mutual information I(C:R|B) in bits.
 
-    Extra subsystems are traced out first. The raw value is returned
-    without clamping; strong subadditivity makes it >= 0 up to round-off.
+    The roles are the subsystems labelled B, C and R; any other subsystem
+    is traced out first. The raw value is returned without clamping;
+    strong subadditivity makes it >= 0 up to round-off.
     """
-    for label in (c, r, b):
-        if label not in state.labels:
-            raise ValueError(f"state has no subsystem {label!r}; labels are {state.labels}")
-    if len({c, r, b}) != 3:
-        raise ValueError(f"labels must be distinct, got {(c, r, b)}")
-    if set(state.labels) != {c, r, b}:
-        state = states.partial_trace(state, [c, r, b])
-    s_bc = von_neumann(states.partial_trace(state, [b, c]))
-    s_br = von_neumann(states.partial_trace(state, [b, r]))
+    missing = {"B", "C", "R"} - set(state.labels)
+    if missing:
+        raise ValueError(f"state has no subsystems {sorted(missing)}; labels are {state.labels}")
+    if len(state.labels) != 3:
+        state = states.partial_trace(state, ["B", "C", "R"])
+    rho_bc = states.partial_trace(state, ["B", "C"])
+    s_bc = von_neumann(rho_bc)
+    s_br = von_neumann(states.partial_trace(state, ["B", "R"]))
     s_bcr = von_neumann(state)
-    s_b = von_neumann(states.partial_trace(state, [b]))
+    s_b = von_neumann(states.partial_trace(rho_bc, ["B"]))
     return s_bc + s_br - s_bcr - s_b
 
 

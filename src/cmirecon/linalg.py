@@ -112,21 +112,6 @@ def matrix_function(
     return eigh(h).apply(f, cutoff)
 
 
-def sqrtm_psd(h: np.ndarray, cutoff: float | None = None) -> np.ndarray:
-    """Principal square root of a PSD matrix (support-restricted)."""
-    return matrix_function(h, np.sqrt, cutoff)
-
-
-def inv_sqrtm_psd(h: np.ndarray, cutoff: float | None = None) -> np.ndarray:
-    """Pseudo-inverse square root of a PSD matrix (support-restricted)."""
-    return matrix_function(h, lambda x: 1.0 / np.sqrt(x), cutoff)
-
-
-def support_projector(h: np.ndarray, cutoff: float | None = None) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors above the cutoff."""
-    return matrix_function(h, np.ones_like, cutoff)
-
-
 def trace_norm(a: np.ndarray) -> float:
     """Sum of singular values of a square matrix."""
     a = _check_square(a)

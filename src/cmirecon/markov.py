@@ -104,16 +104,13 @@ def block_layout(spec: MarkovSpec) -> list[tuple[int, int, int]]:
     return layout
 
 
-def markov_state(
-    spec: MarkovSpec, labels: tuple[str, str, str] = ("B", "C", "R")
-) -> MultipartiteState:
+def markov_state(spec: MarkovSpec) -> MultipartiteState:
     """Assemble the direct-sum state on (B, C, R) from its block spec.
 
     B is the direct sum of the B_Lk (x) B_Rk block spaces, laid out in
     spec order (see ``block_layout``). The output has zero conditional
     mutual information up to numerical round-off.
     """
-    b_label, c_label, r_label = labels
     d_b, d_c, d_r = spec.d_b, spec.d_c, spec.d_r
     d_cr = d_c * d_r
     full = np.zeros((d_b * d_cr, d_b * d_cr), dtype=complex)
@@ -128,7 +125,7 @@ def markov_state(
             [(offset + bi) * d_cr + x for bi in range(d_block) for x in range(d_cr)]
         )
         full[np.ix_(rows, rows)] += block.weight * mat
-    subs = ((b_label, d_b), (c_label, d_c), (r_label, d_r))
+    subs = (("B", d_b), ("C", d_c), ("R", d_r))
     return MultipartiteState(full, subs)
 
 
@@ -163,14 +160,8 @@ def random_markov_spec(
     return MarkovSpec(tuple(blocks))
 
 
-def markov_gap(
-    rho: MultipartiteState,
-    sigma_markov: MultipartiteState,
-    c: str = "C",
-    r: str = "R",
-    b: str = "B",
-) -> float:
-    """Relative-entropy distance to a Markov state minus the CMI of rho.
+def markov_gap(rho: MultipartiteState, sigma_markov: MultipartiteState) -> float:
+    """Relative-entropy distance to a Markov state minus the CMI I(C:R|B) of rho.
 
     Nonnegative for every certified Markov sigma (up to round-off);
     ``math.inf`` when rho's support escapes sigma's.
@@ -179,7 +170,7 @@ def markov_gap(
         raise ValueError(
             f"states must share subsystems: {rho.subsystems} vs {sigma_markov.subsystems}"
         )
-    sigma_cmi = entropy.cmi(sigma_markov, c=c, r=r, b=b)
+    sigma_cmi = entropy.cmi(sigma_markov)
     if abs(sigma_cmi) > MARKOV_CMI_TOL:
         raise ValueError(
             f"sigma is not a certified Markov state: its CMI is {sigma_cmi:.3e}"
@@ -187,4 +178,4 @@ def markov_gap(
     rel = entropy.relative_entropy(rho, sigma_markov)
     if math.isinf(rel):
         return math.inf
-    return rel - entropy.cmi(rho, c=c, r=r, b=b)
+    return rel - entropy.cmi(rho)

@@ -1,7 +1,8 @@
 """Numerical search for reconstruction channels B -> BC.
 
-Given a tripartite state on (B, C, R), find a channel acting on B alone
-whose extension to (B, R) maps the BR marginal close to the full state.
+Given a tripartite state on the subsystems labelled B, C and R, in any
+order, find a channel acting on B alone whose extension to (B, R) maps the
+BR marginal close to the full state. The roles are fixed by those labels.
 The search space is Stinespring isometries V: B -> (BC) (x) E with
 d_E = d_B d_C, a complex Stiefel manifold, ascended from the transpose
 channel by Riemannian L-BFGS: curvature pairs carried between tangent
@@ -90,28 +91,16 @@ class OptimizerResult:
     dual_gap: float | None = None
 
 
-def reconstruct(
-    rho_tri: MultipartiteState,
-    channel: Channel,
-    b: str = "B",
-    c: str = "C",
-    r: str = "R",
-) -> MultipartiteState:
+def reconstruct(rho_tri: MultipartiteState, channel: Channel) -> MultipartiteState:
     """Apply a B -> BC channel to the BR marginal, aligned to rho's labels."""
-    rho_br = states.partial_trace(rho_tri, [b, r])
-    out = channels.apply(channel, rho_br, on=[b])
+    rho_br = states.partial_trace(rho_tri, ["B", "R"])
+    out = channels.apply(channel, rho_br, on=["B"])
     return states.permute(out, rho_tri.labels)
 
 
-def measured_re_of_recovery(
-    rho_tri: MultipartiteState,
-    channel: Channel,
-    b: str = "B",
-    c: str = "C",
-    r: str = "R",
-) -> float:
+def measured_re_of_recovery(rho_tri: MultipartiteState, channel: Channel) -> float:
     """Measured relative entropy between rho and its reconstruction, in bits."""
-    sigma = reconstruct(rho_tri, channel, b=b, c=c, r=r)
+    sigma = reconstruct(rho_tri, channel)
     return entropy.measured_relative_entropy(rho_tri, sigma).value_bits
 
 
@@ -131,17 +120,14 @@ class _RecoveryProblem:
     gradient into the certificate of the search.
     """
 
-    def __init__(self, rho_tri: MultipartiteState, b: str, c: str, r: str):
-        ordered = states.permute(rho_tri, (b, c, r))
-        self.d_b = ordered.dim_of(b)
-        self.d_c = ordered.dim_of(c)
-        self.d_r = ordered.dim_of(r)
+    def __init__(self, rho_tri: MultipartiteState):
+        ordered = states.permute(rho_tri, ("B", "C", "R"))
+        self.d_b, self.d_c, self.d_r = ordered.dims
         self.d_bc = self.d_b * self.d_c
         # room for channels of Kraus rank up to d_B d_C
         self.d_env = self.d_bc
-        self.labels = (b, c, r)
         self.target = ordered
-        rho_br = states.partial_trace(ordered, [b, r]).matrix
+        rho_br = states.partial_trace(ordered, ["B", "R"]).matrix
         # rho_BR[(b,s),(c,t)] as the matmul operands of sigma_tensor and
         # pullback: [b, (s,c,t)] and [(s,t,c), b]
         d_b, d_r = self.d_b, self.d_r
@@ -267,11 +253,10 @@ class _RecoveryProblem:
         return -sol.value_bits, self.pullback(v, sol.witness / entropy.LN2)
 
     def channel_from(self, v: np.ndarray) -> Channel:
-        b, c, _ = self.labels
         return channels.stinespring_to_channel(
             v,
-            ((b, self.d_b),),
-            ((b, self.d_b), (c, self.d_c)),
+            (("B", self.d_b),),
+            (("B", self.d_b), ("C", self.d_c)),
             self.d_env,
         )
 
@@ -290,9 +275,8 @@ def _retract(v: np.ndarray) -> np.ndarray:
     return q * (safe / np.abs(safe))
 
 
-def _warm_start_isometry(problem: _RecoveryProblem, rho_tri, b, c, r) -> np.ndarray:
-    rho_bc = states.partial_trace(rho_tri, [b, c])
-    warm = channels.transpose_channel(states.permute(rho_bc, (b, c)))
+def _warm_start_isometry(problem: _RecoveryProblem) -> np.ndarray:
+    warm = channels.transpose_channel(states.partial_trace(problem.target, ["B", "C"]))
     ops = channels.kraus_operators(warm)
     v = np.zeros(problem.isometry_shape(), dtype=complex)
     vt = v.reshape(problem.d_bc, problem.d_env, problem.d_b)
@@ -425,9 +409,6 @@ def optimize_recovery(
     rho_tri: MultipartiteState,
     objective_kind: str = "fidelity",
     max_iterations: int = 2000,
-    b: str = "B",
-    c: str = "C",
-    r: str = "R",
 ) -> OptimizerResult:
     """Search for the best reconstruction channel B -> BC for one state.
 
@@ -446,14 +427,14 @@ def optimize_recovery(
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective {objective_kind!r}; pick from {OBJECTIVE_KINDS}")
-    for label in (b, c, r):
-        if label not in rho_tri.labels:
-            raise ValueError(f"state has no subsystem {label!r}; labels are {rho_tri.labels}")
+    missing = {"B", "C", "R"} - set(rho_tri.labels)
+    if missing:
+        raise ValueError(f"state has no subsystems {sorted(missing)}; labels are {rho_tri.labels}")
     if len(rho_tri.subsystems) != 3:
         raise ValueError(f"expected a tripartite state, got subsystems {rho_tri.subsystems}")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
-    problem = _RecoveryProblem(rho_tri, b, c, r)
+    problem = _RecoveryProblem(rho_tri)
 
     dual_gap = None
     if objective_kind == "measured_re":
@@ -465,7 +446,7 @@ def optimize_recovery(
         if problem.pure_vec is not None:
             dual_gap = problem.dual_gap
 
-    v0 = _warm_start_isometry(problem, rho_tri, b, c, r)
+    v0 = _warm_start_isometry(problem)
     v, f, trace, converged, gap = _ascend(v0, evaluate, gradient, max_iterations, dual_gap)
 
     def to_units(score: float) -> float:

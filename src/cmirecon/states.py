@@ -3,7 +3,8 @@
 Construction, tensor products, partial trace, purification, diagonal
 (classical) states, and seeded Haar-random sampling. States are immutable;
 every constructor validates the density-matrix invariants and keeps the
-eigendecomposition that check makes.
+eigendecomposition that check makes, and each state keeps the marginals
+taken of it.
 """
 
 from __future__ import annotations
@@ -68,12 +69,15 @@ class MultipartiteState:
     eigenvalue >= -1e-9, and the subsystem dimensions multiply to the
     matrix size. The eigendecomposition made by that check is kept as
     ``spectrum``, so entropies, roots and projectors of the state need no
-    second one.
+    second one. ``partial_trace`` keeps each marginal it takes on the
+    state, keyed by the kept labels in state order, so a marginal is built
+    and decomposed once per state.
     """
 
     matrix: np.ndarray
     subsystems: Subsystems
     spectrum: linalg.Spectrum = field(init=False, repr=False, compare=False)
+    _marginals: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -96,6 +100,7 @@ class MultipartiteState:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "subsystems", subs)
         object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "_marginals", {})
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -161,7 +166,11 @@ def random_mixed(
 
 
 def partial_trace(state: MultipartiteState, keep: Iterable[str] | str) -> MultipartiteState:
-    """Reduced state on the ``keep`` subsystems, label order preserved."""
+    """Reduced state on the ``keep`` subsystems, label order preserved.
+
+    The marginal is kept on ``state``, so asking again for the same labels,
+    in any order, returns the same object.
+    """
     if isinstance(keep, str):
         keep = [keep]
     keep_set = set(keep)
@@ -171,6 +180,9 @@ def partial_trace(state: MultipartiteState, keep: Iterable[str] | str) -> Multip
         raise ValueError(f"unknown subsystem labels {sorted(unknown)}; state has {labels}")
     if not keep_set:
         raise ValueError("must keep at least one subsystem")
+    key = tuple(label for label in labels if label in keep_set)
+    if key in state._marginals:
+        return state._marginals[key]
 
     dims = list(state.dims)
     n = len(dims)
@@ -182,7 +194,9 @@ def partial_trace(state: MultipartiteState, keep: Iterable[str] | str) -> Multip
         remaining.pop(k)
     kept_subs = tuple(state.subsystems[i] for i in remaining)
     d = math.prod(dim for _, dim in kept_subs)
-    return MultipartiteState(t.reshape(d, d), kept_subs)
+    marginal = MultipartiteState(t.reshape(d, d), kept_subs)
+    state._marginals[key] = marginal
+    return marginal
 
 
 def tensor(a: MultipartiteState, b: MultipartiteState) -> MultipartiteState:
@@ -249,11 +263,7 @@ def classical_state(table: np.ndarray, labels: Sequence[str]) -> MultipartiteSta
     return MultipartiteState(np.diag(table.ravel()).astype(complex), subs)
 
 
-def classical_example_state(
-    d: int,
-    eps: float,
-    labels: Sequence[str] = ("C", "B", "R"),
-) -> MultipartiteState:
+def classical_example_state(d: int, eps: float) -> MultipartiteState:
     """Classically correlated benchmark state on (C, B, R).
 
     C and R are d-dimensional and perfectly correlated: weight 1-eps on
@@ -265,11 +275,10 @@ def classical_example_state(
         raise ValueError(f"need d >= 2, got {d}")
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
-    c_label, b_label, r_label = labels
     p_cr = np.full(d, eps / (d - 1))
     p_cr[0] = 1.0 - eps
     table = np.diag(p_cr)[:, None, :] * np.full((2, 1), 0.5)  # (C, B, R)
-    return classical_state(table, (c_label, b_label, r_label))
+    return classical_state(table, ("C", "B", "R"))
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -15,6 +15,30 @@ def depolarizing(input_dims, output_dims):
     return Channel(np.kron(np.eye(d_in), np.eye(d_out) / d_out), input_dims, output_dims)
 
 
+def apply_by_permutation(channel, state, on):
+    """Oracle for ``channels.apply``: permute ``on`` to the end, contract, permute back."""
+    rest = [label for label in state.labels if label not in on]
+    ordered = states.permute(state, rest + on)
+    d_rest = math.prod(ordered.dim_of(label) for label in rest) if rest else 1
+    d_in, d_out = channel.d_in, channel.d_out
+    pr = ordered.matrix.reshape(d_rest, d_in, d_rest, d_in)
+    j = channel.choi.reshape(d_in, d_out, d_in, d_out)
+    out = np.einsum("risj,iojp->rosp", pr, j).reshape(d_rest * d_out, d_rest * d_out)
+    rest_subs = tuple((label, ordered.dim_of(label)) for label in rest)
+    result = states.MultipartiteState(out, rest_subs + channel.output_dims)
+    # splice the output labels where the first consumed input label sat
+    new_order = []
+    inserted = False
+    for label in state.labels:
+        if label in on:
+            if not inserted:
+                new_order.extend(channel.output_labels)
+                inserted = True
+        else:
+            new_order.append(label)
+    return states.permute(result, new_order)
+
+
 def assert_cptp(ch):
     assert linalg.min_eigenvalue(ch.choi) >= -1e-9
     d_in, d_out = ch.d_in, ch.d_out
@@ -56,6 +80,29 @@ class TestApply:
         ch = Channel(np.outer(omega, omega), (("A", 2), ("B", 3)), (("A", 2), ("B", 3)))
         out = channels.apply(ch, rho)
         assert np.abs(out.matrix - rho.matrix).max() < 1e-10
+
+    @pytest.mark.parametrize("rank", [None, 2, 1], ids=["full", "rank2", "pure"])
+    @pytest.mark.parametrize(
+        "on, outputs, labels",
+        [
+            (["B"], (("P", 2), ("Q", 3)), ("A", "P", "Q", "C")),
+            (["C"], (("P", 3),), ("A", "B", "P")),
+            (["C", "A"], (("P", 3),), ("P", "B")),
+            (["B", "A"], (("P", 2), ("Q", 2)), ("P", "Q", "C")),
+        ],
+        ids=["middle", "last", "two-out-of-order", "two-reversed"],
+    )
+    def test_matches_permutation_oracle(self, on, outputs, labels, rank):
+        rng = states.sample_rng(77, len(on) + len(outputs))
+        rho = states.random_mixed((2, 3, 4), rng, ("A", "B", "C"), ancilla_dim=rank)
+        in_dims = tuple((label, rho.dim_of(label)) for label in on)
+        d_in, d_out = math.prod(d for _, d in in_dims), math.prod(d for _, d in outputs)
+        ch = channels.random_channel(d_in, d_out, None, rng, in_dims, outputs)
+        out = channels.apply(ch, rho, on=on)
+        ref = apply_by_permutation(ch, rho, on)
+        assert out.labels == ref.labels == labels
+        assert out.dims == ref.dims
+        assert np.abs(out.matrix - ref.matrix).max() < 1e-13
 
     def test_depolarizing_maps_to_maximally_mixed(self):
         rho = states.random_pure((2, 2), states.rng_from_seed(1), ("A", "R"))
@@ -116,7 +163,7 @@ class TestTransposeChannel:
         t = channels.transpose_channel(states.tensor(rho_b, rho_c))
         pi = states.random_mixed((2,), states.rng_from_seed(10), ("B",))
         out = channels.apply(t, pi)
-        proj = linalg.support_projector(rho_b.matrix)
+        proj = rho_b.spectrum.apply(np.ones_like)
         compressed = proj @ pi.matrix @ proj
         expect = np.kron(compressed, rho_c.matrix)
         expect += np.trace(pi.matrix - compressed).real * states.tensor(rho_b, rho_c).matrix
@@ -134,10 +181,11 @@ class TestTransposeChannel:
         t = channels.transpose_channel(rho_bc)
         d_b, d_c = 2, 2
         rho_b = states.partial_trace(rho_bc, ["B"]).matrix
-        k = linalg.sqrtm_psd(rho_bc.matrix) @ np.kron(linalg.inv_sqrtm_psd(rho_b), np.eye(d_c))
+        inv_sqrt_b = linalg.matrix_function(rho_b, lambda x: 1.0 / np.sqrt(x))
+        k = linalg.matrix_function(rho_bc.matrix, np.sqrt) @ np.kron(inv_sqrt_b, np.eye(d_c))
         kt = k.reshape(d_b * d_c, d_b, d_c)
         choi = np.einsum("oic,pjc->iojp", kt, kt.conj())
-        defect = np.eye(d_b) - linalg.support_projector(rho_b)
+        defect = np.eye(d_b) - linalg.matrix_function(rho_b, np.ones_like)
         choi = choi + np.einsum("ji,op->iojp", defect, np.eye(d_b * d_c) / (d_b * d_c))
         alt = Channel(choi.reshape(8, 8), t.input_dims, t.output_dims)
         assert np.abs(alt.choi - t.choi).max() < 1e-9

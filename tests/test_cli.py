@@ -131,6 +131,18 @@ class TestRecoverCommand:
         assert doc["relent_transpose_bits"] < 1e-7
         assert doc["completion_used"] is False
 
+    def test_reports_completion_for_singular_rho_b(self, tmp_path, capsys):
+        # B embedded in dimension 4: rho_B has two zero eigenvalues
+        rho = states.random_mixed((2, 2, 2), states.rng_from_seed(5), ("B", "C", "R"))
+        big = np.zeros((4, 4, 4, 4), dtype=complex)
+        big[:2, :, :2, :] = rho.matrix.reshape(2, 4, 2, 4)
+        singular = states.MultipartiteState(big.reshape(16, 16), (("B", 4), ("C", 2), ("R", 2)))
+        path = tmp_path / "state.json"
+        states.save_state(singular, path)
+        code, out, _ = run_cli(capsys, "recover", str(path))
+        assert code == 0
+        assert json.loads(out)["completion_used"] is True
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, errtext = run_cli(capsys, "recover", "/nonexistent/state.json")
         assert code == 2

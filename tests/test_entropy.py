@@ -108,7 +108,7 @@ class TestRelativeEntropy:
         sigma = states.random_mixed((d,), rng, ("A",))
         pi = states.random_mixed((d,), rng, ("A",))
         rho = states.random_mixed((d,), rng, ("A",))
-        inv_root = linalg.inv_sqrtm_psd(sigma.matrix)
+        inv_root = sigma.spectrum.apply(lambda x: 1.0 / np.sqrt(x))
         lam = math.log2(linalg.eigh(inv_root @ pi.matrix @ inv_root, atol=1e-7).eigenvalues[-1])
         assert entropy.relative_entropy(rho, pi) >= entropy.relative_entropy(rho, sigma) - lam - 1e-7
 

@@ -9,7 +9,7 @@ import pytest
 
 import cmirecon
 import cmirecon.entropy
-from cmirecon import experiments, markov, states
+from cmirecon import channels, experiments, markov, states
 from cmirecon.experiments import ExperimentRecord, RunConfig
 
 
@@ -59,6 +59,26 @@ class TestFigure1:
         assert m["cmi_bits"] < 1e-8
         assert m["relent_transpose_bits"] < 1e-7
         assert not m["strict"]
+
+    def test_each_matrix_of_a_sample_built_once(self, monkeypatch):
+        # rho, rho_BC, rho_BR, rho_B and sigma, plus the transpose channel
+        rho = states.random_pure((2, 2, 2), states.rng_from_seed(11), ("B", "C", "R"))
+        built = {"states": 0, "channels": 0}
+
+        def counting(cls, key):
+            original = cls.__post_init__
+
+            def post_init(self):
+                built[key] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", post_init)
+
+        counting(states.MultipartiteState, "states")
+        counting(channels.Channel, "channels")
+        experiments.transpose_reconstruction_metrics(rho)
+        assert built["states"] <= 6
+        assert built["channels"] == 1
 
     def test_strict_fraction_estimator_consistency(self):
         # doubling the sample count moves the fraction by < 4 sqrt(p(1-p)/n)

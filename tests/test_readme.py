@@ -1,0 +1,12 @@
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_runs():
+    # the example calls the public API, so a changed signature breaks this test
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md (Library example)", "exec"), {})

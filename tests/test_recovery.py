@@ -177,7 +177,7 @@ class TestContractions:
             rho = states.random_pure(dims, rng, labels)
         else:
             rho = states.random_mixed(dims, rng, labels, ancilla_dim=rank)
-        problem = recovery._RecoveryProblem(rho, *labels)
+        problem = recovery._RecoveryProblem(rho)
         d_b, d_c, d_r = dims
         d_bc, d_env = d_b * d_c, problem.d_env
         rho_br = states.partial_trace(rho, ["B", "R"]).matrix.reshape(d_b, d_r, d_b, d_r)
@@ -254,15 +254,14 @@ class TestRetraction:
         assert np.abs(q.conj().T @ q - np.eye(k)).max() < 1e-13
 
     def test_completion_branch_warm_start(self):
-        labels = ("B", "C", "R")
         rho = _singular_b_state()
         rho_b = states.partial_trace(rho, ["B"]).matrix
         assert np.sum(np.linalg.eigvalsh(rho_b) > 1e-12) == 2
-        problem = recovery._RecoveryProblem(rho, *labels)
+        problem = recovery._RecoveryProblem(rho)
         rho_bc = states.permute(states.partial_trace(rho, ["B", "C"]), ("B", "C"))
         warm = channels.transpose_channel(rho_bc)
         assert len(channels.kraus_operators(warm)) > problem.d_env
-        v0 = recovery._warm_start_isometry(problem, rho, *labels)
+        v0 = recovery._warm_start_isometry(problem)
         assert np.abs(v0.conj().T @ v0 - np.eye(4)).max() < 1e-13
         warm_fid = entropy.fidelity(rho, recovery.reconstruct(rho, warm))
         result = recovery.optimize_recovery(rho, "fidelity", max_iterations=SMALL_BUDGET)
@@ -278,7 +277,7 @@ class TestDualBound:
     def test_bound_holds_at_random_isometries(self, dims):
         labels = ("B", "C", "R")
         rho = states.random_pure(dims, states.rng_from_seed(41), labels)
-        problem = recovery._RecoveryProblem(rho, *labels)
+        problem = recovery._RecoveryProblem(rho)
         best = recovery.optimize_recovery(rho, "fidelity").best_value
         draw = np.random.default_rng(sum(dims))
         d_bc, d_env, d_b = problem.d_bc, problem.d_env, problem.d_b
@@ -394,8 +393,8 @@ class TestMeasuredReObjective:
         # rank-deficient ones
         labels = ("B", "C", "R")
         rho = states.random_mixed((2, 2, 2), states.rng_from_seed(7), labels)
-        problem = recovery._RecoveryProblem(rho, *labels)
-        v = recovery._warm_start_isometry(problem, rho, *labels)
+        problem = recovery._RecoveryProblem(rho)
+        v = recovery._warm_start_isometry(problem)
         _, grad = problem.measured_re_score_and_gradient(v, problem.measured_re_score(v)[1])
         rng = np.random.default_rng(0)
         h = 1e-5

@@ -193,6 +193,13 @@ class TestPartialTrace:
         rho = states.random_pure((2, 2, 2), states.rng_from_seed(4), ("B", "C", "R"))
         assert states.partial_trace(rho, ["R", "B"]).labels == ("B", "R")
 
+    def test_marginal_is_kept(self):
+        rho = states.random_pure((2, 3, 2), states.rng_from_seed(4), ("B", "C", "R"))
+        rho_bc = states.partial_trace(rho, ["C", "B"])
+        assert states.partial_trace(rho, ["B", "C"]) is rho_bc
+        assert states.partial_trace(rho, "B") is states.partial_trace(rho, ["B"])
+        assert states.partial_trace(rho, ["B", "R"]) is not rho_bc
+
     def test_unknown_label_rejected(self):
         rho = states.random_pure((2, 2), states.rng_from_seed(4), ("B", "C"))
         with pytest.raises(ValueError, match="unknown"):
