@@ -21,7 +21,6 @@ from .entropy import (
 from .markov import MarkovBlock, MarkovSpec, markov_gap, markov_state, random_markov_spec
 from .recovery import (
     OptimizerResult,
-    measured_re_of_recovery,
     optimize_recovery,
     reconstruct,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "fidelity",
     "markov_gap",
     "markov_state",
-    "measured_re_of_recovery",
     "measured_relative_entropy",
     "optimize_recovery",
     "partial_trace",

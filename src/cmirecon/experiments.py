@@ -11,6 +11,7 @@ checks, and CSV/JSON/SVG output.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import time
@@ -71,21 +72,23 @@ def transpose_reconstruction_metrics(
 ) -> dict:
     """Distance panel between a state on B, C, R and its transpose-channel rebuild.
 
+    Works on rho in (B, C, R) order, so each matrix is built once.
+
     ``completion_used`` says whether rho_B is singular (its smallest
     eigenvalue at or below the support cutoff), which is exactly when the
     transpose channel adds its trace-preserving completion.
     """
-    raw_cmi = entropy.cmi(rho_tri)
+    rho = states.permute(rho_tri, TRIPARTITE_LABELS)
+    raw_cmi = entropy.cmi(rho)
     if raw_cmi < -SSA_TOL:
         raise RuntimeError(
             f"strong subadditivity violated: CMI = {raw_cmi!r} bits"
         )
     cmi_bits = max(raw_cmi, 0.0)  # reports clamp round-off negatives only
-    rho_bc = states.permute(states.partial_trace(rho_tri, ["B", "C"]), ("B", "C"))
-    recovery_map = channels.transpose_channel(rho_bc)
-    sigma = recovery.reconstruct(rho_tri, recovery_map)
-    rel = entropy.relative_entropy(rho_tri, sigma)
-    fid = entropy.fidelity(rho_tri, sigma)
+    rho_bc = states.partial_trace(rho, ["B", "C"])
+    sigma = recovery.reconstruct(rho, channels.transpose_channel(rho_bc))
+    rel = entropy.relative_entropy(rho, sigma)
+    fid = entropy.fidelity(rho, sigma)
     shalf = math.inf if fid == 0.0 else -2.0 * math.log2(fid)
 
     w_b = states.partial_trace(rho_bc, ["B"]).spectrum.eigenvalues
@@ -100,7 +103,7 @@ def transpose_reconstruction_metrics(
     }
     if include_measured_re:
         out["measured_re_transpose_bits"] = entropy.measured_relative_entropy(
-            rho_tri, sigma
+            rho, sigma
         ).value_bits
     return out
 
@@ -120,11 +123,6 @@ def _sample_record(seed: int, sample_id: int, dims, include_measured_re: bool) -
     )
 
 
-def _sample_batch(args) -> list[ExperimentRecord]:
-    seed, ids, dims, include_ms = args
-    return [_sample_record(seed, i, dims, include_ms) for i in ids]
-
-
 def figure1_experiment(cfg: RunConfig) -> tuple[list[ExperimentRecord], dict]:
     """Transpose-channel reconstruction scatter over Haar-random pure states.
 
@@ -132,21 +130,19 @@ def figure1_experiment(cfg: RunConfig) -> tuple[list[ExperimentRecord], dict]:
     is byte-identical for any worker count.
     """
     start = time.perf_counter()
-    ids = list(range(cfg.n_samples))
+    ids = range(cfg.n_samples)
+    sample = functools.partial(
+        _sample_record, cfg.seed, dims=cfg.dims, include_measured_re=cfg.include_measured_re
+    )
     if cfg.workers == 1:
-        records = [_sample_record(cfg.seed, i, cfg.dims, cfg.include_measured_re) for i in ids]
+        records = list(map(sample, ids))
     else:
         # imported here so that importing the package loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, math.ceil(cfg.n_samples / (cfg.workers * 8)))
-        batches = [
-            (cfg.seed, ids[k : k + chunk], cfg.dims, cfg.include_measured_re)
-            for k in range(0, len(ids), chunk)
-        ]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = [rec for batch in pool.map(_sample_batch, batches) for rec in batch]
-    records.sort(key=lambda rec: rec.sample_id)
+            records = list(pool.map(sample, ids, chunksize=chunk))
 
     finite_rel = [r.relent_transpose_bits for r in records if math.isfinite(r.relent_transpose_bits)]
     strict_count = sum(1 for r in records if r.strict)
@@ -252,30 +248,43 @@ def _random_dims(rng, n=3, max_dim=3):
     return tuple(int(rng.integers(2, max_dim + 1)) for _ in range(n))
 
 
-def _check_ssa(seed, n):
-    failures = []
-    worst = 0.0
+def _run_check(name, seed, n, sample, summarize=None) -> CheckResult:
+    """Check ``sample(rng, i) -> (violated, statistic)`` on the n streams of ``seed``.
+
+    ``summarize(statistics, failures)`` gives ``(passed, detail)``; without
+    it the check passes when no sample is violated and has no detail.
+    """
+    failures, statistics = [], []
     for i in range(n):
-        rng = states.sample_rng(seed, i)
+        violated, statistic = sample(states.sample_rng(seed, i), i)
+        statistics.append(statistic)
+        if violated:
+            failures.append(i)
+    passed, detail = summarize(statistics, failures) if summarize else (not failures, "")
+    return CheckResult(name, n, passed, detail, failures)
+
+
+def _worst(pick, template):
+    """Summary of a check that passes when no sample fails and reports
+    ``pick`` (min or max) of 0 and the statistics in ``template``."""
+    return lambda statistics, failures: (not failures, template.format(pick([0.0, *statistics])))
+
+
+def _check_ssa(seed, n):
+    def sample(rng, i):
         dims = _random_dims(rng)
         if i % 2 == 0:
             rho = states.random_pure(dims, rng, TRIPARTITE_LABELS)
         else:
             rho = states.random_mixed(dims, rng, TRIPARTITE_LABELS)
         value = entropy.cmi(rho)
-        worst = min(worst, value)
-        if value < -SSA_TOL:
-            failures.append(i)
-    return CheckResult(
-        "ssa-nonnegative", n, not failures, f"min CMI {worst:.2e} bits", failures
-    )
+        return value < -SSA_TOL, value
+
+    return _run_check("ssa-nonnegative", seed, n, sample, _worst(min, "min CMI {:.2e} bits"))
 
 
 def _check_pure_cmi_identity(seed, n):
-    failures = []
-    worst = 0.0
-    for i in range(n):
-        rng = states.sample_rng(seed, i)
+    def sample(rng, i):
         rho = states.random_pure(_random_dims(rng), rng, TRIPARTITE_LABELS)
         lhs = entropy.cmi(rho)
         rhs = (
@@ -284,11 +293,10 @@ def _check_pure_cmi_identity(seed, n):
             - entropy.von_neumann(states.partial_trace(rho, ["B"]))
         )
         err = abs(lhs - rhs)
-        worst = max(worst, err)
-        if err > 1e-8:
-            failures.append(i)
-    return CheckResult(
-        "pure-state-cmi-identity", n, not failures, f"max deviation {worst:.2e}", failures
+        return err > 1e-8, err
+
+    return _run_check(
+        "pure-state-cmi-identity", seed, n, sample, _worst(max, "max deviation {:.2e}")
     )
 
 
@@ -311,21 +319,17 @@ def _classical_cmi_oracle(table: np.ndarray) -> float:
 
 
 def _check_classical_equality(seed, n):
-    failures = []
-    worst = 0.0
-    for i in range(n):
-        rng = states.sample_rng(seed, i)
+    def sample(rng, i):
         dims = tuple(int(rng.integers(2, 5)) for _ in range(3))
         table = rng.dirichlet(np.ones(math.prod(dims))).reshape(dims)
         rho = states.classical_state(table, ("C", "B", "R"))
         value = entropy.cmi(rho)
         target = _classical_cmi_oracle(table)
         err = abs(value - target)
-        worst = max(worst, err)
-        if err > CLASSICAL_CMI_TOL:
-            failures.append(i)
-    return CheckResult(
-        "classical-cmi-equality", n, not failures, f"max deviation {worst:.2e} bits", failures
+        return err > CLASSICAL_CMI_TOL, err
+
+    return _run_check(
+        "classical-cmi-equality", seed, n, sample, _worst(max, "max deviation {:.2e} bits")
     )
 
 
@@ -336,23 +340,19 @@ def _random_pair(rng, d):
 
 
 def _check_ordering_panel(seed, n):
-    failures = []
-    for i in range(n):
-        rng = states.sample_rng(seed, i)
+    def sample(rng, i):
         d = int(rng.integers(2, 9))
         rho, sigma = _random_pair(rng, d)
         ms = entropy.measured_relative_entropy(rho, sigma).value_bits
         rel = entropy.relative_entropy(rho, sigma)
         shalf = entropy.renyi_half(rho, sigma)
-        if not (ms <= rel + 1e-7 and ms >= shalf - 1e-6):
-            failures.append(i)
-    return CheckResult("measured-re-ordering", n, not failures, "", failures)
+        return not (ms <= rel + 1e-7 and ms >= shalf - 1e-6), None
+
+    return _run_check("measured-re-ordering", seed, n, sample)
 
 
 def _check_data_processing(seed, n):
-    failures = []
-    for i in range(n):
-        rng = states.sample_rng(seed, i)
+    def sample(rng, i):
         d_in = int(rng.integers(2, 5))
         d_out = int(rng.integers(2, 5))
         rho, sigma = _random_pair(rng, d_in)
@@ -363,16 +363,14 @@ def _check_data_processing(seed, n):
         rel_after = entropy.relative_entropy(rho_out, sigma_out)
         fid_ok = entropy.fidelity(rho_out, sigma_out) >= entropy.fidelity(rho, sigma) - 1e-9
         rel_ok = rel_after <= rel_before + 1e-7
-        if not (fid_ok and rel_ok):
-            failures.append(i)
-    return CheckResult("data-processing", n, not failures, "", failures)
+        return not (fid_ok and rel_ok), None
+
+    return _run_check("data-processing", seed, n, sample)
 
 
 def _check_log_shift_bound(seed, n):
     # pi <= 2^lam sigma implies S(rho||pi) >= S(rho||sigma) - lam
-    failures = []
-    for i in range(n):
-        rng = states.sample_rng(seed, i)
+    def sample(rng, i):
         d = int(rng.integers(2, 7))
         sigma = states.random_mixed((d,), rng, labels=("A",))
         pi = states.random_mixed((d,), rng, labels=("A",))
@@ -382,59 +380,51 @@ def _check_log_shift_bound(seed, n):
         lam = math.log2(max(ratio, 1e-300))
         lhs = entropy.relative_entropy(rho, pi)
         rhs = entropy.relative_entropy(rho, sigma) - lam
-        if not (math.isinf(lhs) or lhs >= rhs - 1e-7):
-            failures.append(i)
-    return CheckResult("relent-log-shift-bound", n, not failures, "", failures)
+        return not (math.isinf(lhs) or lhs >= rhs - 1e-7), None
+
+    return _run_check("relent-log-shift-bound", seed, n, sample)
 
 
 def _check_continuity_bound(seed, n):
-    failures = []
-    for i in range(n):
-        rng = states.sample_rng(seed, i)
+    def sample(rng, i):
         d = int(rng.integers(2, 9))
         rho, sigma = _random_pair(rng, d)
         t = linalg.trace_norm(rho.matrix - sigma.matrix)
         beta = sigma.spectrum.eigenvalues[0]
         if beta <= 0:
-            continue
+            return False, None
         bound = entropy.relative_entropy_continuity_bound(d, t, beta)
-        if entropy.relative_entropy(rho, sigma) > bound + 1e-9:
-            failures.append(i)
-    return CheckResult("relent-continuity-ceiling", n, not failures, "", failures)
+        return entropy.relative_entropy(rho, sigma) > bound + 1e-9, None
+
+    return _run_check("relent-continuity-ceiling", seed, n, sample)
 
 
 def _check_markov_gap(seed, n):
-    failures = []
-    for i in range(n):
-        rng = states.sample_rng(seed, i)
+    def sample(rng, i):
         spec = markov.random_markov_spec(rng)
         sigma = markov.markov_state(spec)
         rho = states.random_mixed(sigma.dims, rng, labels=sigma.labels)
         gap = markov.markov_gap(rho, sigma)
-        if not gap >= -1e-7:
-            failures.append(i)
-    return CheckResult("markov-gap-nonnegative", n, not failures, "", failures)
+        return not gap >= -1e-7, None
+
+    return _run_check("markov-gap-nonnegative", seed, n, sample)
 
 
 def _check_recovery_certificate(seed, n, sampler=None):
     if sampler is None:
         sampler = lambda rng: states.random_pure((2, 2, 2), rng, TRIPARTITE_LABELS)
-    failures = []
-    for i in range(n):
-        rng = states.sample_rng(seed, i)
+
+    def sample(rng, i):
         rho = sampler(rng)
         result = recovery.optimize_recovery(rho, "fidelity")
         shalf = math.inf if result.best_value <= 0 else -2.0 * math.log2(result.best_value)
-        if shalf > entropy.cmi(rho) + CERTIFICATE_TOL_BITS:
-            failures.append(i)
-    fraction = 1.0 - len(failures) / n
-    return CheckResult(
-        "recovery-certificate",
-        n,
-        fraction >= CERTIFICATE_MIN_PASS,
-        f"witness within tolerance on {fraction:.1%}",
-        failures,
-    )
+        return shalf > entropy.cmi(rho) + CERTIFICATE_TOL_BITS, None
+
+    def summarize(_, failures):
+        fraction = 1.0 - len(failures) / n
+        return fraction >= CERTIFICATE_MIN_PASS, f"witness within tolerance on {fraction:.1%}"
+
+    return _run_check("recovery-certificate", seed, n, sample, summarize)
 
 
 def inequality_suite(seed: int = 42, samples: int = 200, certificate_samples: int | None = None) -> SuiteReport:
@@ -442,22 +432,22 @@ def inequality_suite(seed: int = 42, samples: int = 200, certificate_samples: in
 
     ``samples`` is the per-check budget; the optimizer-backed certificate
     check gets its own (smaller default) budget because each sample runs a
-    full recovery search.
+    full recovery search. Check k (from 1) draws from seed + k * 10^7.
     """
     if certificate_samples is None:
         certificate_samples = max(10, samples // 4)
-    report = SuiteReport()
-    offsets = iter(range(10_000_000, 200_000_000, 10_000_000))
-    report.checks.append(_check_ssa(seed + next(offsets), samples))
-    report.checks.append(_check_pure_cmi_identity(seed + next(offsets), samples))
-    report.checks.append(_check_classical_equality(seed + next(offsets), samples))
-    report.checks.append(_check_ordering_panel(seed + next(offsets), samples))
-    report.checks.append(_check_data_processing(seed + next(offsets), samples))
-    report.checks.append(_check_log_shift_bound(seed + next(offsets), samples))
-    report.checks.append(_check_continuity_bound(seed + next(offsets), samples))
-    report.checks.append(_check_markov_gap(seed + next(offsets), samples))
-    report.checks.append(_check_recovery_certificate(seed + next(offsets), certificate_samples))
-    return report
+    checks = (
+        (_check_ssa, samples),
+        (_check_pure_cmi_identity, samples),
+        (_check_classical_equality, samples),
+        (_check_ordering_panel, samples),
+        (_check_data_processing, samples),
+        (_check_log_shift_bound, samples),
+        (_check_continuity_bound, samples),
+        (_check_markov_gap, samples),
+        (_check_recovery_certificate, certificate_samples),
+    )
+    return SuiteReport([check(seed + k * 10_000_000, n) for k, (check, n) in enumerate(checks, 1)])
 
 
 # --- output emission ---------------------------------------------------------
@@ -465,6 +455,8 @@ def inequality_suite(seed: int = 42, samples: int = 200, certificate_samples: in
 CSV_HEADER = (
     "sample_id,cmi_bits,relent_transpose_bits,fidelity_transpose,shalf_transpose_bits,strict"
 )
+
+SVG_SIZE = 640
 
 
 def _fmt(x: float) -> str:
@@ -526,12 +518,13 @@ def jsonable(obj):
     return obj
 
 
-def write_scatter_svg(records: list[ExperimentRecord], path, size: int = 640) -> None:
+def write_scatter_svg(records: list[ExperimentRecord], path) -> None:
     """Minimal scatter of reconstruction relative entropy against CMI.
 
     One circle per record (infinite values are pinned to the top edge) plus
-    the y = x reference diagonal.
+    the y = x reference diagonal, on a square of SVG_SIZE pixels.
     """
+    size = SVG_SIZE
     margin = 50
     span = size - 2 * margin
     finite = [

@@ -22,6 +22,12 @@ WEIGHT_ATOL = 1e-12
 # A candidate must itself have CMI below this to count as certified Markov.
 MARKOV_CMI_TOL = 1e-6
 
+# random_markov_spec draws C and R of these dimensions and B of at most
+# RANDOM_MAX_B_DIM.
+RANDOM_D_C = 2
+RANDOM_D_R = 2
+RANDOM_MAX_B_DIM = 4
+
 
 @dataclass(frozen=True)
 class MarkovBlock:
@@ -129,19 +135,15 @@ def markov_state(spec: MarkovSpec) -> MultipartiteState:
     return MultipartiteState(full, subs)
 
 
-def random_markov_spec(
-    rng: np.random.Generator,
-    d_c: int = 2,
-    d_r: int = 2,
-    max_b_dim: int = 4,
-) -> MarkovSpec:
+def random_markov_spec(rng: np.random.Generator) -> MarkovSpec:
     """Random block structure with mixed shapes and random block states.
 
     Block shapes (d_L, d_R) are drawn from {1, 2} while the accumulated
-    B dimension stays within ``max_b_dim``; weights are Dirichlet-uniform.
+    B dimension stays within ``RANDOM_MAX_B_DIM``; weights are
+    Dirichlet-uniform.
     """
     shapes: list[tuple[int, int]] = []
-    budget = max_b_dim
+    budget = RANDOM_MAX_B_DIM
     while budget > 0:
         options = [
             (dl, dr) for dl in (1, 2) for dr in (1, 2) if dl * dr <= budget
@@ -154,8 +156,8 @@ def random_markov_spec(
     weights = rng.dirichlet(np.ones(len(shapes)))
     blocks = []
     for (dl, dr), w in zip(shapes, weights):
-        left = states.random_mixed((d_c, dl), rng, labels=("C", "BL"))
-        right = states.random_mixed((dr, d_r), rng, labels=("BR", "R"))
+        left = states.random_mixed((RANDOM_D_C, dl), rng, labels=("C", "BL"))
+        right = states.random_mixed((dr, RANDOM_D_R), rng, labels=("BR", "R"))
         blocks.append(MarkovBlock(float(w), left, right))
     return MarkovSpec(tuple(blocks))
 

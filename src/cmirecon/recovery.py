@@ -92,16 +92,17 @@ class OptimizerResult:
 
 
 def reconstruct(rho_tri: MultipartiteState, channel: Channel) -> MultipartiteState:
-    """Apply a B -> BC channel to the BR marginal, aligned to rho's labels."""
+    """Apply a B -> BC channel to the BR marginal, aligned to rho's labels.
+
+    Any other map is rejected, even one whose input dimension fits B, such
+    as the transpose channel of a (C, B)-ordered marginal (C -> CB).
+    """
+    if channel.input_labels != ("B",) or sorted(channel.output_labels) != ["B", "C"]:
+        raise ValueError(
+            f"expected a channel B -> BC, got {channel.input_labels} -> {channel.output_labels}"
+        )
     rho_br = states.partial_trace(rho_tri, ["B", "R"])
-    out = channels.apply(channel, rho_br, on=["B"])
-    return states.permute(out, rho_tri.labels)
-
-
-def measured_re_of_recovery(rho_tri: MultipartiteState, channel: Channel) -> float:
-    """Measured relative entropy between rho and its reconstruction, in bits."""
-    sigma = reconstruct(rho_tri, channel)
-    return entropy.measured_relative_entropy(rho_tri, sigma).value_bits
+    return states.permute(channels.apply(channel, rho_br), rho_tri.labels)
 
 
 class _RecoveryProblem:

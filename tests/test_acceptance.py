@@ -78,7 +78,7 @@ def test_markov_recovery_exactness():
     failures = []
     for i in range(100):
         rng = states.sample_rng(FIG1_SEED + 2, i)
-        spec = markov.random_markov_spec(rng, d_c=2, d_r=2, max_b_dim=4)
+        spec = markov.random_markov_spec(rng)
         sigma = markov.markov_state(spec)
         cmi_val = abs(entropy.cmi(sigma))
         rho_bc = states.permute(states.partial_trace(sigma, ["B", "C"]), ("B", "C"))

@@ -60,9 +60,11 @@ class TestFigure1:
         assert m["relent_transpose_bits"] < 1e-7
         assert not m["strict"]
 
-    def test_each_matrix_of_a_sample_built_once(self, monkeypatch):
-        # rho, rho_BC, rho_BR, rho_B and sigma, plus the transpose channel
-        rho = states.random_pure((2, 2, 2), states.rng_from_seed(11), ("B", "C", "R"))
+    @pytest.mark.parametrize("labels", [("B", "C", "R"), ("C", "B", "R")], ids=["bcr", "cbr"])
+    def test_each_matrix_of_a_sample_built_once(self, monkeypatch, labels):
+        # rho in (B, C, R) order, rho_BC, rho_BR, rho_B and sigma, plus the
+        # transpose channel
+        rho = states.random_pure((2, 2, 2), states.rng_from_seed(11), labels)
         built = {"states": 0, "channels": 0}
 
         def counting(cls, key):
@@ -77,7 +79,7 @@ class TestFigure1:
         counting(states.MultipartiteState, "states")
         counting(channels.Channel, "channels")
         experiments.transpose_reconstruction_metrics(rho)
-        assert built["states"] <= 6
+        assert built["states"] <= 5
         assert built["channels"] == 1
 
     def test_strict_fraction_estimator_consistency(self):
@@ -144,6 +146,32 @@ class TestInequalitySuite:
         assert report.passed, "\n".join(report.lines())
         assert len(report.checks) == 9
         assert all("PASS" in line for line in report.lines())
+
+    def test_report_lines_name_each_check_with_its_budget_and_detail(self):
+        report = experiments.inequality_suite(seed=3, samples=3, certificate_samples=1)
+        names = [
+            "ssa-nonnegative",
+            "pure-state-cmi-identity",
+            "classical-cmi-equality",
+            "measured-re-ordering",
+            "data-processing",
+            "relent-log-shift-bound",
+            "relent-continuity-ceiling",
+            "markov-gap-nonnegative",
+            "recovery-certificate",
+        ]
+        budgets = [3] * 8 + [1]
+        lines = report.lines()
+        assert len(lines) == 9
+        for line, name, n in zip(lines, names, budgets):
+            assert line.startswith(f"[PASS] {name} (n={n})"), line
+        assert lines[0].startswith("[PASS] ssa-nonnegative (n=3): min CMI ")
+        assert lines[0].endswith(" bits")
+        assert lines[1].startswith("[PASS] pure-state-cmi-identity (n=3): max deviation ")
+        assert lines[2].startswith("[PASS] classical-cmi-equality (n=3): max deviation ")
+        assert lines[2].endswith(" bits")
+        assert all(line.endswith(f"(n={n})") for line, n in zip(lines[3:8], budgets[3:8]))
+        assert lines[8] == "[PASS] recovery-certificate (n=1): witness within tolerance on 100.0%"
 
     def test_mis_scaled_entropy_fails_classical_equality(self, monkeypatch):
         # mutation control: a base-e/base-2 mix must trip the equality check

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cmirecon import channels, entropy, markov, recovery, states
+from cmirecon import channels, entropy, experiments, markov, recovery, states
 
 SMALL_BUDGET = 400  # ascent iteration cap for the quick checks
 
@@ -344,7 +344,7 @@ class TestMeasuredReObjective:
         sigma = markov.markov_state(markov.random_markov_spec(states.rng_from_seed(9)))
         rho_bc = states.permute(states.partial_trace(sigma, ["B", "C"]), ("B", "C"))
         t = channels.transpose_channel(rho_bc)
-        value = recovery.measured_re_of_recovery(sigma, t)
+        value = entropy.measured_relative_entropy(sigma, recovery.reconstruct(sigma, t)).value_bits
         assert abs(value) < 1e-6
 
     def test_bounded_by_relative_entropy(self):
@@ -352,7 +352,7 @@ class TestMeasuredReObjective:
         rho_bc = states.permute(states.partial_trace(rho, ["B", "C"]), ("B", "C"))
         t = channels.transpose_channel(rho_bc)
         sigma = recovery.reconstruct(rho, t)
-        ms = recovery.measured_re_of_recovery(rho, t)
+        ms = entropy.measured_relative_entropy(rho, sigma).value_bits
         assert ms <= entropy.relative_entropy(rho, sigma) + 1e-7
 
     def test_attach_channel_on_classical_example(self):
@@ -371,7 +371,7 @@ class TestMeasuredReObjective:
             for k in range(d):
                 v[(i * d + k) * env + k, i] = math.sqrt(q[k])
         ch = channels.stinespring_to_channel(v, (("B", d_b),), (("B", d_b), ("C", d)), env)
-        ms = recovery.measured_re_of_recovery(rho, ch)
+        ms = entropy.measured_relative_entropy(rho, recovery.reconstruct(rho, ch)).value_bits
         i_cr = entropy.cmi(rho)  # equals I(C:R) since B is uncorrelated
         assert abs(ms - i_cr) < 1e-5
 
@@ -384,7 +384,8 @@ class TestMeasuredReObjective:
         result = recovery.optimize_recovery(sigma, "measured_re", max_iterations=2)
         # the transpose warm start alone already achieves zero for a Markov state
         assert result.best_value < 1e-5
-        re_eval = recovery.measured_re_of_recovery(sigma, result.best_channel)
+        rebuilt = recovery.reconstruct(sigma, result.best_channel)
+        re_eval = entropy.measured_relative_entropy(sigma, rebuilt).value_bits
         assert abs(re_eval - result.best_value) < 1e-7
 
     def test_envelope_gradient_matches_central_differences(self):
@@ -416,8 +417,30 @@ class TestMeasuredReObjective:
         assert result.best_value <= trace[0]
         assert result.best_value <= entropy.cmi(rho) + 1e-4
         # the default solver runs a superset of the inner starts, for longer
-        re_eval = recovery.measured_re_of_recovery(rho, result.best_channel)
+        rebuilt = recovery.reconstruct(rho, result.best_channel)
+        re_eval = entropy.measured_relative_entropy(rho, rebuilt).value_bits
         assert re_eval >= result.best_value - 1e-9
+
+
+class TestReconstruct:
+    # transpose_channel conditions on the first subsystem of its input, so
+    # the BC marginal of a state that lists C before B gives a map C -> CB
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            states.classical_example_state(2, 0.3),
+            states.random_pure((2, 2, 2), states.sample_rng(5, 1), ("C", "B", "R")),
+        ],
+        ids=["classical", "pure-cbr"],
+    )
+    def test_rejects_channel_not_from_b_to_bc(self, rho):
+        rho_bc = states.partial_trace(rho, ["B", "C"])
+        with pytest.raises(ValueError, match="B -> BC"):
+            recovery.reconstruct(rho, channels.transpose_channel(rho_bc))
+        t = channels.transpose_channel(states.permute(rho_bc, ("B", "C")))
+        rel = entropy.relative_entropy(rho, recovery.reconstruct(rho, t))
+        expected = experiments.transpose_reconstruction_metrics(rho)["relent_transpose_bits"]
+        assert rel == pytest.approx(expected, abs=1e-12)
 
 
 class TestResultSerialization:
