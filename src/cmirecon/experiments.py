@@ -65,6 +65,8 @@ class ExperimentRecord:
     shalf_transpose_bits: float
     strict: bool
     measured_re_transpose_bits: float | None = None
+    # not written to the CSV; counted in the summary
+    measured_re_converged: bool | None = None
 
 
 def transpose_reconstruction_metrics(
@@ -102,9 +104,9 @@ def transpose_reconstruction_metrics(
         "completion_used": bool(w_b[0] <= linalg.support_cutoff(w_b)),
     }
     if include_measured_re:
-        out["measured_re_transpose_bits"] = entropy.measured_relative_entropy(
-            rho, sigma
-        ).value_bits
+        solution = entropy.measured_relative_entropy(rho, sigma)
+        out["measured_re_transpose_bits"] = solution.value_bits
+        out["measured_re_converged"] = solution.converged
     return out
 
 
@@ -120,6 +122,7 @@ def _sample_record(seed: int, sample_id: int, dims, include_measured_re: bool) -
         shalf_transpose_bits=m["shalf_transpose_bits"],
         strict=m["strict"],
         measured_re_transpose_bits=m.get("measured_re_transpose_bits"),
+        measured_re_converged=m.get("measured_re_converged"),
     )
 
 
@@ -158,6 +161,8 @@ def figure1_experiment(cfg: RunConfig) -> tuple[list[ExperimentRecord], dict]:
         "mean_finite_relent_bits": float(np.mean(finite_rel)) if finite_rel else None,
         "runtime_seconds": time.perf_counter() - start,
     }
+    if cfg.include_measured_re:
+        summary["n_measured_re_nonconverged"] = sum(not r.measured_re_converged for r in records)
     return records, summary
 
 

@@ -33,6 +33,18 @@ class TestFigure1Command:
         assert summary["n_samples"] == 25
         assert svg_path.read_text().count("<circle") == 25
 
+    def test_measured_re_nonconvergence_counted_in_summary(self, tmp_path, capsys):
+        csv_path = tmp_path / "r.csv"
+        json_path = tmp_path / "r.json"
+        code, _, _ = run_cli(
+            capsys, "figure1", "--seed", "3", "--samples", "4", "--measured-re",
+            "--out-csv", str(csv_path), "--out-json", str(json_path),
+        )
+        assert code == 0
+        assert json.loads(json_path.read_text())["n_measured_re_nonconverged"] == 0
+        # the flag is counted, not written: the CSV keeps its columns
+        assert csv_path.read_text().splitlines()[0].endswith("strict,measured_re_transpose_bits")
+
     def test_worker_flag_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -142,6 +154,16 @@ class TestRecoverCommand:
         code, out, _ = run_cli(capsys, "recover", str(path))
         assert code == 0
         assert json.loads(out)["completion_used"] is True
+
+    def test_measured_re_reports_convergence(self, tmp_path, capsys):
+        rho = states.random_pure((2, 2, 2), states.sample_rng(11, 2), ("C", "B", "R"))
+        path = tmp_path / "state.json"
+        states.save_state(rho, path)
+        code, out, _ = run_cli(capsys, "recover", str(path), "--measured-re")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["measured_re_converged"] is True
+        assert doc["measured_re_transpose_bits"] <= doc["relent_transpose_bits"] + 1e-7
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, errtext = run_cli(capsys, "recover", "/nonexistent/state.json")

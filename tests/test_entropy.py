@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cmirecon import channels, entropy, linalg, markov, states
+from cmirecon import channels, entropy, linalg, markov, recovery, states
 from cmirecon.states import MultipartiteState
 
 
@@ -224,6 +224,95 @@ class TestMeasuredRelativeEntropy:
         ms = entropy.measured_relative_entropy(rho, sigma).value_bits
         assert ms <= entropy.relative_entropy(rho, sigma) + 1e-7
         assert ms >= entropy.renyi_half(rho, sigma) - 1e-6
+
+
+def transpose_rebuild_pair(rho):
+    """rho and its transpose-channel reconstruction from rho_BR, both in rho's order."""
+    bcr = states.permute(rho, ("B", "C", "R"))
+    sigma = recovery.reconstruct(bcr, channels.transpose_channel(states.partial_trace(bcr, ["B", "C"])))
+    return rho, states.permute(sigma, rho.labels)
+
+
+def mre_objective_nats(rho, sigma, h):
+    w, u = np.linalg.eigh(h)
+    return float(np.trace(rho @ h).real) + 1.0 - float(np.trace(sigma @ (u * np.exp(w)) @ u.conj().T).real)
+
+
+class TestMeasuredReNewtonStep:
+    @pytest.mark.parametrize("sample", range(4))
+    def test_pure_state_against_its_transpose_rebuild(self, sample):
+        # rank-deficient rho: the supremum lies at infinity in H = ln w, so
+        # the ascent must stay finite and its value must stay a lower bound
+        rho = states.random_pure((2, 2, 2), states.sample_rng(4100, sample), ("B", "C", "R"))
+        rho, sigma = transpose_rebuild_pair(rho)
+        sol = entropy.measured_relative_entropy(rho, sigma)
+        assert sol.converged
+        assert sol.value_bits <= entropy.relative_entropy(rho, sigma) + 1e-7
+        assert abs(entropy.measured_re_objective_bits(rho, sigma, sol.witness) - sol.value_bits) <= 1e-7
+
+    def test_same_value_in_either_basis_order(self):
+        # the pair that moved by 1.1e-4 bits between orders under the capped
+        # gradient ascent
+        rho = states.random_pure((2, 2, 2), states.sample_rng(11, 2), ("C", "B", "R"))
+        rho, sigma = transpose_rebuild_pair(rho)
+        order = ("B", "C", "R")
+        cbr = entropy.measured_relative_entropy(rho, sigma)
+        bcr = entropy.measured_relative_entropy(states.permute(rho, order), states.permute(sigma, order))
+        assert cbr.converged and bcr.converged
+        assert abs(cbr.value_bits - bcr.value_bits) < 1e-7
+
+    def test_converged_means_the_decrement_is_small(self):
+        rng = states.rng_from_seed(10)
+        rho = states.random_mixed((4,), rng, ("A",))
+        sigma = states.random_mixed((4,), rng, ("A",))
+        capped = entropy.measured_relative_entropy(rho, sigma, restarts=0, max_iterations=1)
+        assert not capped.converged
+        full = entropy.measured_relative_entropy(rho, sigma, restarts=0)
+        assert full.converged and full.value_bits > capped.value_bits
+
+    @pytest.mark.parametrize("w", [[-1.0, 0.3, 2.0], [0.5, 0.5 + 1e-9, 0.5 + 2e-4], [-30.0, -2.0, 0.0]])
+    def test_first_differences_match_their_definition(self, w):
+        phi1, _ = entropy._exp_divided_differences(np.array(w))
+        for i, a in enumerate(w):
+            for j, b in enumerate(w):
+                expect = math.exp(a) if a == b else math.expm1(a - b) * math.exp(b) / (a - b)
+                assert phi1[i, j] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("span", [0.0, 1e-9, 1e-5, 3e-5, 1e-3, 0.5, 3.0])
+    def test_second_differences_across_the_series_switch(self, span):
+        a, b, c = 0.3, 0.3 + span / 3.0, 0.3 + span
+        _, phi2 = entropy._exp_divided_differences(np.array([a, b, c]))
+        # exp[a, b, c] = e^a sum_n h_n(0, b - a, c - a) / (n + 2)!, h_n the
+        # complete homogeneous polynomial of degree n
+        x, y = b - a, c - a
+        series = sum(
+            sum(x**i * y ** (n - i) for i in range(n + 1)) / math.factorial(n + 2) for n in range(40)
+        )
+        assert phi2[0, 1, 2] == pytest.approx(math.exp(a) * series, rel=1e-10)
+        assert phi2[2, 0, 1] == phi2[0, 1, 2]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradient_and_hessian_match_finite_differences(self, seed):
+        rng = states.sample_rng(4200, seed)
+        d = 3
+        rho = states.random_mixed((d,), rng, ("A",)).matrix
+        sigma = states.random_mixed((d,), rng, ("A",)).matrix
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = (g + g.conj().T) / 2.0
+        w, u = np.linalg.eigh(h)
+        s = u.conj().T @ sigma @ u
+        phi1, phi2 = entropy._exp_divided_differences(w)
+        grad = entropy._to_coordinates(u.conj().T @ rho @ u - phi1 * s)
+        hess = entropy._newton_hessian(phi2, s)
+        step = 1e-4
+        for _ in range(3):
+            y = rng.standard_normal(d * d)
+            x = u @ entropy._from_coordinates(y, d) @ u.conj().T
+            plus = mre_objective_nats(rho, sigma, h + step * x)
+            minus = mre_objective_nats(rho, sigma, h - step * x)
+            centre = mre_objective_nats(rho, sigma, h)
+            assert (plus - minus) / (2 * step) == pytest.approx(grad @ y, rel=1e-6)
+            assert (plus - 2 * centre + minus) / step**2 == pytest.approx(-(y @ hess @ y), rel=1e-4)
 
 
 class TestKeptSpectra:

@@ -85,3 +85,17 @@ def test_transpose_channel_maps_rho_b_to_rho_bc(d_b, d_c, rank_b, seed):
     out = channels.apply(t, rho_b)
     assert out.subsystems == rho_bc.subsystems
     assert linalg.trace_norm(out.matrix - rho_bc.matrix) < 1e-9
+
+
+@PROPERTY
+@given(st.integers(2, 4), seeds)
+def test_measured_re_invariant_under_unitaries(d, seed):
+    # D_M(U rho U^dag || U sigma U^dag) = D_M(rho || sigma) on full-rank pairs
+    rng = states.sample_rng(seed, 0)
+    rho = states.random_mixed((d,), rng, ("A",)).matrix
+    sigma = states.random_mixed((d,), rng, ("A",)).matrix
+    u = haar_unitary(d, rng)
+    plain = entropy.measured_relative_entropy(rho, sigma)
+    rotated = entropy.measured_relative_entropy(u @ rho @ u.conj().T, u @ sigma @ u.conj().T)
+    assert plain.converged and rotated.converged
+    assert abs(rotated.value_bits - plain.value_bits) < 1e-8
