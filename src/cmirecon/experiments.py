@@ -78,7 +78,9 @@ def transpose_reconstruction_metrics(
 
     ``completion_used`` says whether rho_B is singular (its smallest
     eigenvalue at or below the support cutoff), which is exactly when the
-    transpose channel adds its trace-preserving completion.
+    transpose channel adds its trace-preserving completion. With
+    ``include_measured_re``, ``measured_re_converged`` says whether the
+    solver's Newton decrement fell below tolerance.
     """
     rho = states.permute(rho_tri, TRIPARTITE_LABELS)
     raw_cmi = entropy.cmi(rho)
