@@ -12,13 +12,19 @@ channel enters linearly, so the fidelity of recovery is a concave program
 over channels, and the search is one deterministic ascent from that warm
 start.
 
-For a pure target rho = |psi><psi|, F^2 = tr(M J) is linear in the Choi
-matrix J, so the search is a semidefinite program whose dual (min tr Y
-subject to 1_BC (x) Y^T >= M) gives a certificate from the gradient at
-hand: the search stops once the dual gap tr Y - F^2 is below DUAL_GAP_TOL,
-and ``converged`` means certified. Mixed targets and the measured-RE
-objective have no such bound here and stop by a window rule on the
-objective.
+Root fidelity is concave and 1/2-homogeneous in sigma, so at any channel
+F(rho, sigma') <= F/2 + tr(g sigma') with g = dF/dsigma, and the channel
+maximum of tr(g sigma') is a semidefinite program whose dual (min tr Y
+subject to 1_BC (x) Y^T >= M(g)) has a feasible point built from the
+gradient at hand. Every fidelity and Renyi-1/2 search, pure or mixed
+target, stops once that dual gap is below DUAL_GAP_TOL, and ``converged``
+means certified. The gap is first order in the distance to the optimum and
+the gain in F second order, so near the end such a search also takes steps
+that keep F within its evaluation noise, and certifies its best point with
+the least bound it has seen. The warm start fills the Kraus blocks the
+transpose channel leaves empty, which the ascent could not leave otherwise.
+The measured-RE objective has no such bound here and stops by a window
+rule on the objective.
 
 Supported figures of merit: fidelity (maximized, analytic gradient), the
 order-1/2 Renyi divergence (same ascent, transformed at the end), and the
@@ -30,8 +36,9 @@ The line search evaluates each trial point once, and the gradient at an
 accepted point comes from what its evaluation already holds: psi^dag
 sigma psi for a pure target, the spectrum of sqrt(rho) sigma sqrt(rho)
 restricted to rho's support for a mixed one, the inner solve's witness for
-measured RE. The channel image sigma(V) and the adjoint map back to V are
-two matrix products each on operands of rho_BR arranged once per search.
+measured RE. The channel image sigma(V), the adjoint map back to V and the
+bound's matrix M(g) are matrix products on operands of rho_BR arranged once
+per search.
 """
 
 from __future__ import annotations
@@ -54,33 +61,50 @@ OBJECTIVE_KINDS = ("fidelity", "renyi_half", "measured_re")
 LBFGS_MEMORY = 6
 INITIAL_STEP = 0.2
 STEP_TOLERANCE = 1e-9
-# A pure-target fidelity search stops once its dual gap tr Y - F^2 is below
-# DUAL_GAP_TOL (about 2e-8 bits of -2 log2 F). The other searches stop once
-# the objective moves by less than RELATIVE_TOLERANCE over
-# CONVERGENCE_WINDOW accepted steps.
+# A fidelity or Renyi-1/2 search stops once its dual gap, in F^2 units, is
+# below DUAL_GAP_TOL (about 2e-8 bits of -2 log2 F). It accepts steps that
+# fall below its best score by less than FLAT_TOLERANCE relative (F's
+# evaluation noise is about 1e-15), and gives up after more than
+# CONVERGENCE_WINDOW steps in a row that lower neither the best score nor
+# the bound. A measured-RE search stops once the objective moves by less
+# than RELATIVE_TOLERANCE over CONVERGENCE_WINDOW accepted steps.
 DUAL_GAP_TOL = 1e-8
+FLAT_TOLERANCE = 1e-12
 CONVERGENCE_WINDOW = 10
 RELATIVE_TOLERANCE = 1e-11
 
 # Measured-RE objective: budget of the inner solve behind every evaluation.
 INNER_MEASURED_RE_ITERATIONS = 200
 
+# The warm start's empty Kraus blocks start at this scale (see
+# _warm_start_isometry).
+KRAUS_FILL_SCALE = 1e-3
+GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
+
 
 @dataclass
 class OptimizerResult:
     """Reconstruction channel found by the ascent, with its audit trail.
 
-    ``trace`` holds the accepted objective values in objective units:
-    non-decreasing for fidelity, non-increasing for the divergence
-    objectives.
+    ``trace`` holds the best objective value after each step that improved
+    it, in objective units: non-decreasing for fidelity, non-increasing
+    for the divergence objectives.
 
-    For a pure target under the fidelity or Renyi-1/2 objective,
-    ``dual_gap`` is tr Y - F^2 at the returned channel, with Y a feasible
-    point of the dual SDP: no channel reaches F^2 above best F^2 +
-    ``dual_gap``. ``converged`` then means certified, ``dual_gap <
-    DUAL_GAP_TOL``. For mixed targets and the measured-RE objective,
-    ``dual_gap`` is None and ``converged`` means the objective stalled
-    (window rule or no improving step); it is False at the iteration cap.
+    Under the fidelity or Renyi-1/2 objective, ``dual_gap`` is 2F (U - F)
+    for the returned fidelity F and the least upper bound U on any
+    channel's fidelity that the search found (each from a feasible point
+    of the dual SDP at a point it visited): no channel reaches a fidelity
+    above F + ``dual_gap`` / 2F. For a pure target, and U taken at the
+    returned channel, that is tr Y - F^2 for a feasible point Y of the dual
+    SDP of max F^2. ``converged`` then means
+    certified, ``dual_gap < DUAL_GAP_TOL``; a search that stalls or reaches
+    the iteration cap with the gap open is not converged. For the
+    measured-RE objective, ``dual_gap`` is None and ``converged`` means the
+    objective stalled (window rule or no improving step); it is False at
+    the iteration cap.
+
+    ``evaluations`` counts the objective evaluations, rejected trial points
+    included.
     """
 
     best_channel: Channel
@@ -89,6 +113,7 @@ class OptimizerResult:
     trace: list[float] = field(default_factory=list)
     converged: bool = True
     dual_gap: float | None = None
+    evaluations: int = 0
 
 
 def reconstruct(rho_tri: MultipartiteState, channel: Channel) -> MultipartiteState:
@@ -116,8 +141,7 @@ class _RecoveryProblem:
     ``measured_re_score``, returning the score at V and what the gradient
     needs, and a gradient step, ``fidelity_and_gradient`` or
     ``measured_re_score_and_gradient``, turning that into the score and
-    dF/dV* without evaluating V again. A pure target also gets the matrix
-    M of F^2 = sum_e x_e^dag M x_e, and ``dual_gap`` turns a fidelity
+    dF/dV* without evaluating V again. ``fidelity_gap`` turns a fidelity
     gradient into the certificate of the search.
     """
 
@@ -129,13 +153,18 @@ class _RecoveryProblem:
         self.d_env = self.d_bc
         self.target = ordered
         rho_br = states.partial_trace(ordered, ["B", "R"]).matrix
-        # rho_BR[(b,s),(c,t)] as the matmul operands of sigma_tensor and
-        # pullback: [b, (s,c,t)] and [(s,t,c), b]
+        # rho_BR[(b,s),(c,t)] as the matmul operands of sigma_tensor,
+        # pullback and channel_form: [b, (s,c,t)], [(s,t,c), b] and
+        # [(s,t), (b,c)]
         d_b, d_r = self.d_b, self.d_r
+        rho4 = rho_br.reshape(d_b, d_r, d_b, d_r)
         self.rho_b_sct = rho_br.reshape(d_b, d_r * d_b * d_r)
-        self.rho_stc_b = np.ascontiguousarray(
-            rho_br.reshape(d_b, d_r, d_b, d_r).transpose(3, 1, 0, 2)
-        ).reshape(d_r * d_r * d_b, d_b)
+        self.rho_stc_b = np.ascontiguousarray(rho4.transpose(3, 1, 0, 2)).reshape(
+            d_r * d_r * d_b, d_b
+        )
+        self.rho_st_bc = np.ascontiguousarray(rho4.transpose(3, 1, 2, 0)).reshape(
+            d_r * d_r, d_b * d_b
+        )
 
         spec = ordered.spectrum
         top = spec.eigenvalues[-1]
@@ -144,12 +173,6 @@ class _RecoveryProblem:
         # re-evaluation contract: |F(rho,.) - F(psi,.)| <= sqrt(1 - top)
         if top > 1.0 - 4e-15:
             self.pure_vec = spec.eigenvectors[:, -1]
-            # F^2 = sum_e x_e^dag M x_e with x_e[o,b] = v[(o,e),b]:
-            # M[ob,pc] = sum_st psi[o,s] rho[ct,bs] conj(psi[p,t])
-            psi = self.pure_vec.reshape(self.d_bc, d_r)
-            self.overlap_form = np.einsum(
-                "os,ctbs,pt->obpc", psi, rho_br.reshape(d_b, d_r, d_b, d_r), psi.conj()
-            ).reshape(self.d_bc * d_b, self.d_bc * d_b)
         else:
             # sqrt(rho) = W U^dag on rho's support U, so sqrt(rho) sigma
             # sqrt(rho) and the rank x rank W^dag sigma W share their
@@ -200,10 +223,13 @@ class _RecoveryProblem:
         spec = linalg.eigh(w.conj().T @ sigma @ w)
         return float(np.sqrt(np.clip(spec.eigenvalues, 0.0, None)).sum()), spec
 
-    def fidelity_and_gradient(self, v: np.ndarray, held) -> tuple[float, np.ndarray]:
-        """F(V) and its Euclidean Wirtinger gradient dF/dV*.
+    def fidelity_and_gradient(
+        self, v: np.ndarray, held
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """F(V), its Euclidean Wirtinger gradient dF/dV*, and g = dF/dsigma.
 
-        ``held`` is what ``fidelity_value(v)`` returned beside F.
+        ``held`` is what ``fidelity_value(v)`` returned beside F; dF/dV* is
+        ``pullback(v, g)``.
         """
         if self.pure_vec is not None:
             psi = self.pure_vec
@@ -214,24 +240,42 @@ class _RecoveryProblem:
             f = float(np.sqrt(np.clip(held.eigenvalues, 0.0, None)).sum())
             inv_root = held.apply(lambda x: 1.0 / np.sqrt(x))
             g = 0.5 * self.root_factor @ inv_root @ self.root_factor.conj().T
-        return f, self.pullback(v, g)
+        return f, self.pullback(v, g), g
 
-    def dual_gap(self, v: np.ndarray, f: float, grad: np.ndarray) -> float:
-        """tr Y - F^2 for a pure target, from the gradient dF/dV* at V.
+    def channel_form(self, g: np.ndarray) -> np.ndarray:
+        """M(g) with tr(g sigma(V)) = sum_e x_e^dag M(g) x_e, where x_e[o,b] = v[(o,e),b].
 
-        max F^2 = max tr(M J) over Choi matrices J has the dual min tr Y
-        subject to 1_BC (x) Y^T >= M. Y0 = Herm(V^dag dF^2/dV*) is the
-        dual point at which V is stationary; shifting it by the largest
-        eigenvalue of M - 1_BC (x) Y0^T makes it feasible.
+        M(g)[ob,pc] = sum_st g[os,pt] rho_BR[ct,bs], linear in g.
         """
-        y0 = (2.0 * f) * (v.conj().T @ grad)
+        d_bc, d_b, d_r = self.d_bc, self.d_b, self.d_r
+        # m[o,p,b,c] = sum_st g[(o,p),(s,t)] rho[(s,t),(b,c)]
+        g_op = g.reshape(d_bc, d_r, d_bc, d_r).transpose(0, 2, 1, 3)
+        g_op = g_op.reshape(d_bc * d_bc, d_r * d_r)
+        m = (g_op @ self.rho_st_bc).reshape(d_bc, d_bc, d_b, d_b)
+        return m.transpose(0, 2, 1, 3).reshape(d_bc * d_b, d_bc * d_b)
+
+    def fidelity_gap(self, v: np.ndarray, f: float, grad: np.ndarray, g: np.ndarray) -> float:
+        """A bound gap_F on how far any channel's fidelity exceeds F = F(V).
+
+        Takes what ``fidelity_and_gradient(v, .)`` returns. Root fidelity is
+        concave and 1/2-homogeneous in sigma, so every channel R has
+        F(rho, sigma_R) <= F/2 + tr(g sigma_R). The maximum of the
+        right-hand side over channels is max tr(M(g) J) over Choi matrices
+        J, whose dual is min tr Y subject to 1_BC (x) Y^T >= M(g).
+        Y0 = Herm(V^dag dF/dV*) is the dual point at which V is stationary;
+        shifting it by the largest eigenvalue of M(g) - 1_BC (x) Y0^T makes
+        it feasible, and gap_F = tr Y - F/2. For a pure target,
+        g = psi psi^dag / 2F, and 2F gap_F is tr Y' - F^2 for the dual of
+        max F^2.
+        """
+        y0 = v.conj().T @ grad
         y0 = (y0 + y0.conj().T) / 2.0
-        slack = self.overlap_form.copy()
+        slack = self.channel_form(g)
         blocks = slack.reshape(self.d_bc, self.d_b, self.d_bc, self.d_b)
         diag = np.arange(self.d_bc)
         blocks[diag, :, diag, :] -= y0.T
         shift = max(float(np.linalg.eigvalsh(slack)[-1]), 0.0)
-        return float(np.trace(y0).real) + self.d_b * shift - f * f
+        return float(np.trace(y0).real) + self.d_b * shift - f / 2.0
 
     def measured_re_score(self, v: np.ndarray) -> tuple[float, entropy.MeasuredReSolution]:
         """Ascended score -D_M(rho || sigma(V)) in bits, and the inner solve behind it."""
@@ -277,12 +321,23 @@ def _retract(v: np.ndarray) -> np.ndarray:
 
 
 def _warm_start_isometry(problem: _RecoveryProblem) -> np.ndarray:
+    """The transpose channel's Stinespring isometry, with no Kraus block left zero.
+
+    The ascent keeps a zero Kraus block zero: its gradient vanishes, the
+    tangent projection adds V S, and QR keeps zero rows zero. So the blocks
+    beyond the transpose channel's Kraus rank start from a fixed chirp of
+    size KRAUS_FILL_SCALE; left at zero, they would confine the search to
+    channels of that rank.
+    """
     warm = channels.transpose_channel(states.partial_trace(problem.target, ["B", "C"]))
     ops = channels.kraus_operators(warm)
     v = np.zeros(problem.isometry_shape(), dtype=complex)
     vt = v.reshape(problem.d_bc, problem.d_env, problem.d_b)
     for e, op in enumerate(ops[: problem.d_env]):
         vt[:, e, :] = op
+    empty = vt[:, len(ops) :, :]
+    k = np.arange(empty.size, dtype=float).reshape(empty.shape)
+    empty[...] = KRAUS_FILL_SCALE * np.exp(1j * math.pi * GOLDEN_FRACTION * k * k)
     # Kraus rank beyond d_env only occurs for singular marginals; the
     # retraction then snaps the truncated stack back to an isometry.
     return _retract(v)
@@ -325,61 +380,88 @@ def _transport(v: np.ndarray, pairs, s: np.ndarray, y: np.ndarray):
     return pairs[keep] if keep.any() else None
 
 
-def _line_search(v, f, direction, step, evaluate):
-    """First rising point along ``direction``, from ``step`` halved down to STEP_TOLERANCE.
+def _line_search(v, floor, direction, step, evaluate):
+    """First point along ``direction`` scoring above ``floor``.
 
-    Returns (step, v, score, held) at that point, or None when no step rises.
+    Tries ``step`` halved down to STEP_TOLERANCE. Returns (step, v, score,
+    held) at that point, or None when there is none.
     """
     while step >= STEP_TOLERANCE:
         v_try = _retract(v + step * direction)
         f_try, held = evaluate(v_try)
-        if f_try > f:
+        if f_try > floor:
             return step, v_try, f_try, held
         step *= 0.5
     return None
 
 
-def _ascend(v0, evaluate, gradient, max_iterations: int, dual_gap=None):
+def _ascend(v0, evaluate, gradient, max_iterations: int, bound=None):
     """Riemannian L-BFGS ascent on the isometries, from ``v0``.
 
     ``evaluate(v)`` returns (score, held) and ``gradient(v, held)`` returns
-    (score, dF/dV*) from what the evaluation held, so every trial point is
-    evaluated once and only accepted points are differentiated. The step
+    (score, dF/dV*, ...) from what the evaluation held, so every trial point
+    is evaluated once and only accepted points are differentiated. The step
     is the L-BFGS direction of the last LBFGS_MEMORY curvature pairs,
     carried between tangent spaces by projection, tried at length 1 and
     halved until the score rises. A direction that is not an ascent
     direction, or along which no step rises, drops the pairs for the
     projected gradient from INITIAL_STEP; the search stops unconverged
-    only when that fails too. Only rising steps are accepted, so the trace
-    is monotone.
+    only when that fails too.
 
-    With ``dual_gap(v, f, grad)`` (pure-target fidelity), the ascent stops
-    certified once the gap is below DUAL_GAP_TOL, and stalling with the gap
-    open is not convergence. Without it (mixed targets, measured RE), it
-    stops converged when CONVERGENCE_WINDOW accepted steps gain less than
-    RELATIVE_TOLERANCE or not even the projected gradient rises, and takes
-    no gradient at the point where it reaches the cap. Returns (v, f,
-    trace, converged, gap); ``trace`` holds the accepted scores, ``gap``
-    the last dual gap or None.
+    With ``bound`` (fidelity and Renyi-1/2), ``bound(v, *gradient(v,
+    held))`` is a gap_F with no channel above score + gap_F, so the least
+    such sum seen bounds the optimum, and the ascent stops certified once
+    the dual gap 2 f (upper - f) of the best score f is below DUAL_GAP_TOL.
+    That gap is first order in the distance to the optimum, the score's
+    gain only second order, so the score stops rising, within its
+    evaluation noise, while the gap is still open. A bounded search
+    therefore also accepts steps that fall below the best score by less
+    than FLAT_TOLERANCE relative, and keeps the best point. It stops
+    unconverged at the cap or once more than CONVERGENCE_WINDOW steps in a
+    row lower neither the best score nor the bound.
+
+    Without ``bound`` (measured RE), only rising steps are accepted; the
+    ascent stops converged when CONVERGENCE_WINDOW accepted steps gain
+    less than RELATIVE_TOLERANCE or not even the projected gradient rises,
+    and takes no gradient at the point where it reaches the cap.
+
+    Returns (v, f, trace, converged, gap, evaluations) at the best point:
+    ``trace`` holds the best score after each step that raised it, so it
+    rises strictly; ``gap`` is the last dual gap or None; ``evaluations``
+    counts the ``evaluate`` calls.
     """
+    evaluations = 0
+
+    def counted(v):
+        nonlocal evaluations
+        evaluations += 1
+        return evaluate(v)
+
     v = _retract(v0)
-    f, held = evaluate(v)
+    f, held = counted(v)
+    best_v, best_f = v, f
     trace = [f]
+    upper = math.inf  # least bound f + gap_F on the optimum seen so far
     gap = None
     converged = False
     pairs = None  # curvature pairs (s, y) at v, oldest first
     last_step = last_g = None
+    steps = idle = 0
     while True:
-        capped = len(trace) > max_iterations
-        if capped and dual_gap is None:
+        capped = steps >= max_iterations
+        if capped and bound is None:
             break
-        grad = gradient(v, held)[1]
-        if dual_gap is not None:
-            gap = dual_gap(v, f, grad)
+        derivatives = gradient(v, held)
+        grad = derivatives[1]
+        if bound is not None:
+            here = f + bound(v, *derivatives)
+            if here < upper:
+                upper, idle = here, 0
+            gap = 2.0 * best_f * (upper - best_f)
             if gap < DUAL_GAP_TOL:
                 converged = True
                 break
-            if capped:
+            if capped or idle > CONVERGENCE_WINDOW:
                 break
         g = _project_tangent(v, grad)
         if last_step is not None:
@@ -387,23 +469,32 @@ def _ascend(v0, evaluate, gradient, max_iterations: int, dual_gap=None):
         direction = g if pairs is None else _lbfgs_direction(g, pairs)
         if _inner(direction, g) <= 0.0:
             pairs, direction = None, g
-        found = _line_search(v, f, direction, INITIAL_STEP if pairs is None else 1.0, evaluate)
+        floor = best_f
+        if bound is not None:
+            floor -= FLAT_TOLERANCE * max(1.0, abs(best_f))
+        found = _line_search(v, floor, direction, INITIAL_STEP if pairs is None else 1.0, counted)
         if found is None and pairs is not None:
             # a badly scaled quasi-Newton step can fail where the gradient rises
             pairs, direction = None, g
-            found = _line_search(v, f, direction, INITIAL_STEP, evaluate)
+            found = _line_search(v, floor, direction, INITIAL_STEP, counted)
         if found is None:
-            converged = dual_gap is None
+            converged = bound is None
             break
         step, v, f, held = found
+        steps += 1
         last_step, last_g = step * direction, g
-        trace.append(f)
-        if dual_gap is None and len(trace) > CONVERGENCE_WINDOW:
+        if f > best_f:
+            best_v, best_f = v, f
+            trace.append(f)
+            idle = 0
+        else:
+            idle += 1
+        if bound is None and len(trace) > CONVERGENCE_WINDOW:
             ref = trace[-CONVERGENCE_WINDOW - 1]
             if abs(f - ref) < RELATIVE_TOLERANCE * max(1.0, abs(f)):
                 converged = True
                 break
-    return v, f, trace, converged, gap
+    return best_v, best_f, trace, converged, gap, evaluations
 
 
 def optimize_recovery(
@@ -416,15 +507,16 @@ def optimize_recovery(
     One deterministic Riemannian L-BFGS ascent from the transpose channel,
     capped at ``max_iterations`` accepted steps. Fidelity (and its monotone
     transform, the order-1/2 Renyi divergence) is ascended with its
-    analytic gradient. For a pure target the search stops once the dual
-    gap certifies the fidelity to within DUAL_GAP_TOL in F^2, and
-    ``converged`` means certified; mixed targets and the measured-RE
-    objective stop by the window rule (see ``OptimizerResult``). The
-    measured-RE objective takes the envelope gradient: by Danskin's theorem
-    dD_M/dsigma = -w*/ln 2 at the witness w* of one inner solve, which is
-    exact only as far as that solve has converged; the line search accepts
-    a step only if the value improves, so the trace stays monotone either
-    way. The result is never worse than the transpose-channel warm start.
+    analytic gradient, and the search stops once the dual gap certifies
+    the fidelity to within DUAL_GAP_TOL in F^2 units, so ``converged``
+    means certified; the measured-RE objective stops by the window rule
+    (see ``OptimizerResult``). The measured-RE objective takes the envelope
+    gradient: by Danskin's theorem dD_M/dsigma = -w*/ln 2 at the witness w*
+    of one inner solve, which is exact only as far as that solve has
+    converged; the line search accepts a step only if the value improves,
+    so the trace stays monotone either way. The result is never worse than
+    the warm start, the transpose channel with its empty Kraus blocks
+    filled (see ``_warm_start_isometry``).
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective {objective_kind!r}; pick from {OBJECTIVE_KINDS}")
@@ -437,18 +529,19 @@ def optimize_recovery(
         raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
     problem = _RecoveryProblem(rho_tri)
 
-    dual_gap = None
     if objective_kind == "measured_re":
         evaluate = problem.measured_re_score
         gradient = problem.measured_re_score_and_gradient
+        bound = None
     else:
         evaluate = problem.fidelity_value
         gradient = problem.fidelity_and_gradient
-        if problem.pure_vec is not None:
-            dual_gap = problem.dual_gap
+        bound = problem.fidelity_gap
 
     v0 = _warm_start_isometry(problem)
-    v, f, trace, converged, gap = _ascend(v0, evaluate, gradient, max_iterations, dual_gap)
+    v, f, trace, converged, gap, evaluations = _ascend(
+        v0, evaluate, gradient, max_iterations, bound
+    )
 
     def to_units(score: float) -> float:
         if objective_kind == "fidelity":
@@ -464,6 +557,7 @@ def optimize_recovery(
         trace=[to_units(t) for t in trace],
         converged=converged,
         dual_gap=gap,
+        evaluations=evaluations,
     )
 
 
@@ -480,6 +574,7 @@ def result_to_json_dict(result: OptimizerResult) -> dict:
         "trace": [encode(t) for t in result.trace],
         "converged": result.converged,
         "dual_gap": result.dual_gap,
+        "evaluations": result.evaluations,
         "best_channel": channels.to_json_dict(result.best_channel),
     }
 

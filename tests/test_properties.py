@@ -11,13 +11,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmirecon import channels, entropy, linalg, states
+from cmirecon import channels, entropy, linalg, recovery, states
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
 seeds = st.integers(0, 2**63 - 1)
 # unequal dimensions up to (3, 3, 4) on (B, C, R)
 tripartite_dims = st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(2, 4))
+# the recovery search's dimensions; rank None is full rank
+recovery_dims = st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3)])
+recovery_ranks = st.sampled_from([1, 2, None])
 
 
 def tripartite_state(dims, seed, rank):
@@ -99,3 +102,26 @@ def test_measured_re_invariant_under_unitaries(d, seed):
     rotated = entropy.measured_relative_entropy(u @ rho @ u.conj().T, u @ sigma @ u.conj().T)
     assert plain.converged and rotated.converged
     assert abs(rotated.value_bits - plain.value_bits) < 1e-8
+
+
+@settings(PROPERTY, max_examples=24)
+@given(recovery_dims, seeds, recovery_ranks)
+def test_fidelity_bound_holds_at_random_channels(dims, seed, rank):
+    # F(V) + gap_F(V) bounds the fidelity of every channel, the best found included
+    rho = tripartite_state(dims, seed, rank or math.prod(dims))
+    best = recovery.optimize_recovery(rho, "fidelity").best_value
+    problem = recovery._RecoveryProblem(rho)
+    rng = states.sample_rng(seed, 1)
+    for _ in range(5):
+        v = channels.haar_isometry(*problem.isometry_shape(), rng)
+        f, held = problem.fidelity_value(v)
+        gap_f = problem.fidelity_gap(v, *problem.fidelity_and_gradient(v, held))
+        assert f + gap_f >= best - 1e-12
+
+
+@settings(PROPERTY, max_examples=20)
+@given(seeds)
+def test_rank_two_fidelity_search_certifies(seed):
+    rho = tripartite_state((2, 2, 2), seed, 2)
+    result = recovery.optimize_recovery(rho, "fidelity")
+    assert result.converged and result.dual_gap < recovery.DUAL_GAP_TOL

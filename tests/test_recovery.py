@@ -152,17 +152,31 @@ class TestAscentSteps:
         assert not result.converged
         assert np.all(np.diff(result.trace) > 0.0)
 
-    @pytest.mark.parametrize("kind, cap", [("fidelity", 20), ("measured_re", 3)])
+    @pytest.mark.parametrize("kind, cap", [("measured_re", 3)])
     def test_no_gradient_where_the_cap_stops_the_search(self, monkeypatch, kind, cap):
         rho = states.random_mixed(
             (2, 2, 2), states.sample_rng(701, 0), ("B", "C", "R"), ancilla_dim=2
         )
-        name = "fidelity_and_gradient" if kind == "fidelity" else "measured_re_score_and_gradient"
         gradients = []
-        _count_calls(monkeypatch, recovery._RecoveryProblem, name, gradients)
+        _count_calls(
+            monkeypatch, recovery._RecoveryProblem, "measured_re_score_and_gradient", gradients
+        )
         result = recovery.optimize_recovery(rho, kind, max_iterations=cap)
         assert len(result.trace) == cap + 1
         assert len(gradients) == cap
+
+    def test_capped_fidelity_search_differentiates_its_last_point(self, monkeypatch):
+        # the dual gap at the point where the cap stops the search needs its gradient
+        rho = states.random_mixed(
+            (2, 2, 2), states.sample_rng(701, 0), ("B", "C", "R"), ancilla_dim=2
+        )
+        gradients = []
+        _count_calls(monkeypatch, recovery._RecoveryProblem, "fidelity_and_gradient", gradients)
+        result = recovery.optimize_recovery(rho, "fidelity", max_iterations=20)
+        assert len(result.trace) == 21
+        assert len(gradients) == len(set(gradients)) == 21
+        assert not result.converged
+        assert result.dual_gap >= recovery.DUAL_GAP_TOL
 
 
 class TestContractions:
@@ -271,7 +285,7 @@ class TestRetraction:
 
 
 class TestDualBound:
-    """The dual certificate of pure-target fidelity searches."""
+    """The dual certificate of fidelity searches."""
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2)], ids=["222", "232", "322"])
     def test_bound_holds_at_random_isometries(self, dims):
@@ -279,19 +293,40 @@ class TestDualBound:
         rho = states.random_pure(dims, states.rng_from_seed(41), labels)
         problem = recovery._RecoveryProblem(rho)
         best = recovery.optimize_recovery(rho, "fidelity").best_value
+        psi = problem.pure_vec
         draw = np.random.default_rng(sum(dims))
         d_bc, d_env, d_b = problem.d_bc, problem.d_env, problem.d_b
         for _ in range(10):
             v = _random_isometry(problem.isometry_shape(), draw)
             f, held = problem.fidelity_value(v)
-            # F^2 is the quadratic form of M in the Kraus operators
+            # F^2 is the quadratic form of M(psi psi^dag) in the Kraus operators
             x = v.reshape(d_bc, d_env, d_b).transpose(1, 0, 2).reshape(d_env, d_bc * d_b)
-            form = np.einsum("ei,ij,ej->", x.conj(), problem.overlap_form, x).real
+            overlap_form = problem.channel_form(np.outer(psi, psi.conj()))
+            form = np.einsum("ei,ij,ej->", x.conj(), overlap_form, x).real
             assert abs(form - f * f) < 1e-13
-            gap = problem.dual_gap(v, f, problem.fidelity_and_gradient(v, held)[1])
+            gap = 2.0 * f * problem.fidelity_gap(v, *problem.fidelity_and_gradient(v, held))
             # tr Y bounds F^2 here and at every other channel, the best found included
             assert gap >= -1e-13
             assert f * f + gap >= best**2 - 1e-13
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2)], ids=["222", "232", "322"])
+    def test_channel_form_matches_einsum(self, dims):
+        rho = states.random_mixed(dims, states.rng_from_seed(42), ("B", "C", "R"))
+        problem = recovery._RecoveryProblem(rho)
+        d_b, d_c, d_r = dims
+        d_bc, d_env = d_b * d_c, problem.d_env
+        rho_br = states.partial_trace(rho, ["B", "R"]).matrix.reshape(d_b, d_r, d_b, d_r)
+        draw = np.random.default_rng(sum(dims))
+        d = d_bc * d_r
+        h = draw.standard_normal((d, d)) + 1j * draw.standard_normal((d, d))
+        g = (h + h.conj().T) / 2.0
+        m = np.einsum("ospt,ctbs->obpc", g.reshape(d_bc, d_r, d_bc, d_r), rho_br)
+        assert np.abs(problem.channel_form(g) - m.reshape(d_bc * d_b, d_bc * d_b)).max() < 1e-13
+        # tr(g sigma(V)) is the form summed over the Kraus operators
+        v = _random_isometry(problem.isometry_shape(), draw)
+        x = v.reshape(d_bc, d_env, d_b).transpose(1, 0, 2).reshape(d_env, d_bc * d_b)
+        form = np.einsum("ei,ij,ej->", x.conj(), problem.channel_form(g), x).real
+        assert abs(form - np.trace(g @ problem.sigma_tensor(v)).real) < 1e-12
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("kind", ["fidelity", "renyi_half"])
@@ -308,12 +343,35 @@ class TestDualBound:
         assert not result.converged
         assert result.dual_gap >= recovery.DUAL_GAP_TOL
 
-    def test_gap_only_for_pure_fidelity_searches(self):
+    def test_every_fidelity_search_reports_a_gap(self):
         labels = ("B", "C", "R")
         mixed = states.random_mixed((2, 2, 2), states.sample_rng(701, 0), labels, ancilla_dim=2)
-        assert recovery.optimize_recovery(mixed, "fidelity", max_iterations=20).dual_gap is None
+        result = recovery.optimize_recovery(mixed, "fidelity", max_iterations=20)
+        assert result.dual_gap >= recovery.DUAL_GAP_TOL and not result.converged
         pure = states.random_pure((2, 2, 2), states.sample_rng(700, 0), labels)
         assert recovery.optimize_recovery(pure, "measured_re", max_iterations=1).dual_gap is None
+
+    @pytest.mark.parametrize(
+        "i, floor", [(0, 0.92955), (1, 0.95824), (2, 0.92974), (3, 0.93984)]
+    )
+    def test_search_leaves_the_warm_start_kraus_rank(self, i, floor):
+        # confined to the transpose channel's Kraus rank, these full-rank
+        # searches stopped at 0.92824, 0.95514, 0.92607 and 0.93609 with
+        # the gap open by 0.09 to 0.15
+        rho = states.random_mixed((2, 2, 2), states.sample_rng(77, i), ("B", "C", "R"))
+        result = recovery.optimize_recovery(rho, "fidelity")
+        assert result.best_value >= floor
+        assert result.converged and result.dual_gap < recovery.DUAL_GAP_TOL
+
+    def test_warm_start_fills_every_kraus_block(self):
+        rho = states.random_pure((2, 2, 2), states.rng_from_seed(2), ("B", "C", "R"))
+        problem = recovery._RecoveryProblem(rho)
+        rho_bc = states.permute(states.partial_trace(rho, ["B", "C"]), ("B", "C"))
+        assert len(channels.kraus_operators(channels.transpose_channel(rho_bc))) < problem.d_env
+        v0 = recovery._warm_start_isometry(problem)
+        blocks = v0.reshape(problem.d_bc, problem.d_env, problem.d_b)
+        assert np.all(np.abs(blocks).max(axis=(0, 2)) > 0.0)
+        assert np.abs(v0.conj().T @ v0 - np.eye(problem.d_b)).max() < 1e-13
 
     def test_former_cap_hitter_certifies(self):
         # the certificate benchmark's unit 22, which projected gradient ran
@@ -479,3 +537,11 @@ class TestResultSerialization:
         assert np.abs(loaded.choi - result.best_channel.choi).max() < 1e-12
         assert abs(doc["best_value"] - result.best_value) < 1e-15
         assert doc["dual_gap"] == result.dual_gap < recovery.DUAL_GAP_TOL
+
+    def test_evaluations_count_every_trial_point(self, monkeypatch):
+        rho = states.random_mixed((2, 2, 2), states.sample_rng(77, 3), ("B", "C", "R"))
+        values = []
+        _count_calls(monkeypatch, recovery._RecoveryProblem, "fidelity_value", values)
+        result = recovery.optimize_recovery(rho, "fidelity")
+        assert result.evaluations == len(values) >= len(result.trace)
+        assert recovery.result_to_json_dict(result)["evaluations"] == result.evaluations

@@ -1,0 +1,110 @@
+"""Run the benchmark on two source trees in alternating pairs and collect a BENCH_<n>.json.
+
+Export the two commits first (``git archive <commit> | tar -x -C DIR``), then
+run, from anywhere:
+
+    python3 tools/bench_pairs.py --parent P --change C --workload certificate \\
+        --seeds 1101-1110 --out BENCH_11.json
+
+Each seed runs ``perfbench/run.py --workload W --seed S --seconds 20`` once
+in each tree, one run at a time; the side that runs first alternates from
+seed to seed, starting with the parent. ``--trace`` instead makes one
+``--trace 1`` run per side on the first seed and keeps its per-layer
+metrics. Runs are added to the output file, which is created when absent,
+and its ``summary`` (median and quartiles of every end-to-end metric, per
+workload and side) is computed again from all the runs it holds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SECONDS = 20
+# per-layer metrics kept from a traced run, by prefix
+TRACE_PREFIXES = ("recovery.", "linalg.", "trace.")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'1101-1110' or '1101,1103' as a list of seeds."""
+    if "-" in text:
+        lo, hi = (int(x) for x in text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(x) for x in text.split(",")]
+
+
+def run_once(tree: Path, workload: str, seed: int, trace: bool) -> tuple[str, dict]:
+    """One benchmark run in ``tree``: its env line and its result object."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(SECONDS), "--trace", str(int(trace))]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout
+    lines = out.strip().splitlines()
+    env = next(line for line in lines if line.startswith("# env "))
+    return env, json.loads(lines[-1])
+
+
+def summarize(runs: list[dict]) -> dict:
+    """workload -> metric -> side -> median, quartiles and count of the runs."""
+    values: dict = {}
+    for run in runs:
+        for name, metric in run["result"]["metrics"].items():
+            side = values.setdefault(run["workload"], {}).setdefault(name, {})
+            side.setdefault(run["side"], []).append(metric["value"])
+    summary: dict = {}
+    for workload, metrics in values.items():
+        for name, sides in metrics.items():
+            for side, xs in sides.items():
+                q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
+                summary.setdefault(workload, {}).setdefault(name, {})[side] = {
+                    "median": statistics.median(xs), "q1": q1, "q3": q3, "n": len(xs)}
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="source tree of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="source tree of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--trace", action="store_true", help="one --trace 1 run per side")
+    args = parser.parse_args(argv)
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("command", f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS}"
+                              " (--trace 1 for the per-layer runs)")
+    doc.setdefault("runs", [])
+
+    def save():
+        doc["summary"] = summarize(doc["runs"])
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+    trees = {"parent": args.parent, "change": args.change}
+    if args.trace:
+        seed = args.seeds[0]
+        for side, tree in trees.items():
+            env, result = run_once(tree, args.workload, seed, trace=True)
+            kept = {k: v for k, v in result["metrics"].items() if k.startswith(TRACE_PREFIXES)}
+            doc.setdefault("per_layer_trace", {}).setdefault(args.workload, {})[side] = {
+                "seed": seed, "env": env, "correct": result["correct"], "metrics": kept}
+            save()
+            print(f"{args.workload} seed {seed} {side} traced", flush=True)
+    else:
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                env, result = run_once(trees[side], args.workload, seed, trace=False)
+                doc["runs"].append({"workload": args.workload, "seed": seed, "side": side,
+                                    "first": order[0], "env": env, "result": result})
+                save()
+                rate = result["metrics"]["items_per_s"]["value"]
+                print(f"{args.workload} seed {seed} {side}: {rate:.2f} items/s", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
