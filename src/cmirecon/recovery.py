@@ -63,11 +63,11 @@ INITIAL_STEP = 0.2
 STEP_TOLERANCE = 1e-9
 # A fidelity or Renyi-1/2 search stops once its dual gap, in F^2 units, is
 # below DUAL_GAP_TOL (about 2e-8 bits of -2 log2 F). It accepts steps that
-# fall below its best score by less than FLAT_TOLERANCE relative (F's
-# evaluation noise is about 1e-15), and gives up after more than
-# CONVERGENCE_WINDOW steps in a row that lower neither the best score nor
-# the bound. A measured-RE search stops once the objective moves by less
-# than RELATIVE_TOLERANCE over CONVERGENCE_WINDOW accepted steps.
+# fall below its best F by less than FLAT_TOLERANCE (F's evaluation noise
+# is about 1e-15), and gives up after more than CONVERGENCE_WINDOW steps
+# in a row that lower neither the best F nor the bound. A measured-RE
+# search stops once the objective moves by less than RELATIVE_TOLERANCE
+# over CONVERGENCE_WINDOW accepted steps.
 DUAL_GAP_TOL = 1e-8
 FLAT_TOLERANCE = 1e-12
 CONVERGENCE_WINDOW = 10
@@ -416,7 +416,7 @@ def _ascend(v0, evaluate, gradient, max_iterations: int, bound=None):
     gain only second order, so the score stops rising, within its
     evaluation noise, while the gap is still open. A bounded search
     therefore also accepts steps that fall below the best score by less
-    than FLAT_TOLERANCE relative, and keeps the best point. It stops
+    than FLAT_TOLERANCE, and keeps the best point. It stops
     unconverged at the cap or once more than CONVERGENCE_WINDOW steps in a
     row lower neither the best score nor the bound.
 
@@ -469,9 +469,7 @@ def _ascend(v0, evaluate, gradient, max_iterations: int, bound=None):
         direction = g if pairs is None else _lbfgs_direction(g, pairs)
         if _inner(direction, g) <= 0.0:
             pairs, direction = None, g
-        floor = best_f
-        if bound is not None:
-            floor -= FLAT_TOLERANCE * max(1.0, abs(best_f))
+        floor = best_f if bound is None else best_f - FLAT_TOLERANCE
         found = _line_search(v, floor, direction, INITIAL_STEP if pairs is None else 1.0, counted)
         if found is None and pairs is not None:
             # a badly scaled quasi-Newton step can fail where the gradient rises

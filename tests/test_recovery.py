@@ -294,6 +294,7 @@ class TestDualBound:
         problem = recovery._RecoveryProblem(rho)
         best = recovery.optimize_recovery(rho, "fidelity").best_value
         psi = problem.pure_vec
+        overlap_form = problem.channel_form(np.outer(psi, psi.conj()))
         draw = np.random.default_rng(sum(dims))
         d_bc, d_env, d_b = problem.d_bc, problem.d_env, problem.d_b
         for _ in range(10):
@@ -301,7 +302,6 @@ class TestDualBound:
             f, held = problem.fidelity_value(v)
             # F^2 is the quadratic form of M(psi psi^dag) in the Kraus operators
             x = v.reshape(d_bc, d_env, d_b).transpose(1, 0, 2).reshape(d_env, d_bc * d_b)
-            overlap_form = problem.channel_form(np.outer(psi, psi.conj()))
             form = np.einsum("ei,ij,ej->", x.conj(), overlap_form, x).real
             assert abs(form - f * f) < 1e-13
             gap = 2.0 * f * problem.fidelity_gap(v, *problem.fidelity_and_gradient(v, held))
@@ -346,8 +346,8 @@ class TestDualBound:
     def test_every_fidelity_search_reports_a_gap(self):
         labels = ("B", "C", "R")
         mixed = states.random_mixed((2, 2, 2), states.sample_rng(701, 0), labels, ancilla_dim=2)
-        result = recovery.optimize_recovery(mixed, "fidelity", max_iterations=20)
-        assert result.dual_gap >= recovery.DUAL_GAP_TOL and not result.converged
+        result = recovery.optimize_recovery(mixed, "fidelity")
+        assert result.converged and result.dual_gap < recovery.DUAL_GAP_TOL
         pure = states.random_pure((2, 2, 2), states.sample_rng(700, 0), labels)
         assert recovery.optimize_recovery(pure, "measured_re", max_iterations=1).dual_gap is None
 
