@@ -144,14 +144,12 @@ def renyi_half(rho, sigma) -> float:
 # MRE_MIN_STEP. A start whose decrement has not halved over MRE_STALL_STEPS
 # accepted steps is given up unconverged. MRE_HESSIAN_SHIFT keeps the Newton
 # system definite along directions where neither rho nor sigma has weight.
-# Random starts are drawn from stream MRE_SEED.
 MRE_DECREMENT_TOLERANCE = 1e-12
 MRE_MAX_STEP = 4.0
 MRE_MIN_STEP = 1e-14
 MRE_STALL_STEPS = 10
 MRE_HESSIAN_SHIFT = 1e-12
 MRE_ARMIJO = 1e-4
-MRE_SEED = 99
 
 
 @dataclass
@@ -161,10 +159,10 @@ class MeasuredReSolution:
     ``witness`` is the positive-definite operator achieving ``value_bits``
     in the variational objective; evaluating the objective at the witness
     reproduces the value, and any witness certifies a valid lower bound.
-    ``trace_bits`` holds the accepted objective values of the best start.
-    ``converged`` says that some start's Newton decrement fell below
-    tolerance; the value is at least that start's, so it lies within about
-    that tolerance of the supremum.
+    ``trace_bits`` holds the accepted objective values of the better of
+    the two starts. ``converged`` says that a start's Newton decrement fell
+    below tolerance; the value is at least that start's, so it lies within
+    about that tolerance of the supremum.
     """
 
     value_bits: float
@@ -360,25 +358,21 @@ def _ascend_measured_re(rho, sigma, h0, max_iterations: int):
     return f, h, trace, converged
 
 
-def measured_relative_entropy(
-    rho, sigma, restarts: int = 5, max_iterations: int = 600
-) -> MeasuredReSolution:
+def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> MeasuredReSolution:
     """Measured relative entropy via its concave variational program.
 
     Maximizes tr(rho ln w) + 1 - tr(sigma w) over positive-definite w
     (Berta-Fawzi-Tomamichel), parametrized as w = exp(H) and climbed by
-    damped Newton steps from the identity start, an analytic warm start at
-    the commuting-pair optimum, and random restarts. Every local maximum
-    in H is global, since exp maps onto the positive-definite w and the
-    program is concave in w. The returned value is a certified lower bound
-    on the measurement supremum and is bounded above by S(rho||sigma);
-    ``converged`` says that a start's Newton decrement fell below
-    MRE_DECREMENT_TOLERANCE, which puts the value within about that much
-    of the supremum.
-
-    Keywords:
-        restarts: random Hermitian starts run after those two.
-        max_iterations: cap on accepted Newton steps per start.
+    damped Newton steps from two deterministic starts, the identity and
+    the log-ratio ln(rho + 1e-12) - ln(sigma), which is the optimum when
+    rho and sigma commute; the better of the two is kept. Every local
+    maximum in H is global, since exp maps onto the positive-definite w
+    and the program is concave in w, so no further start can do better.
+    The returned value is a certified lower bound on the measurement
+    supremum and is bounded above by S(rho||sigma); ``converged`` says
+    that a start's Newton decrement fell below MRE_DECREMENT_TOLERANCE,
+    which puts the value within about that much of the supremum.
+    ``max_iterations`` caps the accepted Newton steps per start.
 
     A rank-deficient sigma is mixed with 1e-12 of the maximally mixed
     state first, which keeps the objective finite and shifts the result
@@ -398,22 +392,13 @@ def measured_relative_entropy(
         delta = SIGMA_REGULARIZATION
         sigma = (1.0 - delta) * sigma + delta * np.eye(d) / d
 
-    # identity start, the commuting-pair optimum log(rho) - log(sigma) as an
-    # analytic warm start (exact when [rho, sigma] = 0), then random restarts
-    starts = [np.zeros((d, d), dtype=complex)]
     rho_reg = rho + SIGMA_REGULARIZATION * np.eye(d)
     warm = linalg.matrix_function(rho_reg, np.log, cutoff=0.0) - linalg.matrix_function(
         sigma, np.log, cutoff=0.0
     )
-    starts.append(warm)
-    for k in range(restarts):
-        rng = states.sample_rng(MRE_SEED, k)
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        starts.append((g + g.conj().T) / 2.0)
-
     best = None
     converged = False
-    for h0 in starts:
+    for h0 in (np.zeros((d, d), dtype=complex), warm):
         f, h, trace, start_converged = _ascend_measured_re(rho, sigma, h0, max_iterations)
         converged = converged or start_converged
         if best is None or f > best[0]:

@@ -67,6 +67,7 @@ class ExperimentRecord:
     measured_re_transpose_bits: float | None = None
     # not written to the CSV; counted in the summary
     measured_re_converged: bool | None = None
+    completion_used: bool | None = None
 
 
 def transpose_reconstruction_metrics(
@@ -125,6 +126,7 @@ def _sample_record(seed: int, sample_id: int, dims, include_measured_re: bool) -
         strict=m["strict"],
         measured_re_transpose_bits=m.get("measured_re_transpose_bits"),
         measured_re_converged=m.get("measured_re_converged"),
+        completion_used=m["completion_used"],
     )
 
 
@@ -159,6 +161,7 @@ def figure1_experiment(cfg: RunConfig) -> tuple[list[ExperimentRecord], dict]:
         "strict_count": strict_count,
         "strict_fraction": strict_count / cfg.n_samples,
         "n_infinite_relent": len(records) - len(finite_rel),
+        "n_completion_used": sum(r.completion_used for r in records),
         "mean_cmi_bits": float(np.mean([r.cmi_bits for r in records])),
         "mean_finite_relent_bits": float(np.mean(finite_rel)) if finite_rel else None,
         "runtime_seconds": time.perf_counter() - start,

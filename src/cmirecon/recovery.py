@@ -104,7 +104,10 @@ class OptimizerResult:
     the iteration cap.
 
     ``evaluations`` counts the objective evaluations, rejected trial points
-    included.
+    included. For the measured-RE objective, ``inner_nonconverged`` counts
+    the inner solves among them whose Newton decrement did not fall below
+    tolerance; it is None for the other objectives, which have no inner
+    solve.
     """
 
     best_channel: Channel
@@ -114,6 +117,7 @@ class OptimizerResult:
     converged: bool = True
     dual_gap: float | None = None
     evaluations: int = 0
+    inner_nonconverged: int | None = None
 
 
 def reconstruct(rho_tri: MultipartiteState, channel: Channel) -> MultipartiteState:
@@ -142,7 +146,8 @@ class _RecoveryProblem:
     needs, and a gradient step, ``fidelity_and_gradient`` or
     ``measured_re_score_and_gradient``, turning that into the score and
     dF/dV* without evaluating V again. ``fidelity_gap`` turns a fidelity
-    gradient into the certificate of the search.
+    gradient into the certificate of the search. ``inner_nonconverged``
+    counts the inner measured-RE solves that did not converge.
     """
 
     def __init__(self, rho_tri: MultipartiteState):
@@ -152,6 +157,7 @@ class _RecoveryProblem:
         # room for channels of Kraus rank up to d_B d_C
         self.d_env = self.d_bc
         self.target = ordered
+        self.inner_nonconverged = 0
         rho_br = states.partial_trace(ordered, ["B", "R"]).matrix
         # rho_BR[(b,s),(c,t)] as the matmul operands of sigma_tensor,
         # pullback and channel_form: [b, (s,c,t)], [(s,t,c), b] and
@@ -280,11 +286,9 @@ class _RecoveryProblem:
     def measured_re_score(self, v: np.ndarray) -> tuple[float, entropy.MeasuredReSolution]:
         """Ascended score -D_M(rho || sigma(V)) in bits, and the inner solve behind it."""
         sol = entropy.measured_relative_entropy(
-            self.target,
-            self.sigma_tensor(v),
-            restarts=0,
-            max_iterations=INNER_MEASURED_RE_ITERATIONS,
+            self.target, self.sigma_tensor(v), max_iterations=INNER_MEASURED_RE_ITERATIONS
         )
+        self.inner_nonconverged += not sol.converged
         return -sol.value_bits, sol
 
     def measured_re_score_and_gradient(
@@ -527,7 +531,8 @@ def optimize_recovery(
         raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
     problem = _RecoveryProblem(rho_tri)
 
-    if objective_kind == "measured_re":
+    measured_re = objective_kind == "measured_re"
+    if measured_re:
         evaluate = problem.measured_re_score
         gradient = problem.measured_re_score_and_gradient
         bound = None
@@ -556,6 +561,7 @@ def optimize_recovery(
         converged=converged,
         dual_gap=gap,
         evaluations=evaluations,
+        inner_nonconverged=problem.inner_nonconverged if measured_re else None,
     )
 
 
@@ -573,6 +579,7 @@ def result_to_json_dict(result: OptimizerResult) -> dict:
         "converged": result.converged,
         "dual_gap": result.dual_gap,
         "evaluations": result.evaluations,
+        "inner_nonconverged": result.inner_nonconverged,
         "best_channel": channels.to_json_dict(result.best_channel),
     }
 

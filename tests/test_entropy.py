@@ -265,9 +265,9 @@ class TestMeasuredReNewtonStep:
         rng = states.rng_from_seed(10)
         rho = states.random_mixed((4,), rng, ("A",))
         sigma = states.random_mixed((4,), rng, ("A",))
-        capped = entropy.measured_relative_entropy(rho, sigma, restarts=0, max_iterations=1)
+        capped = entropy.measured_relative_entropy(rho, sigma, max_iterations=1)
         assert not capped.converged
-        full = entropy.measured_relative_entropy(rho, sigma, restarts=0)
+        full = entropy.measured_relative_entropy(rho, sigma)
         assert full.converged and full.value_bits > capped.value_bits
 
     @pytest.mark.parametrize("w", [[-1.0, 0.3, 2.0], [0.5, 0.5 + 1e-9, 0.5 + 2e-4], [-30.0, -2.0, 0.0]])
@@ -313,6 +313,65 @@ class TestMeasuredReNewtonStep:
             centre = mre_objective_nats(rho, sigma, h)
             assert (plus - minus) / (2 * step) == pytest.approx(grad @ y, rel=1e-6)
             assert (plus - 2 * centre + minus) / step**2 == pytest.approx(-(y @ hess @ y), rel=1e-4)
+
+
+def random_start_oracle_bits(rho, sigma, n_starts=5):
+    """Best value of n_starts ascents from random Hermitian starts, in bits.
+
+    Each ascends the pair as the solver does: round-off-negative
+    eigenvalues clipped, and a singular sigma mixed with the regularization.
+    """
+    rho_m = entropy._psd_part(rho.matrix, rho.spectrum)
+    sigma_m = entropy._psd_part(sigma.matrix, sigma.spectrum)
+    w = sigma.spectrum.eigenvalues
+    d = len(w)
+    if w[0] <= linalg.support_cutoff(w):
+        delta = entropy.SIGMA_REGULARIZATION
+        sigma_m = (1.0 - delta) * sigma_m + delta * np.eye(d) / d
+    best = -math.inf
+    for k in range(n_starts):
+        rng = states.sample_rng(99, k)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        f, _, _, _ = entropy._ascend_measured_re(rho_m, sigma_m, (g + g.conj().T) / 2.0, 600)
+        best = max(best, f)
+    return best / entropy.LN2
+
+
+def oracle_pairs():
+    for k in range(12):
+        rng = states.sample_rng(4300, k)
+        d = int(rng.integers(2, 9))
+        pair = (states.random_mixed((d,), rng, ("A",)), states.random_mixed((d,), rng, ("A",)))
+        yield pytest.param(pair, id=f"full-rank-d{d}-{k}")
+    for k in range(6):
+        rho = states.random_pure((2, 2, 2), states.sample_rng(4400, k), ("B", "C", "R"))
+        yield pytest.param(transpose_rebuild_pair(rho), id=f"pure-222-{k}")
+
+
+class TestTwoDeterministicStarts:
+    # the program is concave in w = e^H and exp maps onto w > 0, so every
+    # local maximum is global: random starts reach nothing the identity and
+    # log-ratio starts miss
+    @pytest.mark.parametrize("pair", oracle_pairs())
+    def test_matches_the_best_of_random_starts(self, pair):
+        rho, sigma = pair
+        sol = entropy.measured_relative_entropy(rho, sigma)
+        assert sol.converged
+        assert sol.value_bits >= random_start_oracle_bits(rho, sigma) - 1e-9
+
+    def test_solver_draws_no_random_numbers(self, monkeypatch):
+        rng = states.rng_from_seed(31)
+        rho = states.random_mixed((4,), rng, ("A",))
+        sigma = states.random_mixed((4,), rng, ("A",))
+        first = entropy.measured_relative_entropy(rho, sigma)
+
+        def no_streams(*args):
+            raise AssertionError("the measured-RE solver drew a random stream")
+
+        monkeypatch.setattr(states, "sample_rng", no_streams)
+        second = entropy.measured_relative_entropy(rho, sigma)
+        assert first.trace_bits == second.trace_bits
+        assert np.array_equal(first.witness, second.witness)
 
 
 class TestKeptSpectra:

@@ -36,6 +36,15 @@ class TestFigure1:
                 assert abs(r.shalf_transpose_bits + 2 * math.log2(r.fidelity_transpose)) < 1e-9
         assert summary["strict_count"] == sum(r.strict for r in records)
 
+    @pytest.mark.parametrize("dims, used, workers", [((2, 2, 2), False, 1), ((5, 2, 2), True, 2)])
+    def test_completion_count_matches_the_sample_flags(self, dims, used, workers):
+        # rho_B of a pure state has rank at most d_C d_R, so d_B = 5 is singular
+        cfg = RunConfig(seed=7, n_samples=12, dims=dims, workers=workers)
+        records, summary = experiments.figure1_experiment(cfg)
+        flags = [r.completion_used for r in records]
+        assert flags == [used] * 12
+        assert summary["n_completion_used"] == sum(flags)
+
     def test_deterministic_across_worker_counts(self):
         cfg1 = RunConfig(seed=42, n_samples=60, workers=1)
         cfg2 = RunConfig(seed=42, n_samples=60, workers=4)

@@ -499,7 +499,7 @@ class TestMeasuredReObjective:
         assert np.all(np.diff(trace) <= 0.0)
         assert result.best_value <= trace[0]
         assert result.best_value <= entropy.cmi(rho) + 1e-4
-        # the default solver runs a superset of the inner starts, for longer
+        # the default solver runs the inner solve's two starts, for longer
         rebuilt = recovery.reconstruct(rho, result.best_channel)
         re_eval = entropy.measured_relative_entropy(rho, rebuilt).value_bits
         assert re_eval >= result.best_value - 1e-9
@@ -545,3 +545,32 @@ class TestResultSerialization:
         result = recovery.optimize_recovery(rho, "fidelity")
         assert result.evaluations == len(values) >= len(result.trace)
         assert recovery.result_to_json_dict(result)["evaluations"] == result.evaluations
+
+
+class TestInnerConvergence:
+    @pytest.mark.parametrize("inner_budget", [1, recovery.INNER_MEASURED_RE_ITERATIONS])
+    def test_count_matches_the_inner_solves(self, monkeypatch, inner_budget):
+        rho = states.random_mixed((2, 2, 2), states.rng_from_seed(7), ("B", "C", "R"))
+        monkeypatch.setattr(recovery, "INNER_MEASURED_RE_ITERATIONS", inner_budget)
+        flags = []
+        solve = entropy.measured_relative_entropy
+
+        def logged(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            flags.append(sol.converged)
+            return sol
+
+        monkeypatch.setattr(entropy, "measured_relative_entropy", logged)
+        result = recovery.optimize_recovery(rho, "measured_re", max_iterations=5)
+        assert len(flags) == result.evaluations
+        assert result.inner_nonconverged == flags.count(False)
+        assert recovery.result_to_json_dict(result)["inner_nonconverged"] == result.inner_nonconverged
+        if inner_budget == 1:
+            # one Newton step from each start leaves every inner solve open
+            assert result.inner_nonconverged > 0
+
+    def test_fidelity_search_has_no_inner_solves(self):
+        rho = states.random_pure((2, 2, 2), states.rng_from_seed(12), ("B", "C", "R"))
+        result = recovery.optimize_recovery(rho, "fidelity", max_iterations=SMALL_BUDGET)
+        assert result.inner_nonconverged is None
+        assert recovery.result_to_json_dict(result)["inner_nonconverged"] is None
