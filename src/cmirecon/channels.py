@@ -4,6 +4,11 @@ Application to labeled states, CPTP validation, the transpose recovery
 channel built from a bipartite state, Kraus operators, and random channels
 through Stinespring isometries.
 
+Validation happens at the input boundary: ``Channel(...)``, the JSON
+loader and ``stinespring_to_channel`` check the CPTP invariants. The
+transpose channel is built from a checked state and skips that check, and
+so does the state ``apply`` returns; both still check their arguments.
+
 Choi convention: choi = (id (x) channel)(|O><O|) with |O> the unnormalized
 maximally entangled vector, scaled so that tracing out the output leaves
 the identity on the input. Channel application then needs no dimension
@@ -31,16 +36,19 @@ class Channel:
     """Completely positive trace-preserving map in Choi form.
 
     The Choi matrix lives on input (x) output with the input factor first.
-    Validation checks that it is finite and Hermitian (``linalg.eigh``),
-    positivity (min eigenvalue >= -1e-9) and trace preservation (tr_out
-    choi = identity on the input, within 1e-8). The eigendecomposition made
-    by that check is kept as ``spectrum``; the Kraus operators read it.
+    This constructor, the input boundary, checks that it is finite and
+    Hermitian (``linalg.eigh``), positivity (min eigenvalue >= -1e-9) and
+    trace preservation (tr_out choi = identity on the input, within 1e-8).
+    ``transpose_channel`` builds its channel without that check
+    (``_derived``). The eigendecomposition of the Choi matrix is kept as
+    ``spectrum``, made by the check or, for a derived channel, on first
+    read; the Kraus operators read it.
     """
 
     choi: np.ndarray
     input_dims: Subsystems
     output_dims: Subsystems
-    spectrum: linalg.Spectrum = field(init=False, repr=False, compare=False)
+    _spectrum: linalg.Spectrum | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.choi, dtype=complex)
@@ -65,7 +73,13 @@ class Channel:
         object.__setattr__(self, "choi", m)
         object.__setattr__(self, "input_dims", ins)
         object.__setattr__(self, "output_dims", outs)
-        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "_spectrum", spectrum)
+
+    @property
+    def spectrum(self) -> linalg.Spectrum:
+        if self._spectrum is None:
+            object.__setattr__(self, "_spectrum", linalg._spectrum(self.choi))
+        return self._spectrum
 
     @property
     def input_labels(self) -> tuple[str, ...]:
@@ -82,6 +96,23 @@ class Channel:
     @property
     def d_out(self) -> int:
         return math.prod(d for _, d in self.output_dims)
+
+
+def _derived(choi: np.ndarray, input_dims: Subsystems, output_dims: Subsystems) -> Channel:
+    """A channel built from input the program has already checked.
+
+    Skips the boundary check of ``Channel.__post_init__``; the spectrum is
+    decomposed when first read (``linalg._spectrum``, the same bits as
+    ``linalg.eigh``). The subsystems must already be normalized.
+    """
+    m = np.asarray(choi, dtype=complex)
+    m.setflags(write=False)
+    channel = object.__new__(Channel)
+    object.__setattr__(channel, "choi", m)
+    object.__setattr__(channel, "input_dims", input_dims)
+    object.__setattr__(channel, "output_dims", output_dims)
+    object.__setattr__(channel, "_spectrum", None)
+    return channel
 
 
 def apply(
@@ -136,7 +167,7 @@ def apply(
         + tuple(state.subsystems[k] for k in after)
     )
     d = math.prod(dim for _, dim in subs)
-    return MultipartiteState(out.reshape(d, d), subs)
+    return states._derived(out.reshape(d, d), subs)
 
 
 def transpose_channel(rho_bc: MultipartiteState) -> Channel:
@@ -157,14 +188,15 @@ def transpose_channel(rho_bc: MultipartiteState) -> Channel:
     spec_b = states.partial_trace(rho_bc, [b_label]).spectrum
     inv_sqrt_b = spec_b.apply(lambda x: 1.0 / np.sqrt(x))
     proj_b = spec_b.apply(np.ones_like)
-    k = sqrt_bc @ np.kron(inv_sqrt_b, np.eye(d_c))
-    kt = k.reshape(d_b * d_c, d_b, d_c)
+    # Kraus stack kt[o, j, c] = sum_i sqrt_bc[o, (i, c)] inv_sqrt_b[i, j],
+    # that is sqrt(rho_BC) (rho_B^{-1/2} (x) I_C)
+    kt = inv_sqrt_b.T @ sqrt_bc.reshape(d_b * d_c, d_b, d_c)
     choi = np.einsum("oic,pjc->iojp", kt, kt.conj())
     defect = np.eye(d_b) - proj_b
     if np.abs(defect).max() > 1e-14:
         choi = choi + np.einsum("ji,op->iojp", defect, rho_bc.matrix)
     choi = choi.reshape(d_b * d_b * d_c, d_b * d_b * d_c)
-    return Channel(choi, ((b_label, d_b),), rho_bc.subsystems)
+    return _derived(choi, ((b_label, d_b),), rho_bc.subsystems)
 
 
 def stinespring_to_channel(

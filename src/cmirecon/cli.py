@@ -154,7 +154,7 @@ def _cmd_verify(args) -> int:
         samples=args.samples,
         certificate_samples=args.certificate_samples,
     )
-    for line in report.lines():
+    for line in report.lines() + report.timing_lines():
         print(line)
     return 0 if report.passed else 1
 

@@ -231,6 +231,8 @@ class CheckResult:
     passed: bool
     detail: str = ""
     failures: list = field(default_factory=list)
+    # wall time of the check; not part of ``SuiteReport.lines`` or of equality
+    seconds: float | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -253,6 +255,10 @@ class SuiteReport:
             out.append(line)
         return out
 
+    def timing_lines(self) -> list[str]:
+        """One ``time <check>: <seconds> s`` line per timed check."""
+        return [f"time {c.name}: {c.seconds:.3f} s" for c in self.checks if c.seconds is not None]
+
 
 def _random_dims(rng, n=3, max_dim=3):
     return tuple(int(rng.integers(2, max_dim + 1)) for _ in range(n))
@@ -264,6 +270,7 @@ def _run_check(name, seed, n, sample, summarize=None) -> CheckResult:
     ``summarize(statistics, failures)`` gives ``(passed, detail)``; without
     it the check passes when no sample is violated and has no detail.
     """
+    start = time.perf_counter()
     failures, statistics = [], []
     for i in range(n):
         violated, statistic = sample(states.sample_rng(seed, i), i)
@@ -271,7 +278,7 @@ def _run_check(name, seed, n, sample, summarize=None) -> CheckResult:
         if violated:
             failures.append(i)
     passed, detail = summarize(statistics, failures) if summarize else (not failures, "")
-    return CheckResult(name, n, passed, detail, failures)
+    return CheckResult(name, n, passed, detail, failures, time.perf_counter() - start)
 
 
 def _worst(pick, template):

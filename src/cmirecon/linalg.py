@@ -75,6 +75,13 @@ def eigh(h: np.ndarray, atol: float = HERMITICITY_ATOL) -> Spectrum:
         raise ValueError(
             f"matrix is not Hermitian: max|H - H^dag| = {asym:.3e} exceeds {atol:.1e}"
         )
+    return _spectrum(h)
+
+
+def _spectrum(h: np.ndarray) -> Spectrum:
+    """``eigh`` without its checks, for a complex matrix already known to be
+    square, finite and Hermitian: the same symmetrization and decomposition,
+    so the same spectrum bit for bit."""
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     # read-only, like the matrices of the states and channels that keep them
     w.setflags(write=False)
@@ -85,10 +92,11 @@ def eigh(h: np.ndarray, atol: float = HERMITICITY_ATOL) -> Spectrum:
 def support_cutoff(eigenvalues: np.ndarray) -> float:
     """Absolute threshold below which eigenvalues count as numerically zero.
 
-    Scale-invariant: SUPPORT_RTOL times the largest eigenvalue (zero when
-    the spectrum has no positive part).
+    ``eigenvalues`` is ascending, as in a ``Spectrum``. Scale-invariant:
+    SUPPORT_RTOL times the largest eigenvalue (zero when the spectrum has
+    no positive part).
     """
-    top = float(np.max(eigenvalues)) if len(eigenvalues) else 0.0
+    top = float(eigenvalues[-1]) if len(eigenvalues) else 0.0
     return SUPPORT_RTOL * max(top, 0.0)
 
 

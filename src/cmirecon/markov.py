@@ -38,8 +38,8 @@ class MarkovBlock:
     right: MultipartiteState
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError(f"block weight {self.weight} is negative")
+        if not self.weight >= 0:
+            raise ValueError(f"block weight {self.weight} is negative or not a number")
         if len(self.left.subsystems) != 2 or len(self.right.subsystems) != 2:
             raise ValueError("block states must be bipartite: (C, B_L) and (B_R, R)")
 
@@ -132,7 +132,7 @@ def markov_state(spec: MarkovSpec) -> MultipartiteState:
         )
         full[np.ix_(rows, rows)] += block.weight * mat
     subs = (("B", d_b), ("C", d_c), ("R", d_r))
-    return MultipartiteState(full, subs)
+    return states._derived(full, subs)
 
 
 def random_markov_spec(rng: np.random.Generator) -> MarkovSpec:

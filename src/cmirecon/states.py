@@ -1,10 +1,14 @@
 """Multipartite density matrices with labeled subsystems.
 
 Construction, tensor products, partial trace, purification, diagonal
-(classical) states, and seeded Haar-random sampling. States are immutable;
-every constructor validates the density-matrix invariants and keeps the
-eigendecomposition that check makes, and each state keeps the marginals
-taken of it.
+(classical) states, and seeded Haar-random sampling. States are immutable,
+keep their eigendecomposition, and keep the marginals taken of them.
+
+Validation happens once, at the input boundary: ``MultipartiteState(...)``
+and the JSON loaders check the density-matrix invariants. Every other
+constructor here builds from input that is already checked (a valid state,
+a random draw, a checked probability table) and skips that check; it
+still validates its own arguments (labels, dimensions, tables).
 """
 
 from __future__ import annotations
@@ -64,14 +68,15 @@ def _normalize_subsystems(subsystems: Iterable) -> Subsystems:
 class MultipartiteState:
     """Density matrix over an ordered list of labeled subsystems.
 
-    Invariants checked at construction: the matrix is finite and Hermitian
-    within 1e-9 (``linalg.eigh``), has unit trace within 1e-9, smallest
-    eigenvalue >= -1e-9, and the subsystem dimensions multiply to the
-    matrix size. The eigendecomposition made by that check is kept as
-    ``spectrum``, so entropies, roots and projectors of the state need no
-    second one. ``partial_trace`` keeps each marginal it takes on the
-    state, keyed by the kept labels in state order, so a marginal is built
-    and decomposed once per state.
+    Invariants checked by this constructor, the input boundary: the matrix
+    is finite and Hermitian within 1e-9 (``linalg.eigh``), has unit trace
+    within 1e-9, smallest eigenvalue >= -1e-9, and the subsystem dimensions
+    multiply to the matrix size. The module's other constructors build
+    states from checked input without repeating the check (``_derived``).
+    The eigendecomposition is kept as ``spectrum``, so entropies, roots and
+    projectors of the state need no second one. ``partial_trace`` keeps
+    each marginal it takes on the state, keyed by the kept labels in state
+    order, so a marginal is built and decomposed once per state.
     """
 
     matrix: np.ndarray
@@ -121,6 +126,34 @@ class MultipartiteState:
         raise KeyError(f"unknown subsystem label {label!r}")
 
 
+def _derived(matrix: np.ndarray, subsystems: Subsystems) -> MultipartiteState:
+    """A state built from input the program has already checked.
+
+    Skips the boundary check of ``MultipartiteState.__post_init__`` but
+    keeps what that check keeps: the read-only complex matrix, its spectrum
+    (``linalg._spectrum``, the same bits as ``linalg.eigh``) and an empty
+    marginal store. ``subsystems`` must already be normalized.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    state = object.__new__(MultipartiteState)
+    spectrum = linalg._spectrum(m)
+    m.setflags(write=False)
+    object.__setattr__(state, "matrix", m)
+    object.__setattr__(state, "subsystems", subsystems)
+    object.__setattr__(state, "spectrum", spectrum)
+    object.__setattr__(state, "_marginals", {})
+    return state
+
+
+def _labelled(dims: Sequence[int], labels: Sequence[str] | None) -> Subsystems:
+    """Normalized subsystems for ``dims``, labelled s0, s1, ... by default."""
+    dims = tuple(int(d) for d in dims)
+    labels = tuple(f"s{k}" for k in range(len(dims))) if labels is None else tuple(labels)
+    if len(labels) != len(dims):
+        raise ValueError(f"{len(labels)} labels given for {len(dims)} subsystems")
+    return _normalize_subsystems(zip(labels, dims))
+
+
 def random_pure(
     dims: Sequence[int],
     rng: np.random.Generator,
@@ -131,13 +164,11 @@ def random_pure(
     |psi> is an i.i.d. standard complex Gaussian vector, normalized, which
     is Haar-distributed on the unit sphere.
     """
-    dims = tuple(int(d) for d in dims)
-    if labels is None:
-        labels = tuple(f"s{k}" for k in range(len(dims)))
-    d = math.prod(dims)
+    subs = _labelled(dims, labels)
+    d = math.prod(dim for _, dim in subs)
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     psi /= np.linalg.norm(psi)
-    return MultipartiteState(np.outer(psi, psi.conj()), tuple(zip(labels, dims)))
+    return _derived(np.outer(psi, psi.conj()), subs)
 
 
 def random_mixed(
@@ -153,16 +184,14 @@ def random_mixed(
     the draws ``random_pure`` makes on ``dims + (d_anc,)``. ``ancilla_dim``
     (d_anc) sets the rank, almost surely full at its default, the full dimension.
     """
-    dims = tuple(int(d) for d in dims)
-    if labels is None:
-        labels = tuple(f"s{k}" for k in range(len(dims)))
-    d = math.prod(dims)
+    subs = _labelled(dims, labels)
+    d = math.prod(dim for _, dim in subs)
     ancilla_dim = d if ancilla_dim is None else int(ancilla_dim)
-    if ancilla_dim < 1 or any(dim < 1 for dim in dims):
-        raise ValueError(f"dimensions must be >= 1, got {dims} and ancilla {ancilla_dim}")
+    if ancilla_dim < 1:
+        raise ValueError(f"ancilla dimension must be >= 1, got {ancilla_dim}")
     psi = rng.standard_normal(d * ancilla_dim) + 1j * rng.standard_normal(d * ancilla_dim)
     m = psi.reshape(d, ancilla_dim) / np.linalg.norm(psi)
-    return MultipartiteState(m @ m.conj().T, tuple(zip(labels, dims)))
+    return _derived(m @ m.conj().T, subs)
 
 
 def partial_trace(state: MultipartiteState, keep: Iterable[str] | str) -> MultipartiteState:
@@ -194,7 +223,7 @@ def partial_trace(state: MultipartiteState, keep: Iterable[str] | str) -> Multip
         remaining.pop(k)
     kept_subs = tuple(state.subsystems[i] for i in remaining)
     d = math.prod(dim for _, dim in kept_subs)
-    marginal = MultipartiteState(t.reshape(d, d), kept_subs)
+    marginal = _derived(t.reshape(d, d), kept_subs)
     state._marginals[key] = marginal
     return marginal
 
@@ -204,7 +233,7 @@ def tensor(a: MultipartiteState, b: MultipartiteState) -> MultipartiteState:
     collision = set(a.labels) & set(b.labels)
     if collision:
         raise ValueError(f"subsystem labels {sorted(collision)} appear in both factors")
-    return MultipartiteState(np.kron(a.matrix, b.matrix), a.subsystems + b.subsystems)
+    return _derived(np.kron(a.matrix, b.matrix), a.subsystems + b.subsystems)
 
 
 def permute(state: MultipartiteState, order: Sequence[str]) -> MultipartiteState:
@@ -220,7 +249,7 @@ def permute(state: MultipartiteState, order: Sequence[str]) -> MultipartiteState
     tensor_form = state.matrix.reshape(dims + dims)
     tensor_form = tensor_form.transpose(perm + [p + n for p in perm])
     subs = tuple(state.subsystems[p] for p in perm)
-    return MultipartiteState(tensor_form.reshape(state.dim, state.dim), subs)
+    return _derived(tensor_form.reshape(state.dim, state.dim), subs)
 
 
 def purify(state: MultipartiteState, ancilla_label: str) -> MultipartiteState:
@@ -230,6 +259,7 @@ def purify(state: MultipartiteState, ancilla_label: str) -> MultipartiteState:
     purification is as small as possible; any other purification differs
     only by an isometry on the ancilla.
     """
+    ancilla_label = str(ancilla_label)
     if ancilla_label in state.labels:
         raise ValueError(f"ancilla label {ancilla_label!r} collides with {state.labels}")
     spec = state.spectrum
@@ -239,28 +269,30 @@ def purify(state: MultipartiteState, ancilla_label: str) -> MultipartiteState:
     # psi[(a, k)] = sqrt(w_k) v_k[a] over the kept eigenpairs
     psi = (spec.eigenvectors[:, keep] * np.sqrt(spec.eigenvalues[keep])).reshape(-1)
     subs = state.subsystems + ((ancilla_label, int(np.count_nonzero(keep))),)
-    return MultipartiteState(np.outer(psi, psi.conj()), subs)
+    return _derived(np.outer(psi, psi.conj()), subs)
 
 
 def classical_state(table: np.ndarray, labels: Sequence[str]) -> MultipartiteState:
     """Diagonal density matrix for a joint probability table.
 
     ``table`` has one axis per subsystem (C-order flattening matches the
-    computational product basis). Entries must be nonnegative and sum to
-    1 within 1e-12.
+    computational product basis). Entries must be finite, nonnegative and
+    sum to 1 within 1e-12; that check stands in for the state's own.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != len(tuple(labels)):
         raise ValueError(
             f"table has {table.ndim} axes but {len(tuple(labels))} labels were given"
         )
+    if not np.all(np.isfinite(table)):
+        raise ValueError("probability table has non-finite entries")
     if np.any(table < 0):
         raise ValueError("probability table has negative entries")
     total = float(table.sum())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"probability table sums to {total!r}, not 1")
-    subs = tuple(zip(labels, table.shape))
-    return MultipartiteState(np.diag(table.ravel()).astype(complex), subs)
+    subs = _normalize_subsystems(zip(labels, table.shape))
+    return _derived(np.diag(table.ravel()).astype(complex), subs)
 
 
 def classical_example_state(d: int, eps: float) -> MultipartiteState:

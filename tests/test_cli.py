@@ -119,6 +119,17 @@ class TestVerifyCommand:
         assert len(lines) == 9
         assert all(l.startswith("[PASS]") for l in lines)
 
+    def test_prints_each_check_runtime_after_the_results(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--seed", "2", "--samples", "3", "--certificate-samples", "1"
+        )
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert all(l.startswith("[") for l in lines[:9])
+        names = [l.split("] ", 1)[1].split(" (n=", 1)[0] for l in lines[:9]]
+        assert [l.split(":", 1)[0] for l in lines[9:]] == [f"time {name}" for name in names]
+        assert all(float(l.split(": ", 1)[1].removesuffix(" s")) >= 0 for l in lines[9:])
+
     def test_check_failure_gives_exit_one(self, capsys, monkeypatch):
         from cmirecon.experiments import CheckResult, SuiteReport
 
@@ -164,6 +175,22 @@ class TestRecoverCommand:
         doc = json.loads(out)
         assert doc["measured_re_converged"] is True
         assert doc["measured_re_transpose_bits"] <= doc["relent_transpose_bits"] + 1e-7
+
+    def test_negative_eigenvalue_is_usage_error(self, tmp_path, capsys):
+        # unit trace, Hermitian and finite, but not positive: the loader's
+        # boundary check is what rejects it
+        weights = np.zeros(8)
+        weights[:2] = [1.1, -0.1]
+        doc = {
+            "subsystems": [{"label": lab, "dim": 2} for lab in "BCR"],
+            "matrix_re": np.diag(weights).tolist(),
+            "matrix_im": np.zeros((8, 8)).tolist(),
+        }
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, _, errtext = run_cli(capsys, "recover", str(path))
+        assert code == 2
+        assert "eigenvalue" in errtext
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, errtext = run_cli(capsys, "recover", "/nonexistent/state.json")

@@ -72,24 +72,29 @@ class TestFigure1:
     @pytest.mark.parametrize("labels", [("B", "C", "R"), ("C", "B", "R")], ids=["bcr", "cbr"])
     def test_each_matrix_of_a_sample_built_once(self, monkeypatch, labels):
         # rho in (B, C, R) order, rho_BC, rho_BR, rho_B and sigma, plus the
-        # transpose channel
+        # transpose channel; every one is derived from the checked input, so
+        # no boundary validation runs inside a sample
         rho = states.random_pure((2, 2, 2), states.rng_from_seed(11), labels)
-        built = {"states": 0, "channels": 0}
+        built = {"states": 0, "channels": 0, "validated": 0}
 
-        def counting(cls, key):
-            original = cls.__post_init__
+        def counting(owner, attr, *keys):
+            original = getattr(owner, attr)
 
-            def post_init(self):
-                built[key] += 1
-                original(self)
+            def build(*args):
+                for key in keys:
+                    built[key] += 1
+                return original(*args)
 
-            monkeypatch.setattr(cls, "__post_init__", post_init)
+            monkeypatch.setattr(owner, attr, build)
 
-        counting(states.MultipartiteState, "states")
-        counting(channels.Channel, "channels")
+        counting(states, "_derived", "states")
+        counting(channels, "_derived", "channels")
+        counting(states.MultipartiteState, "__post_init__", "states", "validated")
+        counting(channels.Channel, "__post_init__", "channels", "validated")
         experiments.transpose_reconstruction_metrics(rho)
         assert built["states"] <= 5
         assert built["channels"] == 1
+        assert built["validated"] == 0
 
     def test_strict_fraction_estimator_consistency(self):
         # doubling the sample count moves the fraction by < 4 sqrt(p(1-p)/n)

@@ -126,3 +126,24 @@ def test_support_cutoff_scale_invariant():
     assert linalg.support_cutoff(w) == pytest.approx(1e-10)
     assert linalg.support_cutoff(1000 * w) == pytest.approx(1e-7)
     assert linalg.support_cutoff(np.array([-1.0, -0.5])) == 0.0
+
+
+def test_blas_runs_one_thread():
+    # the root conftest.py pins BLAS to one thread before numpy loads,
+    # unless the environment sets a count; read the loaded OpenBLAS with
+    # the benchmark's own probe
+    import importlib.util
+    import os
+    from pathlib import Path
+
+    if os.environ.get("OPENBLAS_NUM_THREADS", "1") != "1":
+        pytest.skip("the environment sets another OpenBLAS thread count")
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    _, threads = run._openblas()
+    if threads == "unknown":
+        pytest.skip("no OpenBLAS thread count could be read")
+    assert threads == 1

@@ -28,6 +28,15 @@ class TestMarkovSpecValidation:
         with pytest.raises(ValueError, match="sum"):
             MarkovSpec((MarkovBlock(0.5, left, right),))
 
+    def test_weight_must_be_a_number(self):
+        # a NaN weight passes a sign test and makes the weight sum NaN, which
+        # passes the sum test; markov_state trusts its spec
+        rng = states.rng_from_seed(0)
+        left = states.random_mixed((2, 1), rng, ("C", "BL"))
+        right = states.random_mixed((1, 2), rng, ("BR", "R"))
+        with pytest.raises(ValueError, match="not a number"):
+            MarkovBlock(math.nan, left, right)
+
     def test_inconsistent_cr_dims_rejected(self):
         rng = states.rng_from_seed(1)
         b1 = MarkovBlock(

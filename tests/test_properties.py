@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmirecon import channels, entropy, linalg, recovery, states
+from cmirecon import channels, entropy, linalg, markov, recovery, states
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -125,3 +125,58 @@ def test_rank_two_fidelity_search_certifies(seed):
     rho = tripartite_state((2, 2, 2), seed, 2)
     result = recovery.optimize_recovery(rho, "fidelity")
     assert result.converged and result.dual_gap < recovery.DUAL_GAP_TOL
+
+
+def assert_boundary_accepts(built):
+    """The boundary constructor accepts a derived state or channel and
+    decomposes it to the same bits."""
+    if isinstance(built, channels.Channel):
+        checked = channels.Channel(built.choi, built.input_dims, built.output_dims)
+    else:
+        checked = states.MultipartiteState(built.matrix, built.subsystems)
+    assert np.array_equal(checked.spectrum.eigenvalues, built.spectrum.eigenvalues)
+    assert np.array_equal(checked.spectrum.eigenvectors, built.spectrum.eigenvectors)
+
+
+def partial_trace_oracle(state, keep):
+    """The marginal on ``keep`` by one einsum over the state's tensor form."""
+    rows = "abcdef"[: len(state.dims)]
+    cols = "".join(r.upper() if lab in keep else r for r, lab in zip(rows, state.labels))
+    out = "".join(r for r, lab in zip(rows, state.labels) if lab in keep)
+    d = math.prod(dim for dim, lab in zip(state.dims, state.labels) if lab in keep)
+    t = state.matrix.reshape(state.dims * 2)
+    return np.einsum(f"{rows}{cols}->{out}{out.upper()}", t).reshape(d, d)
+
+
+@PROPERTY
+@given(tripartite_dims, seeds, st.integers(1, 6), st.integers(1, 3))
+def test_derived_constructors_pass_the_boundary_check(dims, seed, rank, rank_b):
+    # rank_b < d_B confines B to a random subspace, so rho_B is singular and
+    # the transpose channel builds its trace-preserving completion
+    rng = states.sample_rng(seed, 1)
+    drawn = tripartite_state(dims, seed, rank)
+    d_b, d_c, d_r = dims
+    keep = np.kron(haar_unitary(d_b, rng)[:, : min(rank_b, d_b)], np.eye(d_c * d_r))
+    confined = keep @ keep.conj().T @ drawn.matrix @ keep @ keep.conj().T
+    rho = states.MultipartiteState(confined / np.trace(confined).real, drawn.subsystems)
+    rho_bc = states.partial_trace(rho, ["B", "C"])
+    w_b = states.partial_trace(rho, ["B"]).spectrum.eigenvalues
+    assert np.count_nonzero(w_b > linalg.support_cutoff(w_b)) == min(rank_b, d_b)
+    t = channels.transpose_channel(rho_bc)
+    table = rng.random((d_b, d_r))
+    built = [
+        drawn,
+        states.permute(rho, ("R", "B", "C")),
+        states.tensor(rho_bc, states.random_pure((2,), rng, ("X",))),
+        states.purify(rho_bc, "P"),
+        states.classical_state(table / table.sum(), ("B", "R")),
+        markov.markov_state(markov.random_markov_spec(rng)),
+        t,
+        channels.apply(t, states.partial_trace(rho, ["B", "R"])),
+    ]
+    for labels in (["B"], ["C"], ["R"], ["B", "C"], ["B", "R"], ["C", "R"]):
+        marginal = states.partial_trace(rho, labels)
+        assert np.abs(marginal.matrix - partial_trace_oracle(rho, labels)).max() < 1e-14
+        built.append(marginal)
+    for item in built:
+        assert_boundary_accepts(item)

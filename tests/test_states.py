@@ -149,6 +149,17 @@ class TestRandomMixed:
         with pytest.raises(ValueError, match="dimension"):
             states.random_mixed(dims, states.rng_from_seed(0), ancilla_dim=ancilla_dim)
 
+    @pytest.mark.parametrize("sample", [states.random_pure, states.random_mixed])
+    @pytest.mark.parametrize(
+        "dims, labels, match",
+        [((2, 2), ("A",), "2 subsystems"), ((2, 2), ("A", "A"), "duplicate"), ((2, 0), None, "dimension")],
+    )
+    def test_rejects_bad_labels_before_drawing(self, sample, dims, labels, match):
+        rng = states.rng_from_seed(0)
+        with pytest.raises(ValueError, match=match):
+            sample(dims, rng, labels)
+        assert rng.standard_normal() == states.rng_from_seed(0).standard_normal()
+
     def test_builds_no_purification(self):
         # the purification of a (3,3,3) state is a 729 x 729 complex matrix (8.5 MB)
         rng = states.rng_from_seed(5)
@@ -315,6 +326,12 @@ class TestClassicalStates:
             states.classical_state(np.array([1.5, -0.5]), ["X"])
         with pytest.raises(ValueError, match="sums to"):
             states.classical_state(np.array([0.5, 0.6]), ["X"])
+        # the table check stands in for the state's: NaN slips past both
+        # comparisons above
+        with pytest.raises(ValueError, match="non-finite"):
+            states.classical_state(np.array([0.5, np.nan]), ["X"])
+        with pytest.raises(ValueError, match="duplicate"):
+            states.classical_state(np.full((2, 2), 0.25), ["X", "X"])
 
 
 class TestClassicalExampleState:

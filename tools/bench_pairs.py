@@ -26,7 +26,7 @@ from pathlib import Path
 
 SECONDS = 20
 # per-layer metrics kept from a traced run, by prefix
-TRACE_PREFIXES = ("recovery.", "entropy.", "linalg.", "trace.")
+TRACE_PREFIXES = ("recovery.", "entropy.", "linalg.", "states.", "channels.", "experiments.", "trace.")
 
 
 def parse_seeds(text: str) -> list[int]:
