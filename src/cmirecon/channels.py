@@ -27,7 +27,9 @@ from . import linalg, states
 from .states import MultipartiteState, Subsystems, _normalize_subsystems
 
 CHOI_PSD_ATOL = 1e-9
-TRACE_PRESERVING_ATOL = 1e-8
+# no looser than the state boundary, so an accepted channel maps a valid
+# state to one that MultipartiteState accepts
+TRACE_PRESERVING_ATOL = states.TRACE_ATOL
 ISOMETRY_ATOL = 1e-6
 
 
@@ -38,7 +40,8 @@ class Channel:
     The Choi matrix lives on input (x) output with the input factor first.
     This constructor, the input boundary, checks that it is finite and
     Hermitian (``linalg.eigh``), positivity (min eigenvalue >= -1e-9) and
-    trace preservation (tr_out choi = identity on the input, within 1e-8).
+    trace preservation (tr_out choi = identity on the input, within
+    TRACE_PRESERVING_ATOL, the state boundary's unit-trace tolerance).
     ``transpose_channel`` builds its channel without that check
     (``_derived``). The eigendecomposition of the Choi matrix is kept as
     ``spectrum``, made by the check or, for a derived channel, on first

@@ -6,25 +6,27 @@ BR marginal close to the full state. The roles are fixed by those labels.
 The search space is Stinespring isometries V: B -> (BC) (x) E with
 d_E = d_B d_C, a complex Stiefel manifold, ascended from the transpose
 channel by Riemannian L-BFGS: curvature pairs carried between tangent
-spaces by projection, a backtracking line search that accepts only rising
-steps, and a QR retraction. Root fidelity is jointly concave and the
-channel enters linearly, so the fidelity of recovery is a concave program
-over channels, and the search is one deterministic ascent from that warm
-start.
+spaces by projection, a backtracking line search that accepts only steps
+that rise (up to the score's evaluation noise), and a QR retraction. Root
+fidelity is jointly concave and the channel enters linearly, so the
+fidelity of recovery is a concave program over channels, and the search is
+one deterministic ascent from that warm start.
 
-Root fidelity is concave and 1/2-homogeneous in sigma, so at any channel
-F(rho, sigma') <= F/2 + tr(g sigma') with g = dF/dsigma, and the channel
-maximum of tr(g sigma') is a semidefinite program whose dual (min tr Y
-subject to 1_BC (x) Y^T >= M(g)) has a feasible point built from the
-gradient at hand. Every fidelity and Renyi-1/2 search, pure or mixed
-target, stops once that dual gap is below DUAL_GAP_TOL, and ``converged``
-means certified. The gap is first order in the distance to the optimum and
-the gain in F second order, so near the end such a search also takes steps
-that keep F within its evaluation noise, and certifies its best point with
-the least bound it has seen. The warm start fills the Kraus blocks the
-transpose channel leaves empty, which the ascent could not leave otherwise.
-The measured-RE objective has no such bound here and stops by a window
-rule on the objective.
+Each objective's score is bounded through its gradient g in sigma. Root
+fidelity is concave and 1/2-homogeneous, so F(rho, sigma') <= F/2 +
+tr(g sigma') with g = dF/dsigma; any witness w > 0 of the measured
+relative entropy gives -D_M(rho || sigma') <= c + tr(g sigma') with
+g = w/ln 2 (Berta-Fawzi-Tomamichel). In both, the constant is the score
+less tr(g sigma(V)), and the channel maximum of tr(g sigma') is a
+semidefinite program whose dual (min tr Y subject to 1_BC (x) Y^T >= M(g))
+has a feasible point built from the gradient at hand. Every search stops
+once that dual gap, in its own score units, is below its objective's
+tolerance, and ``converged`` means certified. The gap is first order in
+the distance to the optimum and the score's gain second order, so near the
+end a search also takes steps that keep the score within its evaluation
+noise, and certifies its best point with the least bound it has seen. The
+warm start fills the Kraus blocks the transpose channel leaves empty,
+which the ascent could not leave otherwise.
 
 Supported figures of merit: fidelity (maximized, analytic gradient), the
 order-1/2 Renyi divergence (same ascent, transformed at the end), and the
@@ -61,17 +63,18 @@ OBJECTIVE_KINDS = ("fidelity", "renyi_half", "measured_re")
 LBFGS_MEMORY = 6
 INITIAL_STEP = 0.2
 STEP_TOLERANCE = 1e-9
-# A fidelity or Renyi-1/2 search stops once its dual gap, in F^2 units, is
-# below DUAL_GAP_TOL (about 2e-8 bits of -2 log2 F). It accepts steps that
-# fall below its best F by less than FLAT_TOLERANCE (F's evaluation noise
-# is about 1e-15), and gives up after more than CONVERGENCE_WINDOW steps
-# in a row that lower neither the best F nor the bound. A measured-RE
-# search stops once the objective moves by less than RELATIVE_TOLERANCE
-# over CONVERGENCE_WINDOW accepted steps.
-DUAL_GAP_TOL = 1e-8
+# A search stops once its dual gap is below its objective's tolerance:
+# DUAL_GAP_TOL in F for fidelity and Renyi-1/2 (1.4e-8 bits of -2 log2 F
+# at F = 1), MEASURED_RE_GAP_TOL in bits for measured RE, where the inner
+# solve's 1e-12-nat Newton tolerance limits the witness. It accepts steps
+# that fall below its best score by less than FLAT_TOLERANCE (F's
+# evaluation noise is about 1e-15), and gives up after more than
+# CONVERGENCE_WINDOW steps in a row that neither raise the best score by
+# more than FLAT_TOLERANCE nor lower the bound.
+DUAL_GAP_TOL = 5e-9
+MEASURED_RE_GAP_TOL = 1e-7
 FLAT_TOLERANCE = 1e-12
 CONVERGENCE_WINDOW = 10
-RELATIVE_TOLERANCE = 1e-11
 
 # Measured-RE objective: budget of the inner solve behind every evaluation.
 INNER_MEASURED_RE_ITERATIONS = 200
@@ -90,18 +93,14 @@ class OptimizerResult:
     it, in objective units: non-decreasing for fidelity, non-increasing
     for the divergence objectives.
 
-    Under the fidelity or Renyi-1/2 objective, ``dual_gap`` is 2F (U - F)
-    for the returned fidelity F and the least upper bound U on any
-    channel's fidelity that the search found (each from a feasible point
-    of the dual SDP at a point it visited): no channel reaches a fidelity
-    above F + ``dual_gap`` / 2F. For a pure target, and U taken at the
-    returned channel, that is tr Y - F^2 for a feasible point Y of the dual
-    SDP of max F^2. ``converged`` then means
-    certified, ``dual_gap < DUAL_GAP_TOL``; a search that stalls or reaches
-    the iteration cap with the gap open is not converged. For the
-    measured-RE objective, ``dual_gap`` is None and ``converged`` means the
-    objective stalled (window rule or no improving step); it is False at
-    the iteration cap.
+    ``dual_gap`` is U - score for the returned score and the least upper
+    bound U on any channel's score that the search found (each from a
+    feasible point of the dual SDP at a point it visited), in F for the
+    fidelity and Renyi-1/2 objectives and in bits for measured RE: no
+    channel reaches a fidelity above F + ``dual_gap``, or a measured RE
+    below D_M - ``dual_gap``. ``converged`` means certified, the gap below
+    DUAL_GAP_TOL or MEASURED_RE_GAP_TOL; a search that stalls or reaches
+    the iteration cap with the gap open is not converged.
 
     ``evaluations`` counts the objective evaluations, rejected trial points
     included. For the measured-RE objective, ``inner_nonconverged`` counts
@@ -115,7 +114,7 @@ class OptimizerResult:
     objective_kind: str
     trace: list[float] = field(default_factory=list)
     converged: bool = True
-    dual_gap: float | None = None
+    dual_gap: float = math.inf
     evaluations: int = 0
     inner_nonconverged: int | None = None
 
@@ -144,10 +143,11 @@ class _RecoveryProblem:
     Each objective has an evaluate step, ``fidelity_value`` or
     ``measured_re_score``, returning the score at V and what the gradient
     needs, and a gradient step, ``fidelity_and_gradient`` or
-    ``measured_re_score_and_gradient``, turning that into the score and
-    dF/dV* without evaluating V again. ``fidelity_gap`` turns a fidelity
-    gradient into the certificate of the search. ``inner_nonconverged``
-    counts the inner measured-RE solves that did not converge.
+    ``measured_re_score_and_gradient``, turning that into the score, dF/dV*
+    and g = dscore/dsigma without evaluating V again. ``dual_gap`` turns
+    either gradient into the certificate of the search.
+    ``inner_nonconverged`` counts the inner measured-RE solves that did not
+    converge.
     """
 
     def __init__(self, rho_tri: MultipartiteState):
@@ -260,19 +260,18 @@ class _RecoveryProblem:
         m = (g_op @ self.rho_st_bc).reshape(d_bc, d_bc, d_b, d_b)
         return m.transpose(0, 2, 1, 3).reshape(d_bc * d_b, d_bc * d_b)
 
-    def fidelity_gap(self, v: np.ndarray, f: float, grad: np.ndarray, g: np.ndarray) -> float:
-        """A bound gap_F on how far any channel's fidelity exceeds F = F(V).
+    def dual_gap(self, v: np.ndarray, grad: np.ndarray, g: np.ndarray) -> float:
+        """A bound on how far any channel's score exceeds the score at V.
 
-        Takes what ``fidelity_and_gradient(v, .)`` returns. Root fidelity is
-        concave and 1/2-homogeneous in sigma, so every channel R has
-        F(rho, sigma_R) <= F/2 + tr(g sigma_R). The maximum of the
-        right-hand side over channels is max tr(M(g) J) over Choi matrices
-        J, whose dual is min tr Y subject to 1_BC (x) Y^T >= M(g).
-        Y0 = Herm(V^dag dF/dV*) is the dual point at which V is stationary;
-        shifting it by the largest eigenvalue of M(g) - 1_BC (x) Y0^T makes
-        it feasible, and gap_F = tr Y - F/2. For a pure target,
-        g = psi psi^dag / 2F, and 2F gap_F is tr Y' - F^2 for the dual of
-        max F^2.
+        Takes dF/dV* and g from ``fidelity_and_gradient`` or
+        ``measured_re_score_and_gradient`` at V. Every channel R scores at
+        most score(V) - tr(g sigma(V)) + tr(g sigma_R) (see the module
+        docstring). The maximum of tr(g sigma_R) over channels is
+        max tr(M(g) J) over Choi matrices J, whose dual is min tr Y subject
+        to 1_BC (x) Y^T >= M(g). Y0 = Herm(V^dag dF/dV*) is the dual point
+        at which V is stationary, and tr Y0 = tr(g sigma(V)); shifting Y0 by
+        the largest eigenvalue of M(g) - 1_BC (x) Y0^T makes it feasible, so
+        the gap is d_B times that shift.
         """
         y0 = v.conj().T @ grad
         y0 = (y0 + y0.conj().T) / 2.0
@@ -280,8 +279,7 @@ class _RecoveryProblem:
         blocks = slack.reshape(self.d_bc, self.d_b, self.d_bc, self.d_b)
         diag = np.arange(self.d_bc)
         blocks[diag, :, diag, :] -= y0.T
-        shift = max(float(np.linalg.eigvalsh(slack)[-1]), 0.0)
-        return float(np.trace(y0).real) + self.d_b * shift - f / 2.0
+        return self.d_b * max(float(np.linalg.eigvalsh(slack)[-1]), 0.0)
 
     def measured_re_score(self, v: np.ndarray) -> tuple[float, entropy.MeasuredReSolution]:
         """Ascended score -D_M(rho || sigma(V)) in bits, and the inner solve behind it."""
@@ -293,13 +291,14 @@ class _RecoveryProblem:
 
     def measured_re_score_and_gradient(
         self, v: np.ndarray, sol: entropy.MeasuredReSolution
-    ) -> tuple[float, np.ndarray]:
-        """The score and its envelope gradient d/dV*, from the inner solve at V.
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """The score, its envelope gradient d/dV* and g, from the inner solve at V.
 
         D_M ln 2 = max_w tr(rho ln w) + 1 - tr(sigma w), so by Danskin's
-        theorem the score's gradient in sigma is w*/ln 2 at the witness w*.
+        theorem the score's gradient in sigma is g = w*/ln 2 at the witness w*.
         """
-        return -sol.value_bits, self.pullback(v, sol.witness / entropy.LN2)
+        g = sol.witness / entropy.LN2
+        return -sol.value_bits, self.pullback(v, g), g
 
     def channel_from(self, v: np.ndarray) -> Channel:
         return channels.stinespring_to_channel(
@@ -399,39 +398,32 @@ def _line_search(v, floor, direction, step, evaluate):
     return None
 
 
-def _ascend(v0, evaluate, gradient, max_iterations: int, bound=None):
+def _ascend(v0, evaluate, gradient, bound, tolerance: float, max_iterations: int):
     """Riemannian L-BFGS ascent on the isometries, from ``v0``.
 
     ``evaluate(v)`` returns (score, held) and ``gradient(v, held)`` returns
-    (score, dF/dV*, ...) from what the evaluation held, so every trial point
+    (score, dF/dV*, g) from what the evaluation held, so every trial point
     is evaluated once and only accepted points are differentiated. The step
     is the L-BFGS direction of the last LBFGS_MEMORY curvature pairs,
     carried between tangent spaces by projection, tried at length 1 and
-    halved until the score rises. A direction that is not an ascent
-    direction, or along which no step rises, drops the pairs for the
-    projected gradient from INITIAL_STEP; the search stops unconverged
-    only when that fails too.
+    halved until the score rises above the best score less FLAT_TOLERANCE.
+    A direction that is not an ascent direction, or along which no step
+    rises, drops the pairs for the projected gradient from INITIAL_STEP.
 
-    With ``bound`` (fidelity and Renyi-1/2), ``bound(v, *gradient(v,
-    held))`` is a gap_F with no channel above score + gap_F, so the least
-    such sum seen bounds the optimum, and the ascent stops certified once
-    the dual gap 2 f (upper - f) of the best score f is below DUAL_GAP_TOL.
-    That gap is first order in the distance to the optimum, the score's
-    gain only second order, so the score stops rising, within its
-    evaluation noise, while the gap is still open. A bounded search
-    therefore also accepts steps that fall below the best score by less
-    than FLAT_TOLERANCE, and keeps the best point. It stops
-    unconverged at the cap or once more than CONVERGENCE_WINDOW steps in a
-    row lower neither the best score nor the bound.
-
-    Without ``bound`` (measured RE), only rising steps are accepted; the
-    ascent stops converged when CONVERGENCE_WINDOW accepted steps gain
-    less than RELATIVE_TOLERANCE or not even the projected gradient rises,
-    and takes no gradient at the point where it reaches the cap.
+    ``bound(v, dF/dV*, g)`` is a gap with no channel scoring above score +
+    gap, so the least such sum seen bounds the optimum, and the ascent stops
+    certified once that bound less the best score is below ``tolerance``.
+    The gap is first order in the distance to the optimum, the score's gain
+    only second order, so the score stops rising, within its evaluation
+    noise, while the gap is still open; hence the FLAT_TOLERANCE floor, and
+    the best point is kept. The ascent stops unconverged at the cap, when
+    not even the projected gradient rises, or once more than
+    CONVERGENCE_WINDOW steps in a row neither raise the best score by more
+    than FLAT_TOLERANCE nor lower the bound.
 
     Returns (v, f, trace, converged, gap, evaluations) at the best point:
     ``trace`` holds the best score after each step that raised it, so it
-    rises strictly; ``gap`` is the last dual gap or None; ``evaluations``
+    rises strictly; ``gap`` is the least bound seen less f; ``evaluations``
     counts the ``evaluate`` calls.
     """
     evaluations = 0
@@ -445,57 +437,43 @@ def _ascend(v0, evaluate, gradient, max_iterations: int, bound=None):
     f, held = counted(v)
     best_v, best_f = v, f
     trace = [f]
-    upper = math.inf  # least bound f + gap_F on the optimum seen so far
-    gap = None
+    upper = math.inf  # least bound score + gap on the optimum seen so far
     converged = False
     pairs = None  # curvature pairs (s, y) at v, oldest first
     last_step = last_g = None
     steps = idle = 0
     while True:
-        capped = steps >= max_iterations
-        if capped and bound is None:
+        _, grad, g_sigma = gradient(v, held)
+        here = f + bound(v, grad, g_sigma)
+        if here < upper:
+            upper, idle = here, 0
+        gap = upper - best_f
+        if gap < tolerance:
+            converged = True
             break
-        derivatives = gradient(v, held)
-        grad = derivatives[1]
-        if bound is not None:
-            here = f + bound(v, *derivatives)
-            if here < upper:
-                upper, idle = here, 0
-            gap = 2.0 * best_f * (upper - best_f)
-            if gap < DUAL_GAP_TOL:
-                converged = True
-                break
-            if capped or idle > CONVERGENCE_WINDOW:
-                break
+        if steps >= max_iterations or idle > CONVERGENCE_WINDOW:
+            break
         g = _project_tangent(v, grad)
         if last_step is not None:
             pairs = _transport(v, pairs, last_step, last_g - g)
         direction = g if pairs is None else _lbfgs_direction(g, pairs)
         if _inner(direction, g) <= 0.0:
             pairs, direction = None, g
-        floor = best_f if bound is None else best_f - FLAT_TOLERANCE
+        floor = best_f - FLAT_TOLERANCE
         found = _line_search(v, floor, direction, INITIAL_STEP if pairs is None else 1.0, counted)
         if found is None and pairs is not None:
             # a badly scaled quasi-Newton step can fail where the gradient rises
             pairs, direction = None, g
             found = _line_search(v, floor, direction, INITIAL_STEP, counted)
         if found is None:
-            converged = bound is None
             break
         step, v, f, held = found
         steps += 1
         last_step, last_g = step * direction, g
+        idle = 0 if f > best_f + FLAT_TOLERANCE else idle + 1
         if f > best_f:
             best_v, best_f = v, f
             trace.append(f)
-            idle = 0
-        else:
-            idle += 1
-        if bound is None and len(trace) > CONVERGENCE_WINDOW:
-            ref = trace[-CONVERGENCE_WINDOW - 1]
-            if abs(f - ref) < RELATIVE_TOLERANCE * max(1.0, abs(f)):
-                converged = True
-                break
     return best_v, best_f, trace, converged, gap, evaluations
 
 
@@ -509,16 +487,15 @@ def optimize_recovery(
     One deterministic Riemannian L-BFGS ascent from the transpose channel,
     capped at ``max_iterations`` accepted steps. Fidelity (and its monotone
     transform, the order-1/2 Renyi divergence) is ascended with its
-    analytic gradient, and the search stops once the dual gap certifies
-    the fidelity to within DUAL_GAP_TOL in F^2 units, so ``converged``
-    means certified; the measured-RE objective stops by the window rule
-    (see ``OptimizerResult``). The measured-RE objective takes the envelope
+    analytic gradient. The measured-RE objective takes the envelope
     gradient: by Danskin's theorem dD_M/dsigma = -w*/ln 2 at the witness w*
     of one inner solve, which is exact only as far as that solve has
-    converged; the line search accepts a step only if the value improves,
-    so the trace stays monotone either way. The result is never worse than
-    the warm start, the transpose channel with its empty Kraus blocks
-    filled (see ``_warm_start_isometry``).
+    converged, while the bound from w* holds either way. Every search stops
+    once its dual gap certifies the score to within DUAL_GAP_TOL in F or
+    MEASURED_RE_GAP_TOL in bits, so ``converged`` means certified (see
+    ``OptimizerResult``). The result is never worse than the warm start,
+    the transpose channel with its empty Kraus blocks filled (see
+    ``_warm_start_isometry``).
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective {objective_kind!r}; pick from {OBJECTIVE_KINDS}")
@@ -535,15 +512,15 @@ def optimize_recovery(
     if measured_re:
         evaluate = problem.measured_re_score
         gradient = problem.measured_re_score_and_gradient
-        bound = None
+        tolerance = MEASURED_RE_GAP_TOL
     else:
         evaluate = problem.fidelity_value
         gradient = problem.fidelity_and_gradient
-        bound = problem.fidelity_gap
+        tolerance = DUAL_GAP_TOL
 
     v0 = _warm_start_isometry(problem)
     v, f, trace, converged, gap, evaluations = _ascend(
-        v0, evaluate, gradient, max_iterations, bound
+        v0, evaluate, gradient, problem.dual_gap, tolerance, max_iterations
     )
 
     def to_units(score: float) -> float:

@@ -62,6 +62,18 @@ class TestChannelValidation:
         with pytest.raises(ValueError, match="trace preserving"):
             Channel(j, (("A", 2),), (("A", 2),))
 
+    def test_trace_error_is_held_to_the_state_boundary(self):
+        # the identity qubit channel, scaled: 5e-9 would pass a trace error
+        # through apply that MultipartiteState rejects
+        phi = np.zeros(4, dtype=complex)
+        phi[[0, 3]] = 1.0
+        identity = np.outer(phi, phi)
+        with pytest.raises(ValueError, match="trace preserving"):
+            Channel(identity * (1.0 + 5e-9), (("A", 2),), (("A", 2),))
+        ch = Channel(identity * (1.0 + 5e-10), (("A", 2),), (("A", 2),))
+        out = channels.apply(ch, states.random_mixed((2,), states.rng_from_seed(3), ("A",)))
+        assert states.MultipartiteState(out.matrix, out.subsystems).subsystems == out.subsystems
+
     def test_rejects_non_hermitian(self):
         j = np.eye(4, dtype=complex) / 2
         j[0, 3] = 0.1  # no matching conjugate entry

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cmirecon import cli, markov, states
+from cmirecon import cli, markov, recovery, states
 
 
 def run_cli(capsys, *argv):
@@ -249,10 +249,15 @@ class TestOptimizeCommand:
         rho = states.random_mixed((2, 2, 2), states.rng_from_seed(7), ("B", "C", "R"))
         state_path = tmp_path / "state.json"
         states.save_state(rho, state_path)
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             capsys,
             "optimize", str(state_path),
             "--objective", "measured_re",
             "--max-iterations", "3",
         )
         assert code == 0
+        doc = json.loads(out)
+        # the cap stops the search with its gap, in bits, still open
+        assert isinstance(doc["dual_gap"], float)
+        assert doc["dual_gap"] >= recovery.MEASURED_RE_GAP_TOL
+        assert doc["converged"] is False

@@ -8,7 +8,7 @@ makes each run try the same examples, so the suite stays deterministic.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmirecon import channels, entropy, linalg, markov, recovery, states
@@ -107,7 +107,7 @@ def test_measured_re_invariant_under_unitaries(d, seed):
 @settings(PROPERTY, max_examples=24)
 @given(recovery_dims, seeds, recovery_ranks)
 def test_fidelity_bound_holds_at_random_channels(dims, seed, rank):
-    # F(V) + gap_F(V) bounds the fidelity of every channel, the best found included
+    # F(V) + dual_gap(V) bounds the fidelity of every channel, the best found included
     rho = tripartite_state(dims, seed, rank or math.prod(dims))
     best = recovery.optimize_recovery(rho, "fidelity").best_value
     problem = recovery._RecoveryProblem(rho)
@@ -115,8 +115,36 @@ def test_fidelity_bound_holds_at_random_channels(dims, seed, rank):
     for _ in range(5):
         v = channels.haar_isometry(*problem.isometry_shape(), rng)
         f, held = problem.fidelity_value(v)
-        gap_f = problem.fidelity_gap(v, *problem.fidelity_and_gradient(v, held))
-        assert f + gap_f >= best - 1e-12
+        _, grad, g = problem.fidelity_and_gradient(v, held)
+        assert f + problem.dual_gap(v, grad, g) >= best - 1e-12
+
+
+def confine_b(rho, rng):
+    """rho on (B, C, R) projected onto a random (d_B - 1)-dimensional subspace
+    of B, so rho_B is singular and the transpose channel uses its completion."""
+    d_b = rho.dims[0]
+    keep = haar_unitary(d_b, rng)[:, : d_b - 1]
+    p = np.kron(keep @ keep.conj().T, np.eye(rho.matrix.shape[0] // d_b))
+    confined = p @ rho.matrix @ p
+    return states.MultipartiteState(confined / np.trace(confined).real, rho.subsystems)
+
+
+@settings(PROPERTY, max_examples=4)
+@given(st.sampled_from([(3, 2, 2), (2, 3, 2), (2, 2, 3)]), seeds, recovery_ranks, st.booleans())
+@example((3, 2, 2), 0, None, True)
+def test_measured_re_bound_holds_at_random_channels(dims, seed, rank, singular_b):
+    # -D_M(V) + dual_gap(V) bounds the score of every channel, the one a
+    # capped search found included, whether or not the inner solves converged
+    rho = tripartite_state(dims, seed, rank or math.prod(dims))
+    rng = states.sample_rng(seed, 1)
+    if singular_b:
+        rho = confine_b(rho, rng)
+    best = -recovery.optimize_recovery(rho, "measured_re", max_iterations=20).best_value
+    problem = recovery._RecoveryProblem(rho)
+    for _ in range(3):
+        v = channels.haar_isometry(*problem.isometry_shape(), rng)
+        score, grad, g = problem.measured_re_score_and_gradient(v, problem.measured_re_score(v)[1])
+        assert score + problem.dual_gap(v, grad, g) >= best - 1e-9
 
 
 @settings(PROPERTY, max_examples=20)

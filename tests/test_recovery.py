@@ -152,31 +152,29 @@ class TestAscentSteps:
         assert not result.converged
         assert np.all(np.diff(result.trace) > 0.0)
 
-    @pytest.mark.parametrize("kind, cap", [("measured_re", 3)])
-    def test_no_gradient_where_the_cap_stops_the_search(self, monkeypatch, kind, cap):
-        rho = states.random_mixed(
-            (2, 2, 2), states.sample_rng(701, 0), ("B", "C", "R"), ancilla_dim=2
-        )
-        gradients = []
-        _count_calls(
-            monkeypatch, recovery._RecoveryProblem, "measured_re_score_and_gradient", gradients
-        )
-        result = recovery.optimize_recovery(rho, kind, max_iterations=cap)
-        assert len(result.trace) == cap + 1
-        assert len(gradients) == cap
-
-    def test_capped_fidelity_search_differentiates_its_last_point(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind, differentiate, cap",
+        [
+            ("fidelity", "fidelity_and_gradient", 20),
+            ("measured_re", "measured_re_score_and_gradient", 3),
+        ],
+        ids=["fidelity", "measured_re"],
+    )
+    def test_capped_search_differentiates_its_last_point(
+        self, monkeypatch, kind, differentiate, cap
+    ):
         # the dual gap at the point where the cap stops the search needs its gradient
         rho = states.random_mixed(
             (2, 2, 2), states.sample_rng(701, 0), ("B", "C", "R"), ancilla_dim=2
         )
         gradients = []
-        _count_calls(monkeypatch, recovery._RecoveryProblem, "fidelity_and_gradient", gradients)
-        result = recovery.optimize_recovery(rho, "fidelity", max_iterations=20)
-        assert len(result.trace) == 21
-        assert len(gradients) == len(set(gradients)) == 21
+        _count_calls(monkeypatch, recovery._RecoveryProblem, differentiate, gradients)
+        result = recovery.optimize_recovery(rho, kind, max_iterations=cap)
+        assert len(result.trace) == cap + 1
+        assert len(gradients) == len(set(gradients)) == cap + 1
         assert not result.converged
-        assert result.dual_gap >= recovery.DUAL_GAP_TOL
+        tolerance = recovery.DUAL_GAP_TOL if kind == "fidelity" else recovery.MEASURED_RE_GAP_TOL
+        assert result.dual_gap >= tolerance
 
 
 class TestContractions:
@@ -304,7 +302,8 @@ class TestDualBound:
             x = v.reshape(d_bc, d_env, d_b).transpose(1, 0, 2).reshape(d_env, d_bc * d_b)
             form = np.einsum("ei,ij,ej->", x.conj(), overlap_form, x).real
             assert abs(form - f * f) < 1e-13
-            gap = 2.0 * f * problem.fidelity_gap(v, *problem.fidelity_and_gradient(v, held))
+            _, grad, g = problem.fidelity_and_gradient(v, held)
+            gap = 2.0 * f * problem.dual_gap(v, grad, g)
             # tr Y bounds F^2 here and at every other channel, the best found included
             assert gap >= -1e-13
             assert f * f + gap >= best**2 - 1e-13
@@ -349,7 +348,9 @@ class TestDualBound:
         result = recovery.optimize_recovery(mixed, "fidelity")
         assert result.converged and result.dual_gap < recovery.DUAL_GAP_TOL
         pure = states.random_pure((2, 2, 2), states.sample_rng(700, 0), labels)
-        assert recovery.optimize_recovery(pure, "measured_re", max_iterations=1).dual_gap is None
+        capped = recovery.optimize_recovery(pure, "measured_re", max_iterations=1)
+        assert math.isfinite(capped.dual_gap) and capped.dual_gap >= 0.0
+        assert not capped.converged
 
     @pytest.mark.parametrize(
         "i, floor", [(0, 0.92955), (1, 0.95824), (2, 0.92974), (3, 0.93984)]
@@ -452,7 +453,7 @@ class TestMeasuredReObjective:
         rho = states.random_mixed((2, 2, 2), states.rng_from_seed(7), labels)
         problem = recovery._RecoveryProblem(rho)
         v = recovery._warm_start_isometry(problem)
-        _, grad = problem.measured_re_score_and_gradient(v, problem.measured_re_score(v)[1])
+        _, grad, _ = problem.measured_re_score_and_gradient(v, problem.measured_re_score(v)[1])
         rng = np.random.default_rng(0)
         h = 1e-5
         for _ in range(3):
@@ -479,7 +480,7 @@ class TestMeasuredReObjective:
         rho = states.random_mixed((2, 2, 2), states.rng_from_seed(seed), ("B", "C", "R"))
         problem = recovery._RecoveryProblem(rho)
         v = recovery._warm_start_isometry(problem)
-        _, grad = problem.measured_re_score_and_gradient(v, problem.measured_re_score(v)[1])
+        _, grad, _ = problem.measured_re_score_and_gradient(v, problem.measured_re_score(v)[1])
         rng = np.random.default_rng(0)
         h = 1e-5
         for _ in range(3):
@@ -491,6 +492,24 @@ class TestMeasuredReObjective:
             central = (plus - minus) / (2.0 * h)
             analytic = 2.0 * np.real(np.vdot(grad, d))
             assert abs(analytic - central) <= 5e-4 * abs(central)
+
+    @pytest.mark.parametrize(
+        "seed, value",
+        [(7, 0.1644733097), (13, 0.2334653535), (21, 0.3111409295), (22, 0.2741837558),
+         (23, 0.2810313572)],
+    )
+    def test_search_certifies(self, seed, value):
+        # reference values from a stop rule that does not read the bound
+        # (less than 1e-11 change over 10 accepted steps)
+        rho = states.random_mixed((2, 2, 2), states.rng_from_seed(seed), ("B", "C", "R"))
+        result = recovery.optimize_recovery(rho, "measured_re")
+        assert result.converged and result.dual_gap < recovery.MEASURED_RE_GAP_TOL
+        assert abs(result.best_value - value) < 1e-9
+        # the bound at the warm start already lies above the optimum's score
+        problem = recovery._RecoveryProblem(rho)
+        v = recovery._warm_start_isometry(problem)
+        score, grad, g = problem.measured_re_score_and_gradient(v, problem.measured_re_score(v)[1])
+        assert score + problem.dual_gap(v, grad, g) >= -value
 
     def test_search_on_non_markov_state(self):
         rho = states.random_mixed((2, 2, 2), states.rng_from_seed(7), ("B", "C", "R"))
