@@ -117,17 +117,7 @@ def _sample_record(seed: int, sample_id: int, dims, include_measured_re: bool) -
     rng = states.sample_rng(seed, sample_id)
     rho = states.random_pure(dims, rng, labels=TRIPARTITE_LABELS)
     m = transpose_reconstruction_metrics(rho, include_measured_re=include_measured_re)
-    return ExperimentRecord(
-        sample_id=sample_id,
-        cmi_bits=m["cmi_bits"],
-        relent_transpose_bits=m["relent_transpose_bits"],
-        fidelity_transpose=m["fidelity_transpose"],
-        shalf_transpose_bits=m["shalf_transpose_bits"],
-        strict=m["strict"],
-        measured_re_transpose_bits=m.get("measured_re_transpose_bits"),
-        measured_re_converged=m.get("measured_re_converged"),
-        completion_used=m["completion_used"],
-    )
+    return ExperimentRecord(sample_id=sample_id, **m)
 
 
 def figure1_experiment(cfg: RunConfig) -> tuple[list[ExperimentRecord], dict]:
@@ -393,7 +383,8 @@ def _check_log_shift_bound(seed, n):
         pi = states.random_mixed((d,), rng, labels=("A",))
         rho = states.random_mixed((d,), rng, labels=("A",))
         inv_root = sigma.spectrum.apply(lambda x: 1.0 / np.sqrt(x))
-        ratio = linalg.eigh(inv_root @ pi.matrix @ inv_root, atol=1e-7).eigenvalues[-1]
+        h = inv_root @ pi.matrix @ inv_root
+        ratio = np.linalg.eigvalsh((h + h.conj().T) / 2.0)[-1]
         lam = math.log2(max(ratio, 1e-300))
         lhs = entropy.relative_entropy(rho, pi)
         rhs = entropy.relative_entropy(rho, sigma) - lam

@@ -60,20 +60,20 @@ def _check_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def eigh(h: np.ndarray, atol: float = HERMITICITY_ATOL) -> Spectrum:
+def eigh(h: np.ndarray) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
     This is the one check that a matrix is square, finite and Hermitian;
     states and channels validate through it. The input is symmetrized to
     (H + H^dag)/2 before decomposing, which absorbs round-off accumulated
-    by callers; asymmetry beyond ``atol`` is an error rather than
+    by callers; asymmetry beyond HERMITICITY_ATOL is an error rather than
     something to hide.
     """
     h = _check_square(h)
     asym = float(np.abs(h - h.conj().T).max())
-    if asym > atol:
+    if asym > HERMITICITY_ATOL:
         raise ValueError(
-            f"matrix is not Hermitian: max|H - H^dag| = {asym:.3e} exceeds {atol:.1e}"
+            f"matrix is not Hermitian: max|H - H^dag| = {asym:.3e} exceeds {HERMITICITY_ATOL:.1e}"
         )
     return _spectrum(h)
 

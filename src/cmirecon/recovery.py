@@ -4,13 +4,14 @@ Given a tripartite state on the subsystems labelled B, C and R, in any
 order, find a channel acting on B alone whose extension to (B, R) maps the
 BR marginal close to the full state. The roles are fixed by those labels.
 The search space is Stinespring isometries V: B -> (BC) (x) E with
-d_E = d_B d_C, a complex Stiefel manifold, ascended from the transpose
-channel by Riemannian L-BFGS: curvature pairs carried between tangent
-spaces by projection, a backtracking line search that accepts only steps
-that rise (up to the score's evaluation noise), and a QR retraction. Root
-fidelity is jointly concave and the channel enters linearly, so the
-fidelity of recovery is a concave program over channels, and the search is
-one deterministic ascent from that warm start.
+d_E = d_B^2 d_C, the dimension of a channel's Choi matrix, so it holds
+every channel B -> BC. This complex Stiefel manifold is ascended from
+the transpose channel by Riemannian L-BFGS: curvature pairs carried
+between tangent spaces by projection, a backtracking line search that
+accepts only steps that rise (up to the score's evaluation noise), and a
+QR retraction. Root fidelity is jointly concave and the channel enters
+linearly, so the fidelity of recovery is a concave program over channels,
+and the search is one deterministic ascent from that warm start.
 
 Each objective's score is bounded through its gradient g in sigma. Root
 fidelity is concave and 1/2-homogeneous, so F(rho, sigma') <= F/2 +
@@ -38,9 +39,11 @@ The line search evaluates each trial point once, and the gradient at an
 accepted point comes from what its evaluation already holds: psi^dag
 sigma psi for a pure target, the spectrum of sqrt(rho) sigma sqrt(rho)
 restricted to rho's support for a mixed one, the inner solve's witness for
-measured RE. The channel image sigma(V), the adjoint map back to V and the
-bound's matrix M(g) are matrix products on operands of rho_BR arranged once
-per search.
+measured RE. Everything else goes through one linear map and its adjoint,
+both matrix products with one arrangement of rho_BR: sigma(V) is Phi(J)
+for the Choi matrix J = X X^dag, where the columns of X are V's Kraus
+operators, and the gradient is dF/dX* = M(g) X with M(g) = Phi*(g), the
+same matrix the bound reads.
 """
 
 from __future__ import annotations
@@ -144,8 +147,8 @@ class _RecoveryProblem:
     ``measured_re_score``, returning the score at V and what the gradient
     needs, and a gradient step, ``fidelity_and_gradient`` or
     ``measured_re_score_and_gradient``, turning that into the score, dF/dV*
-    and g = dscore/dsigma without evaluating V again. ``dual_gap`` turns
-    either gradient into the certificate of the search.
+    and M(g) for g = dscore/dsigma without evaluating V again. ``dual_gap``
+    turns either into the certificate of the search.
     ``inner_nonconverged`` counts the inner measured-RE solves that did not
     converge.
     """
@@ -154,20 +157,15 @@ class _RecoveryProblem:
         ordered = states.permute(rho_tri, ("B", "C", "R"))
         self.d_b, self.d_c, self.d_r = ordered.dims
         self.d_bc = self.d_b * self.d_c
-        # room for channels of Kraus rank up to d_B d_C
-        self.d_env = self.d_bc
+        # room for every channel: Kraus rank up to the Choi dimension d_B d_BC
+        self.d_env = self.d_b * self.d_bc
         self.target = ordered
         self.inner_nonconverged = 0
         rho_br = states.partial_trace(ordered, ["B", "R"]).matrix
-        # rho_BR[(b,s),(c,t)] as the matmul operands of sigma_tensor,
-        # pullback and channel_form: [b, (s,c,t)], [(s,t,c), b] and
-        # [(s,t), (b,c)]
+        # rho_BR[(b,s),(c,t)] as the matmul operand [(t,s),(c,b)] of
+        # sigma_tensor and channel_form
         d_b, d_r = self.d_b, self.d_r
         rho4 = rho_br.reshape(d_b, d_r, d_b, d_r)
-        self.rho_b_sct = rho_br.reshape(d_b, d_r * d_b * d_r)
-        self.rho_stc_b = np.ascontiguousarray(rho4.transpose(3, 1, 0, 2)).reshape(
-            d_r * d_r * d_b, d_b
-        )
         self.rho_st_bc = np.ascontiguousarray(rho4.transpose(3, 1, 2, 0)).reshape(
             d_r * d_r, d_b * d_b
         )
@@ -190,29 +188,35 @@ class _RecoveryProblem:
     def isometry_shape(self) -> tuple[int, int]:
         return (self.d_bc * self.d_env, self.d_b)
 
+    def kraus_columns(self, v: np.ndarray) -> np.ndarray:
+        """X[(o,b),e] = v[(o,e),b]: column e is Kraus operator e, and X X^dag is the Choi matrix."""
+        return v.reshape(self.d_bc, self.d_env, self.d_b).transpose(0, 2, 1).reshape(-1, self.d_env)
+
     def sigma_tensor(self, v: np.ndarray) -> np.ndarray:
-        """sigma = (channel (x) id_R)(rho_BR) as a matrix on (BC) (x) R."""
-        d_bc, d_env, d_b, d_r = self.d_bc, self.d_env, self.d_b, self.d_r
-        # x[o,e,s,c,t] = sum_b v[oe,b] rho[b,sct], regrouped as [(o,s,t),(e,c)]
-        x = (v @ self.rho_b_sct).reshape(d_bc, d_env, d_r, d_b, d_r)
-        x = x.transpose(0, 2, 4, 1, 3).reshape(d_bc * d_r * d_r, d_env * d_b)
-        # sigma[o,s,t,p] = sum_ec x[ost,ec] conj(v[pe,c])
-        sigma = (x @ v.reshape(d_bc, d_env * d_b).conj().T).reshape(d_bc, d_r, d_r, d_bc)
-        return sigma.transpose(0, 1, 3, 2).reshape(d_bc * d_r, d_bc * d_r)
+        """sigma = (channel (x) id_R)(rho_BR) as a matrix on (BC) (x) R.
 
-    def pullback(self, v: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Gradient dF/dV* from the Hermitian gradient g = dF/dsigma.
-
-        For each environment index e this is Tr_R[g (V_e (x) 1_R) rho_BR].
+        That is Phi(J) for the Choi matrix J = X X^dag,
+        sigma[os,pt] = sum_bc J[ob,pc] rho_BR[bs,ct], the adjoint of
+        ``channel_form``.
         """
-        d_bc, d_env, d_b, d_r = self.d_bc, self.d_env, self.d_b, self.d_r
-        # y[o,s,t,e,c] = sum_p g[os,pt] v[pe,c], regrouped as [(o,e),(s,t,c)]
-        g_t = g.reshape(d_bc, d_r, d_bc, d_r).transpose(0, 1, 3, 2)
-        g_t = g_t.reshape(d_bc * d_r * d_r, d_bc)
-        y = (g_t @ v.reshape(d_bc, d_env * d_b)).reshape(d_bc, d_r, d_r, d_env, d_b)
-        y = y.transpose(0, 3, 1, 2, 4).reshape(d_bc * d_env, d_r * d_r * d_b)
-        # dF/dV*[oe,b] = sum_stc y[oe,stc] rho[ct,bs]
-        return y @ self.rho_stc_b
+        d_bc, d_b, d_r = self.d_bc, self.d_b, self.d_r
+        x = self.kraus_columns(v)
+        # j[(o,p),(b,c)] = J[ob,pc]; rho_BR[bs,ct] = conj(rho_st_bc[(s,t),(b,c)])
+        j = (x @ x.conj().T).reshape(d_bc, d_b, d_bc, d_b).transpose(0, 2, 1, 3)
+        sigma = j.reshape(d_bc * d_bc, d_b * d_b) @ self.rho_st_bc.conj().T
+        return sigma.reshape(d_bc, d_bc, d_r, d_r).transpose(0, 2, 1, 3).reshape(
+            d_bc * d_r, d_bc * d_r
+        )
+
+    def isometry_gradient(self, v: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """dF/dV* from the Hermitian gradient g = dF/dsigma, and M(g).
+
+        tr(g sigma(V)) = tr(M(g) X X^dag), so dF/dX* = M(g) X, here
+        rearranged like v.
+        """
+        m = self.channel_form(g)
+        grad = (m @ self.kraus_columns(v)).reshape(self.d_bc, self.d_b, self.d_env)
+        return grad.transpose(0, 2, 1).reshape(v.shape), m
 
     def fidelity_value(self, v: np.ndarray):
         """F(rho, sigma(V)) and what its gradient needs.
@@ -232,10 +236,9 @@ class _RecoveryProblem:
     def fidelity_and_gradient(
         self, v: np.ndarray, held
     ) -> tuple[float, np.ndarray, np.ndarray]:
-        """F(V), its Euclidean Wirtinger gradient dF/dV*, and g = dF/dsigma.
+        """F(V), its Euclidean Wirtinger gradient dF/dV*, and M(g) for g = dF/dsigma.
 
-        ``held`` is what ``fidelity_value(v)`` returned beside F; dF/dV* is
-        ``pullback(v, g)``.
+        ``held`` is what ``fidelity_value(v)`` returned beside F.
         """
         if self.pure_vec is not None:
             psi = self.pure_vec
@@ -246,10 +249,10 @@ class _RecoveryProblem:
             f = float(np.sqrt(np.clip(held.eigenvalues, 0.0, None)).sum())
             inv_root = held.apply(lambda x: 1.0 / np.sqrt(x))
             g = 0.5 * self.root_factor @ inv_root @ self.root_factor.conj().T
-        return f, self.pullback(v, g), g
+        return (f, *self.isometry_gradient(v, g))
 
     def channel_form(self, g: np.ndarray) -> np.ndarray:
-        """M(g) with tr(g sigma(V)) = sum_e x_e^dag M(g) x_e, where x_e[o,b] = v[(o,e),b].
+        """M(g) = Phi*(g), with tr(g sigma(V)) = tr(M(g) X X^dag) for X = ``kraus_columns(v)``.
 
         M(g)[ob,pc] = sum_st g[os,pt] rho_BR[ct,bs], linear in g.
         """
@@ -260,10 +263,10 @@ class _RecoveryProblem:
         m = (g_op @ self.rho_st_bc).reshape(d_bc, d_bc, d_b, d_b)
         return m.transpose(0, 2, 1, 3).reshape(d_bc * d_b, d_bc * d_b)
 
-    def dual_gap(self, v: np.ndarray, grad: np.ndarray, g: np.ndarray) -> float:
+    def dual_gap(self, v: np.ndarray, grad: np.ndarray, m: np.ndarray) -> float:
         """A bound on how far any channel's score exceeds the score at V.
 
-        Takes dF/dV* and g from ``fidelity_and_gradient`` or
+        Takes dF/dV* and M(g) from ``fidelity_and_gradient`` or
         ``measured_re_score_and_gradient`` at V. Every channel R scores at
         most score(V) - tr(g sigma(V)) + tr(g sigma_R) (see the module
         docstring). The maximum of tr(g sigma_R) over channels is
@@ -275,7 +278,7 @@ class _RecoveryProblem:
         """
         y0 = v.conj().T @ grad
         y0 = (y0 + y0.conj().T) / 2.0
-        slack = self.channel_form(g)
+        slack = m.copy()
         blocks = slack.reshape(self.d_bc, self.d_b, self.d_bc, self.d_b)
         diag = np.arange(self.d_bc)
         blocks[diag, :, diag, :] -= y0.T
@@ -292,13 +295,12 @@ class _RecoveryProblem:
     def measured_re_score_and_gradient(
         self, v: np.ndarray, sol: entropy.MeasuredReSolution
     ) -> tuple[float, np.ndarray, np.ndarray]:
-        """The score, its envelope gradient d/dV* and g, from the inner solve at V.
+        """The score, its envelope gradient d/dV* and M(g), from the inner solve at V.
 
         D_M ln 2 = max_w tr(rho ln w) + 1 - tr(sigma w), so by Danskin's
         theorem the score's gradient in sigma is g = w*/ln 2 at the witness w*.
         """
-        g = sol.witness / entropy.LN2
-        return -sol.value_bits, self.pullback(v, g), g
+        return (-sol.value_bits, *self.isometry_gradient(v, sol.witness / entropy.LN2))
 
     def channel_from(self, v: np.ndarray) -> Channel:
         return channels.stinespring_to_channel(
@@ -336,13 +338,11 @@ def _warm_start_isometry(problem: _RecoveryProblem) -> np.ndarray:
     ops = channels.kraus_operators(warm)
     v = np.zeros(problem.isometry_shape(), dtype=complex)
     vt = v.reshape(problem.d_bc, problem.d_env, problem.d_b)
-    for e, op in enumerate(ops[: problem.d_env]):
+    for e, op in enumerate(ops):
         vt[:, e, :] = op
     empty = vt[:, len(ops) :, :]
     k = np.arange(empty.size, dtype=float).reshape(empty.shape)
     empty[...] = KRAUS_FILL_SCALE * np.exp(1j * math.pi * GOLDEN_FRACTION * k * k)
-    # Kraus rank beyond d_env only occurs for singular marginals; the
-    # retraction then snaps the truncated stack back to an isometry.
     return _retract(v)
 
 
@@ -402,7 +402,7 @@ def _ascend(v0, evaluate, gradient, bound, tolerance: float, max_iterations: int
     """Riemannian L-BFGS ascent on the isometries, from ``v0``.
 
     ``evaluate(v)`` returns (score, held) and ``gradient(v, held)`` returns
-    (score, dF/dV*, g) from what the evaluation held, so every trial point
+    (score, dF/dV*, M(g)) from what the evaluation held, so every trial point
     is evaluated once and only accepted points are differentiated. The step
     is the L-BFGS direction of the last LBFGS_MEMORY curvature pairs,
     carried between tangent spaces by projection, tried at length 1 and
@@ -410,7 +410,7 @@ def _ascend(v0, evaluate, gradient, bound, tolerance: float, max_iterations: int
     A direction that is not an ascent direction, or along which no step
     rises, drops the pairs for the projected gradient from INITIAL_STEP.
 
-    ``bound(v, dF/dV*, g)`` is a gap with no channel scoring above score +
+    ``bound(v, dF/dV*, M(g))`` is a gap with no channel scoring above score +
     gap, so the least such sum seen bounds the optimum, and the ascent stops
     certified once that bound less the best score is below ``tolerance``.
     The gap is first order in the distance to the optimum, the score's gain
@@ -443,8 +443,8 @@ def _ascend(v0, evaluate, gradient, bound, tolerance: float, max_iterations: int
     last_step = last_g = None
     steps = idle = 0
     while True:
-        _, grad, g_sigma = gradient(v, held)
-        here = f + bound(v, grad, g_sigma)
+        _, grad, form = gradient(v, held)
+        here = f + bound(v, grad, form)
         if here < upper:
             upper, idle = here, 0
         gap = upper - best_f

@@ -115,8 +115,8 @@ def test_fidelity_bound_holds_at_random_channels(dims, seed, rank):
     for _ in range(5):
         v = channels.haar_isometry(*problem.isometry_shape(), rng)
         f, held = problem.fidelity_value(v)
-        _, grad, g = problem.fidelity_and_gradient(v, held)
-        assert f + problem.dual_gap(v, grad, g) >= best - 1e-12
+        _, grad, m = problem.fidelity_and_gradient(v, held)
+        assert f + problem.dual_gap(v, grad, m) >= best - 1e-12
 
 
 def confine_b(rho, rng):
@@ -143,8 +143,8 @@ def test_measured_re_bound_holds_at_random_channels(dims, seed, rank, singular_b
     problem = recovery._RecoveryProblem(rho)
     for _ in range(3):
         v = channels.haar_isometry(*problem.isometry_shape(), rng)
-        score, grad, g = problem.measured_re_score_and_gradient(v, problem.measured_re_score(v)[1])
-        assert score + problem.dual_gap(v, grad, g) >= best - 1e-9
+        score, grad, m = problem.measured_re_score_and_gradient(v, problem.measured_re_score(v)[1])
+        assert score + problem.dual_gap(v, grad, m) >= best - 1e-9
 
 
 @settings(PROPERTY, max_examples=20)

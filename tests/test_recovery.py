@@ -205,11 +205,14 @@ class TestContractions:
             g = (h + h.conj().T) / 2.0
 
             sigma = np.einsum("oeb,bsct,pec->ospt", vt, rho_br, vt.conj()).reshape(d, d)
+            # the pullback of g to V, dF/dV* = M(g) X in Kraus columns
             grad = np.einsum(
                 "ospt,pec,ctbs->oeb", g.reshape(d_bc, d_r, d_bc, d_r), vt, rho_br
             ).reshape(problem.isometry_shape())
             assert np.abs(problem.sigma_tensor(v) - sigma).max() < 1e-13
-            assert np.abs(problem.pullback(v, g) - grad).max() < 1e-13
+            pulled, form = problem.isometry_gradient(v, g)
+            assert np.abs(pulled - grad).max() < 1e-13
+            assert np.array_equal(form, problem.channel_form(g))
 
 
 def _random_isometry(shape, draw):
@@ -221,7 +224,8 @@ def _singular_b_state():
     """A full-rank (2,2,2) state with B embedded in dimension 4: rho_B has rank 2.
 
     The transpose channel's completion then has Kraus rank 10, above
-    d_env = 8, so the warm start truncates its Kraus stack.
+    d_B d_C = 8; a search confined to that Kraus rank stops at F = 0.9206255
+    and D_M = 0.3922599 bits with its gap open.
     """
     rho = states.random_mixed((2, 2, 2), states.rng_from_seed(5), ("B", "C", "R"))
     m = rho.matrix.reshape(2, 4, 2, 4)
@@ -272,14 +276,36 @@ class TestRetraction:
         problem = recovery._RecoveryProblem(rho)
         rho_bc = states.permute(states.partial_trace(rho, ["B", "C"]), ("B", "C"))
         warm = channels.transpose_channel(rho_bc)
-        assert len(channels.kraus_operators(warm)) > problem.d_env
+        # Kraus rank 10 fits d_env = d_B d_B d_C = 32, so the warm start
+        # keeps every Kraus operator, moved only by the fill's retraction
+        ops = channels.kraus_operators(warm)
+        assert len(ops) == 10 and problem.d_env == 32
         v0 = recovery._warm_start_isometry(problem)
+        blocks = v0.reshape(problem.d_bc, problem.d_env, problem.d_b)
+        assert np.abs(blocks[:, :10, :] - np.stack(ops, axis=1)).max() < recovery.KRAUS_FILL_SCALE
         assert np.abs(v0.conj().T @ v0 - np.eye(4)).max() < 1e-13
         warm_fid = entropy.fidelity(rho, recovery.reconstruct(rho, warm))
         result = recovery.optimize_recovery(rho, "fidelity", max_iterations=SMALL_BUDGET)
-        assert result.trace[0] >= warm_fid - 1e-9
+        # the 22 filled blocks take weight w from the transpose channel, so
+        # by concavity the warm start scores at least (1 - w) F_T
+        fill_weight = float((np.abs(blocks[:, 10:, :]) ** 2).sum(axis=(0, 1)).max())
+        assert result.trace[0] >= (1.0 - fill_weight) * warm_fid
         assert result.best_value >= warm_fid - 1e-9
         assert np.all(np.diff(result.trace) > 0.0)
+
+
+class TestSingularMarginal:
+    @pytest.mark.parametrize(
+        "kind, value, tol",
+        [("fidelity", 0.9235736, 1e-7), ("measured_re", 0.3634040, 1e-6)],
+        ids=["fidelity", "measured_re"],
+    )
+    def test_search_over_every_channel_certifies(self, kind, value, tol):
+        # confined to Kraus rank d_B d_C, both searches stopped with the gap
+        # open (see _singular_b_state)
+        result = recovery.optimize_recovery(_singular_b_state(), kind)
+        assert result.converged
+        assert abs(result.best_value - value) < tol
 
 
 class TestDualBound:
@@ -302,8 +328,8 @@ class TestDualBound:
             x = v.reshape(d_bc, d_env, d_b).transpose(1, 0, 2).reshape(d_env, d_bc * d_b)
             form = np.einsum("ei,ij,ej->", x.conj(), overlap_form, x).real
             assert abs(form - f * f) < 1e-13
-            _, grad, g = problem.fidelity_and_gradient(v, held)
-            gap = 2.0 * f * problem.dual_gap(v, grad, g)
+            _, grad, m = problem.fidelity_and_gradient(v, held)
+            gap = 2.0 * f * problem.dual_gap(v, grad, m)
             # tr Y bounds F^2 here and at every other channel, the best found included
             assert gap >= -1e-13
             assert f * f + gap >= best**2 - 1e-13
@@ -508,8 +534,8 @@ class TestMeasuredReObjective:
         # the bound at the warm start already lies above the optimum's score
         problem = recovery._RecoveryProblem(rho)
         v = recovery._warm_start_isometry(problem)
-        score, grad, g = problem.measured_re_score_and_gradient(v, problem.measured_re_score(v)[1])
-        assert score + problem.dual_gap(v, grad, g) >= -value
+        score, grad, m = problem.measured_re_score_and_gradient(v, problem.measured_re_score(v)[1])
+        assert score + problem.dual_gap(v, grad, m) >= -value
 
     def test_search_on_non_markov_state(self):
         rho = states.random_mixed((2, 2, 2), states.rng_from_seed(7), ("B", "C", "R"))
