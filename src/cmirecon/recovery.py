@@ -26,8 +26,9 @@ tolerance, and ``converged`` means certified. The gap is first order in
 the distance to the optimum and the score's gain second order, so near the
 end a search also takes steps that keep the score within its evaluation
 noise, and certifies its best point with the least bound it has seen. The
-warm start fills the Kraus blocks the transpose channel leaves empty,
-which the ascent could not leave otherwise.
+ascent starts at the transpose channel, whose zero Kraus columns no
+gradient step moves, so its first step also sets them along the leading
+eigenvectors of the dual slack M(g) - 1_BC (x) Y0^T off the other columns.
 
 Supported figures of merit: fidelity (maximized, analytic gradient), the
 order-1/2 Renyi divergence (same ascent, transformed at the end), and the
@@ -82,10 +83,8 @@ CONVERGENCE_WINDOW = 10
 # Measured-RE objective: budget of the inner solve behind every evaluation.
 INNER_MEASURED_RE_ITERATIONS = 200
 
-# The warm start's empty Kraus blocks start at this scale (see
-# _warm_start_isometry).
-KRAUS_FILL_SCALE = 1e-3
-GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
+# Norm of each Kraus column the first step adds (see _RecoveryProblem.widening).
+WIDENING_SCALE = 5e-4
 
 
 @dataclass
@@ -164,11 +163,8 @@ class _RecoveryProblem:
         rho_br = states.partial_trace(ordered, ["B", "R"]).matrix
         # rho_BR[(b,s),(c,t)] as the matmul operand [(t,s),(c,b)] of
         # sigma_tensor and channel_form
-        d_b, d_r = self.d_b, self.d_r
-        rho4 = rho_br.reshape(d_b, d_r, d_b, d_r)
-        self.rho_st_bc = np.ascontiguousarray(rho4.transpose(3, 1, 2, 0)).reshape(
-            d_r * d_r, d_b * d_b
-        )
+        rho4 = rho_br.reshape(self.d_b, self.d_r, self.d_b, self.d_r)
+        self.rho_st_bc = rho4.transpose(3, 1, 2, 0).reshape(self.d_r**2, self.d_b**2)
 
         spec = ordered.spectrum
         top = spec.eigenvalues[-1]
@@ -263,6 +259,12 @@ class _RecoveryProblem:
         m = (g_op @ self.rho_st_bc).reshape(d_bc, d_bc, d_b, d_b)
         return m.transpose(0, 2, 1, 3).reshape(d_bc * d_b, d_bc * d_b)
 
+    def dual_slack(self, v: np.ndarray, grad: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """M(g) - 1_BC (x) Y0^T with Y0 = Herm(V^dag dF/dV*), from dF/dV* and M(g) at V."""
+        y0 = v.conj().T @ grad
+        shift = np.eye(self.d_bc)[:, None, :, None] * (y0 + y0.conj().T).T[None, :, None, :] / 2.0
+        return (m.reshape(shift.shape) - shift).reshape(m.shape)
+
     def dual_gap(self, v: np.ndarray, grad: np.ndarray, m: np.ndarray) -> float:
         """A bound on how far any channel's score exceeds the score at V.
 
@@ -273,16 +275,26 @@ class _RecoveryProblem:
         max tr(M(g) J) over Choi matrices J, whose dual is min tr Y subject
         to 1_BC (x) Y^T >= M(g). Y0 = Herm(V^dag dF/dV*) is the dual point
         at which V is stationary, and tr Y0 = tr(g sigma(V)); shifting Y0 by
-        the largest eigenvalue of M(g) - 1_BC (x) Y0^T makes it feasible, so
-        the gap is d_B times that shift.
+        the largest eigenvalue of the ``dual_slack`` M(g) - 1_BC (x) Y0^T
+        makes it feasible, so the gap is d_B times that shift.
         """
-        y0 = v.conj().T @ grad
-        y0 = (y0 + y0.conj().T) / 2.0
-        slack = m.copy()
-        blocks = slack.reshape(self.d_bc, self.d_b, self.d_bc, self.d_b)
-        diag = np.arange(self.d_bc)
-        blocks[diag, :, diag, :] -= y0.T
-        return self.d_b * max(float(np.linalg.eigvalsh(slack)[-1]), 0.0)
+        return self.d_b * max(float(np.linalg.eigvalsh(self.dual_slack(v, grad, m))[-1]), 0.0)
+
+    def widening(self, v: np.ndarray, grad: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """A tangent direction at V that sets V's zero Kraus columns, arranged like v.
+
+        A Kraus column x of small weight adds x^dag S x to tr(g sigma), for
+        the ``dual_slack`` S: the zero columns (no weight beyond round-off)
+        take WIDENING_SCALE times the leading eigenvectors of S off the other
+        columns' span.
+        """
+        x = self.kraus_columns(v)
+        empty = np.flatnonzero(np.linalg.norm(x, axis=0) ** 2 < np.finfo(float).eps)
+        complement = np.linalg.svd(x)[0][:, self.d_env - len(empty) :]
+        slack = complement.conj().T @ self.dual_slack(v, grad, m) @ complement
+        fill = np.zeros_like(x)
+        fill[:, empty] = WIDENING_SCALE * complement @ np.linalg.eigh(slack)[1][:, ::-1]
+        return fill.reshape(self.d_bc, self.d_b, self.d_env).transpose(0, 2, 1).reshape(v.shape)
 
     def measured_re_score(self, v: np.ndarray) -> tuple[float, entropy.MeasuredReSolution]:
         """Ascended score -D_M(rho || sigma(V)) in bits, and the inner solve behind it."""
@@ -326,23 +338,12 @@ def _retract(v: np.ndarray) -> np.ndarray:
 
 
 def _warm_start_isometry(problem: _RecoveryProblem) -> np.ndarray:
-    """The transpose channel's Stinespring isometry, with no Kraus block left zero.
-
-    The ascent keeps a zero Kraus block zero: its gradient vanishes, the
-    tangent projection adds V S, and QR keeps zero rows zero. So the blocks
-    beyond the transpose channel's Kraus rank start from a fixed chirp of
-    size KRAUS_FILL_SCALE; left at zero, they would confine the search to
-    channels of that rank.
-    """
+    """The transpose channel's Stinespring isometry; Kraus columns past its Kraus rank are zero."""
     warm = channels.transpose_channel(states.partial_trace(problem.target, ["B", "C"]))
     ops = channels.kraus_operators(warm)
     v = np.zeros(problem.isometry_shape(), dtype=complex)
     vt = v.reshape(problem.d_bc, problem.d_env, problem.d_b)
-    for e, op in enumerate(ops):
-        vt[:, e, :] = op
-    empty = vt[:, len(ops) :, :]
-    k = np.arange(empty.size, dtype=float).reshape(empty.shape)
-    empty[...] = KRAUS_FILL_SCALE * np.exp(1j * math.pi * GOLDEN_FRACTION * k * k)
+    vt[:, : len(ops), :] = np.stack(ops, axis=1)
     return _retract(v)
 
 
@@ -398,7 +399,7 @@ def _line_search(v, floor, direction, step, evaluate):
     return None
 
 
-def _ascend(v0, evaluate, gradient, bound, tolerance: float, max_iterations: int):
+def _ascend(v0, evaluate, gradient, bound, widen, tolerance: float, max_iterations: int):
     """Riemannian L-BFGS ascent on the isometries, from ``v0``.
 
     ``evaluate(v)`` returns (score, held) and ``gradient(v, held)`` returns
@@ -409,6 +410,8 @@ def _ascend(v0, evaluate, gradient, bound, tolerance: float, max_iterations: int
     halved until the score rises above the best score less FLAT_TOLERANCE.
     A direction that is not an ascent direction, or along which no step
     rises, drops the pairs for the projected gradient from INITIAL_STEP.
+    The first direction also takes ``widen(v0, dF/dV*, M(g))``, the way out
+    of v0's Kraus rank, which no gradient step leaves.
 
     ``bound(v, dF/dV*, M(g))`` is a gap with no channel scoring above score +
     gap, so the least such sum seen bounds the optimum, and the ascent stops
@@ -459,6 +462,8 @@ def _ascend(v0, evaluate, gradient, bound, tolerance: float, max_iterations: int
         direction = g if pairs is None else _lbfgs_direction(g, pairs)
         if _inner(direction, g) <= 0.0:
             pairs, direction = None, g
+        if steps == 0:
+            direction = direction + widen(v, grad, form)
         floor = best_f - FLAT_TOLERANCE
         found = _line_search(v, floor, direction, INITIAL_STEP if pairs is None else 1.0, counted)
         if found is None and pairs is not None:
@@ -493,9 +498,9 @@ def optimize_recovery(
     converged, while the bound from w* holds either way. Every search stops
     once its dual gap certifies the score to within DUAL_GAP_TOL in F or
     MEASURED_RE_GAP_TOL in bits, so ``converged`` means certified (see
-    ``OptimizerResult``). The result is never worse than the warm start,
-    the transpose channel with its empty Kraus blocks filled (see
-    ``_warm_start_isometry``).
+    ``OptimizerResult``). The search starts at the transpose channel, so
+    the result is never worse than it; its first step leaves the transpose
+    channel's Kraus rank (see ``_RecoveryProblem.widening``).
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective {objective_kind!r}; pick from {OBJECTIVE_KINDS}")
@@ -520,7 +525,7 @@ def optimize_recovery(
 
     v0 = _warm_start_isometry(problem)
     v, f, trace, converged, gap, evaluations = _ascend(
-        v0, evaluate, gradient, problem.dual_gap, tolerance, max_iterations
+        v0, evaluate, gradient, problem.dual_gap, problem.widening, tolerance, max_iterations
     )
 
     def to_units(score: float) -> float:

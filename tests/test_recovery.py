@@ -205,7 +205,7 @@ class TestContractions:
             g = (h + h.conj().T) / 2.0
 
             sigma = np.einsum("oeb,bsct,pec->ospt", vt, rho_br, vt.conj()).reshape(d, d)
-            # the pullback of g to V, dF/dV* = M(g) X in Kraus columns
+            # the pullback of g to V: dF/dV* = M(g) X for the Kraus columns X, arranged like v
             grad = np.einsum(
                 "ospt,pec,ctbs->oeb", g.reshape(d_bc, d_r, d_bc, d_r), vt, rho_br
             ).reshape(problem.isometry_shape())
@@ -276,20 +276,17 @@ class TestRetraction:
         problem = recovery._RecoveryProblem(rho)
         rho_bc = states.permute(states.partial_trace(rho, ["B", "C"]), ("B", "C"))
         warm = channels.transpose_channel(rho_bc)
-        # Kraus rank 10 fits d_env = d_B d_B d_C = 32, so the warm start
-        # keeps every Kraus operator, moved only by the fill's retraction
+        # Kraus rank 10 fits d_env = d_B d_B d_C = 32, so the warm start is
+        # the transpose channel with all ten Kraus operators
         ops = channels.kraus_operators(warm)
         assert len(ops) == 10 and problem.d_env == 32
         v0 = recovery._warm_start_isometry(problem)
         blocks = v0.reshape(problem.d_bc, problem.d_env, problem.d_b)
-        assert np.abs(blocks[:, :10, :] - np.stack(ops, axis=1)).max() < recovery.KRAUS_FILL_SCALE
+        assert np.abs(blocks[:, :10, :] - np.stack(ops, axis=1)).max() < 1e-13
         assert np.abs(v0.conj().T @ v0 - np.eye(4)).max() < 1e-13
         warm_fid = entropy.fidelity(rho, recovery.reconstruct(rho, warm))
         result = recovery.optimize_recovery(rho, "fidelity", max_iterations=SMALL_BUDGET)
-        # the 22 filled blocks take weight w from the transpose channel, so
-        # by concavity the warm start scores at least (1 - w) F_T
-        fill_weight = float((np.abs(blocks[:, 10:, :]) ** 2).sum(axis=(0, 1)).max())
-        assert result.trace[0] >= (1.0 - fill_weight) * warm_fid
+        assert result.trace[0] >= warm_fid - 1e-9
         assert result.best_value >= warm_fid - 1e-9
         assert np.all(np.diff(result.trace) > 0.0)
 
@@ -391,14 +388,39 @@ class TestDualBound:
         assert result.converged and result.dual_gap < recovery.DUAL_GAP_TOL
 
     def test_warm_start_fills_every_kraus_block(self):
+        # the search starts at the transpose channel, and its first step
+        # sets every Kraus column the transpose channel leaves at zero
         rho = states.random_pure((2, 2, 2), states.rng_from_seed(2), ("B", "C", "R"))
         problem = recovery._RecoveryProblem(rho)
         rho_bc = states.permute(states.partial_trace(rho, ["B", "C"]), ("B", "C"))
-        assert len(channels.kraus_operators(channels.transpose_channel(rho_bc))) < problem.d_env
+        rank = len(channels.kraus_operators(channels.transpose_channel(rho_bc)))
+        assert rank < problem.d_env
         v0 = recovery._warm_start_isometry(problem)
-        blocks = v0.reshape(problem.d_bc, problem.d_env, problem.d_b)
-        assert np.all(np.abs(blocks).max(axis=(0, 2)) > 0.0)
-        assert np.abs(v0.conj().T @ v0 - np.eye(problem.d_b)).max() < 1e-13
+        columns = np.linalg.norm(problem.kraus_columns(v0), axis=0)
+        assert np.all(columns[:rank] > 0.0) and columns[rank:].max() < 1e-15
+        result = recovery.optimize_recovery(rho, "fidelity", max_iterations=1)
+        assert len(result.trace) == 2
+        assert np.linalg.matrix_rank(result.best_channel.choi) == problem.d_env
+
+    def test_widening_sets_the_zero_columns_along_the_slack(self):
+        rho = _singular_b_state()
+        problem = recovery._RecoveryProblem(rho)
+        v = recovery._warm_start_isometry(problem)
+        _, grad, m = problem.fidelity_and_gradient(v, problem.fidelity_value(v)[1])
+        direction = problem.widening(v, grad, m)
+        x, fill = problem.kraus_columns(v), problem.kraus_columns(direction)
+        assert np.abs(fill[:, :10]).max() == 0.0
+        assert np.allclose(np.linalg.norm(fill[:, 10:], axis=0), recovery.WIDENING_SCALE)
+        # the 22 new columns span the complement of the ten Kraus operators,
+        # ordered by the rate x^dag S x at which each raises tr(g sigma)
+        assert np.abs(x[:, :10].conj().T @ fill[:, 10:]).max() < 1e-15
+        assert np.linalg.matrix_rank(x + fill) == problem.d_env
+        off = fill[:, 10:] / recovery.WIDENING_SCALE
+        rates = off.conj().T @ problem.dual_slack(v, grad, m) @ off
+        assert np.abs(rates - np.diag(np.diag(rates))).max() < 1e-12
+        assert np.all(np.diff(np.diag(rates).real) <= 1e-12)
+        # the gradient vanishes on zero columns, so the score moves at second order only
+        assert abs(np.vdot(grad, direction).real) < 1e-15
 
     def test_former_cap_hitter_certifies(self):
         # the certificate benchmark's unit 22, which projected gradient ran
