@@ -305,11 +305,12 @@ def _ascend_measured_re(rho, sigma, h0, max_iterations: int):
     positive part): that form is convex, since ln is operator concave, and
     equals sigma's where A >= 0, which holds near the optimum.
 
-    Returns the final value (nats), H, the accepted values and whether
-    the Newton decrement fell below tolerance.
+    Returns the final value (nats), the eigenpairs (w, u) of the final H,
+    the accepted values and whether the Newton decrement fell below
+    tolerance.
     """
     d = len(h0)
-    h = h0.copy()
+    h = h0
 
     def evaluate(h_try):
         w_try, u_try = np.linalg.eigh(h_try)
@@ -346,16 +347,17 @@ def _ascend_measured_re(rho, sigma, h0, max_iterations: int):
         x = (scale * u) @ x @ u.conj().T
         step = 1.0
         while step >= MRE_MIN_STEP:
-            f_try, decomposed = evaluate(h + step * x)
+            h_try = h + step * x
+            f_try, decomposed = evaluate(h_try)
             if f_try > f + MRE_ARMIJO * step * scale * decrement:
-                h = h + step * x
-                f, (w, u, s) = f_try, decomposed
+                h, f = h_try, f_try
+                w, u, s = decomposed
                 trace.append(f)
                 break
             step *= 0.5
         else:
             break
-    return f, h, trace, converged
+    return f, (w, u), trace, converged
 
 
 def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> MeasuredReSolution:
@@ -399,13 +401,12 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
     best = None
     converged = False
     for h0 in (np.zeros((d, d), dtype=complex), warm):
-        f, h, trace, start_converged = _ascend_measured_re(rho, sigma, h0, max_iterations)
+        f, eigenpairs, trace, start_converged = _ascend_measured_re(rho, sigma, h0, max_iterations)
         converged = converged or start_converged
         if best is None or f > best[0]:
-            best = (f, h, trace)
+            best = (f, eigenpairs, trace)
 
-    f, h, trace = best
-    w, u = np.linalg.eigh(h)
+    f, (w, u), trace = best
     witness = (u * np.exp(w)) @ u.conj().T
     witness = (witness + witness.conj().T) / 2.0
     return MeasuredReSolution(

@@ -127,10 +127,9 @@ def markov_state(spec: MarkovSpec) -> MultipartiteState:
         t = t.transpose(1, 2, 0, 3, 5, 6, 4, 7)
         d_block = d_l * d_rb
         mat = t.reshape(d_block * d_cr, d_block * d_cr)
-        rows = np.array(
-            [(offset + bi) * d_cr + x for bi in range(d_block) for x in range(d_cr)]
-        )
-        full[np.ix_(rows, rows)] += block.weight * mat
+        # the block's rows (offset + bi) * d_cr + x form one range
+        rows = slice(offset * d_cr, (offset + d_block) * d_cr)
+        full[rows, rows] += block.weight * mat
     subs = (("B", d_b), ("C", d_c), ("R", d_r))
     return states._derived(full, subs)
 

@@ -37,14 +37,14 @@ the measured-RE gradient in sigma is -w*/ln 2, with w* the witness of the
 inner variational solve (Danskin's theorem).
 
 The line search evaluates each trial point once, and the gradient at an
-accepted point comes from what its evaluation already holds: psi^dag
-sigma psi for a pure target, the spectrum of sqrt(rho) sigma sqrt(rho)
-restricted to rho's support for a mixed one, the inner solve's witness for
-measured RE. Everything else goes through one linear map and its adjoint,
-both matrix products with one arrangement of rho_BR: sigma(V) is Phi(J)
-for the Choi matrix J = X X^dag, where the columns of X are V's Kraus
-operators, and the gradient is dF/dX* = M(g) X with M(g) = Phi*(g), the
-same matrix the bound reads.
+accepted point comes from what its evaluation already holds: the
+eigendecomposition of W^dag sigma W for the root factor W of rho on its
+support (rank x rank, 1 x 1 for a pure target), or the inner solve's
+witness for measured RE. Everything else goes through one linear map and
+its adjoint, both matrix products with one arrangement of rho_BR: sigma(V)
+is Phi(J) for the Choi matrix J = X X^dag, where the columns of X are V's
+Kraus operators, and the gradient is dF/dX* = M(g) X with M(g) =
+Phi*(g), the same matrix the bound reads.
 """
 
 from __future__ import annotations
@@ -167,19 +167,12 @@ class _RecoveryProblem:
         self.rho_st_bc = rho4.transpose(3, 1, 2, 0).reshape(self.d_r**2, self.d_b**2)
 
         spec = ordered.spectrum
-        top = spec.eigenvalues[-1]
-        self.pure_vec = None
-        # threshold keeps the rank-1 shortcut's error below the 1e-7
-        # re-evaluation contract: |F(rho,.) - F(psi,.)| <= sqrt(1 - top)
-        if top > 1.0 - 4e-15:
-            self.pure_vec = spec.eigenvectors[:, -1]
-        else:
-            # sqrt(rho) = W U^dag on rho's support U, so sqrt(rho) sigma
-            # sqrt(rho) and the rank x rank W^dag sigma W share their
-            # nonzero spectrum; the full product's off-support round-off
-            # eigenvalues (~1e-17) would add their roots, ~1e-8, to F
-            keep = spec.eigenvalues > linalg.support_cutoff(spec.eigenvalues)
-            self.root_factor = spec.eigenvectors[:, keep] * np.sqrt(spec.eigenvalues[keep])
+        # sqrt(rho) = W U^dag on rho's support U, so sqrt(rho) sigma
+        # sqrt(rho) and the rank x rank W^dag sigma W share their nonzero
+        # spectrum; the full product's off-support round-off eigenvalues
+        # (~1e-17) would add their roots, ~1e-8, to F
+        keep = spec.eigenvalues > linalg.support_cutoff(spec.eigenvalues)
+        self.root_factor = spec.eigenvectors[:, keep] * np.sqrt(spec.eigenvalues[keep])
 
     def isometry_shape(self) -> tuple[int, int]:
         return (self.d_bc * self.d_env, self.d_b)
@@ -217,35 +210,30 @@ class _RecoveryProblem:
     def fidelity_value(self, v: np.ndarray):
         """F(rho, sigma(V)) and what its gradient needs.
 
-        That is psi^dag sigma psi when rho = |psi><psi|, and otherwise the
-        spectrum of W^dag sigma W, whose root trace is F.
+        F is the root trace of W^dag sigma W, decomposed once; what it holds
+        is that matrix's eigenvalues, their roots and its eigenvectors.
+        W^dag sigma W comes from a checked state and an isometry, so it
+        takes no boundary check.
         """
-        sigma = self.sigma_tensor(v)
-        if self.pure_vec is not None:
-            psi = self.pure_vec
-            overlap = float(np.real(psi.conj() @ sigma @ psi))
-            return math.sqrt(max(overlap, 0.0)), overlap
         w = self.root_factor
-        spec = linalg.eigh(w.conj().T @ sigma @ w)
-        return float(np.sqrt(np.clip(spec.eigenvalues, 0.0, None)).sum()), spec
+        lam, u = np.linalg.eigh(w.conj().T @ self.sigma_tensor(v) @ w)
+        root = np.sqrt(np.clip(lam, 0.0, None))
+        return float(root.sum()), (lam, root, u)
 
     def fidelity_and_gradient(
         self, v: np.ndarray, held
     ) -> tuple[float, np.ndarray, np.ndarray]:
         """F(V), its Euclidean Wirtinger gradient dF/dV*, and M(g) for g = dF/dsigma.
 
-        ``held`` is what ``fidelity_value(v)`` returned beside F.
+        ``held`` is what ``fidelity_value(v)`` returned beside F. With
+        Z = W u for the eigenvectors u of W^dag sigma W, g = Z diag(1 / (2
+        sqrt(lam))) Z^dag over the eigenvalues lam above the support cutoff.
         """
-        if self.pure_vec is not None:
-            psi = self.pure_vec
-            f = math.sqrt(max(held, 1e-300))
-            g = np.outer(psi, psi.conj()) / (2.0 * f)
-        else:
-            # f and the support-restricted inverse root share one spectrum
-            f = float(np.sqrt(np.clip(held.eigenvalues, 0.0, None)).sum())
-            inv_root = held.apply(lambda x: 1.0 / np.sqrt(x))
-            g = 0.5 * self.root_factor @ inv_root @ self.root_factor.conj().T
-        return (f, *self.isometry_gradient(v, g))
+        lam, root, u = held
+        keep = lam > linalg.support_cutoff(lam)
+        z = self.root_factor @ u[:, keep]
+        g = (z / (2.0 * root[keep])) @ z.conj().T
+        return (float(root.sum()), *self.isometry_gradient(v, g))
 
     def channel_form(self, g: np.ndarray) -> np.ndarray:
         """M(g) = Phi*(g), with tr(g sigma(V)) = tr(M(g) X X^dag) for X = ``kraus_columns(v)``.

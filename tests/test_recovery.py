@@ -23,8 +23,6 @@ class TestOptimizeRecoveryFidelity:
         result = recovery.optimize_recovery(rho, "fidelity")
         assert result.best_value >= 1.0 - 1e-6
 
-    # rank-2 mixed states take the sqrt/eigh branch of the fidelity, pure
-    # states the rank-1 shortcut
     @pytest.mark.parametrize(
         "rank, seed",
         [pytest.param(1, seed, id=str(seed)) for seed in range(8)]
@@ -234,6 +232,52 @@ def _singular_b_state():
     return states.MultipartiteState(big.reshape(16, 16), (("B", 4), ("C", 2), ("R", 2)))
 
 
+def _target(kind, dims):
+    """A (B, C, R) target of rank 1, 2 or full, or a pure state mixed with 1e-13 of 1/d."""
+    labels = ("B", "C", "R")
+    rng = states.rng_from_seed(53)
+    if kind == "pure":
+        return states.random_pure(dims, rng, labels)
+    if kind == "rank2":
+        return states.random_mixed(dims, rng, labels, ancilla_dim=2)
+    if kind == "full":
+        return states.random_mixed(dims, rng, labels)
+    pure = states.random_pure(dims, rng, labels)
+    mixed = (1.0 - 1e-13) * pure.matrix + 1e-13 * np.eye(pure.dim) / pure.dim
+    return states.MultipartiteState(mixed, pure.subsystems)
+
+
+class TestFidelityGradient:
+    """The fidelity and its gradient dF/dV* for targets of every rank."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)], ids=["222", "232"])
+    @pytest.mark.parametrize("kind", ["pure", "rank2", "full", "near_pure"])
+    def test_gradient_matches_central_differences(self, dims, kind):
+        rho = _target(kind, dims)
+        problem = recovery._RecoveryProblem(rho)
+        rank = {"pure": 1, "near_pure": 1, "rank2": 2, "full": rho.dim}[kind]
+        assert problem.root_factor.shape[1] == rank
+        if kind == "near_pure":
+            # not pure to machine precision, yet of rank 1 on its support
+            assert rho.spectrum.eigenvalues[-1] < 1.0 - 1e-14
+        draw = np.random.default_rng(sum(dims))
+        v = _random_isometry(problem.isometry_shape(), draw)
+        f, held = problem.fidelity_value(v)
+        rebuilt = recovery.reconstruct(rho, problem.channel_from(v))
+        assert abs(f - entropy.fidelity(rho, rebuilt)) < 1e-12
+        _, grad, _ = problem.fidelity_and_gradient(v, held)
+        h = 1e-5
+        for _ in range(3):
+            z = draw.standard_normal(v.shape) + 1j * draw.standard_normal(v.shape)
+            d = recovery._project_tangent(v, z)
+            d /= np.linalg.norm(d)
+            plus, _ = problem.fidelity_value(recovery._retract(v + h * d))
+            minus, _ = problem.fidelity_value(recovery._retract(v - h * d))
+            central = (plus - minus) / (2.0 * h)
+            analytic = 2.0 * np.real(np.vdot(grad, d))
+            assert abs(analytic - central) <= 1e-6 * abs(central)
+
+
 class TestRetraction:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [3, 8, 16, 36])
@@ -314,7 +358,7 @@ class TestDualBound:
         rho = states.random_pure(dims, states.rng_from_seed(41), labels)
         problem = recovery._RecoveryProblem(rho)
         best = recovery.optimize_recovery(rho, "fidelity").best_value
-        psi = problem.pure_vec
+        psi = rho.spectrum.eigenvectors[:, -1]
         overlap_form = problem.channel_form(np.outer(psi, psi.conj()))
         draw = np.random.default_rng(sum(dims))
         d_bc, d_env, d_b = problem.d_bc, problem.d_env, problem.d_b

@@ -13,6 +13,9 @@ seed to seed, starting with the parent. ``--trace`` instead makes one
 metrics. Runs are added to the output file, which is created when absent,
 and its ``summary`` (median and quartiles of every end-to-end metric, per
 workload and side) is computed again from all the runs it holds.
+
+Each run prints its items/s, ``peak_rss_mb`` and ``correct``; the exit
+status is 1 when any run the file holds is not ``correct``.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def main(argv=None) -> int:
             doc.setdefault("per_layer_trace", {}).setdefault(args.workload, {})[side] = {
                 "seed": seed, "env": env, "correct": result["correct"], "metrics": kept}
             save()
-            print(f"{args.workload} seed {seed} {side} traced", flush=True)
+            print(f"{args.workload} seed {seed} {side} traced, correct {result['correct']}", flush=True)
     else:
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -101,8 +104,17 @@ def main(argv=None) -> int:
                 doc["runs"].append({"workload": args.workload, "seed": seed, "side": side,
                                     "first": order[0], "env": env, "result": result})
                 save()
-                rate = result["metrics"]["items_per_s"]["value"]
-                print(f"{args.workload} seed {seed} {side}: {rate:.2f} items/s", flush=True)
+                metrics = result["metrics"]
+                print(f"{args.workload} seed {seed} {side}: {metrics['items_per_s']['value']:.2f} items/s, "
+                      f"peak_rss_mb {metrics['peak_rss_mb']['value']:.2f}, correct {result['correct']}",
+                      flush=True)
+    wrong = [f"{r['workload']} seed {r['seed']} {r['side']}" for r in doc["runs"] if not r["result"]["correct"]]
+    wrong += [f"{workload} seed {t['seed']} {side} traced"
+              for workload, sides in doc.get("per_layer_trace", {}).items()
+              for side, t in sides.items() if not t["correct"]]
+    if wrong:
+        print(f"{len(wrong)} run(s) in {args.out} not correct: {', '.join(wrong)}", file=sys.stderr)
+        return 1
     return 0
 
 
