@@ -45,6 +45,18 @@ its adjoint, both matrix products with one arrangement of rho_BR: sigma(V)
 is Phi(J) for the Choi matrix J = X X^dag, where the columns of X are V's
 Kraus operators, and the gradient is dF/dX* = M(g) X with M(g) =
 Phi*(g), the same matrix the bound reads.
+
+A fidelity or Renyi-1/2 search on a pure target psi_BCR (a root factor of
+one column) first takes a shorter route. C purifies rho_BR, so Uhlmann's
+theorem, applied twice, gives max_R F(psi, R(rho_BR)) = max over density
+matrices xi_C of F(rho_CR, xi_C (x) rho_R) (the pure-state duality of the
+fidelity of recovery, Seshadreesan-Wilde). That is a concave program over
+one d_C x d_C matrix xi = A A^dag, and the same ascent climbs the unit
+vector A, stopping on the bound lambda_max(G) - tr(G xi) for G = dF/dxi.
+The channel comes from one SVD of the Uhlmann overlap at the last xi, has
+d_E = d_C Kraus operators, and is certified by the same channel dual gap
+as every other search. If that gap is open, the search over every channel
+runs from the transpose channel as it would have without the route.
 """
 
 from __future__ import annotations
@@ -77,6 +89,10 @@ STEP_TOLERANCE = 1e-9
 # more than FLAT_TOLERANCE nor lower the bound.
 DUAL_GAP_TOL = 5e-9
 MEASURED_RE_GAP_TOL = 1e-7
+# The xi ascent of a pure target stops at XI_GAP_TOL in F, well below
+# DUAL_GAP_TOL: at the same xi, its channel's own gap was up to about 100
+# times the xi program's gap in a survey of pure targets up to (3,3,3).
+XI_GAP_TOL = 1e-10
 FLAT_TOLERANCE = 1e-12
 CONVERGENCE_WINDOW = 10
 
@@ -93,7 +109,10 @@ class OptimizerResult:
 
     ``trace`` holds the best objective value after each step that improved
     it, in objective units: non-decreasing for fidelity, non-increasing
-    for the divergence objectives.
+    for the divergence objectives. When a pure target's search certifies
+    on the Uhlmann route, these are the values F(rho_CR, xi (x) rho_R) of
+    the xi ascent, and ``best_value`` is the score of the channel built
+    from its last xi, equal to the last of them within round-off.
 
     ``dual_gap`` is U - score for the returned score and the least upper
     bound U on any channel's score that the search found (each from a
@@ -105,10 +124,12 @@ class OptimizerResult:
     the iteration cap with the gap open is not converged.
 
     ``evaluations`` counts the objective evaluations, rejected trial points
-    included. For the measured-RE objective, ``inner_nonconverged`` counts
-    the inner solves among them whose Newton decrement did not fall below
-    tolerance; it is None for the other objectives, which have no inner
-    solve.
+    included: on a pure target's Uhlmann route, the xi evaluations and the
+    channel's, plus every evaluation of the search over every channel when
+    the route did not certify. For the measured-RE objective,
+    ``inner_nonconverged`` counts the inner solves among them whose Newton
+    decrement did not fall below tolerance; it is None for the other
+    objectives, which have no inner solve.
     """
 
     best_channel: Channel
@@ -133,6 +154,28 @@ def reconstruct(rho_tri: MultipartiteState, channel: Channel) -> MultipartiteSta
         )
     rho_br = states.partial_trace(rho_tri, ["B", "R"])
     return states.permute(channels.apply(channel, rho_br), rho_tri.labels)
+
+
+def _root_trace(k: np.ndarray):
+    """tr sqrt(k) for a positive semidefinite k, and what its gradient needs.
+
+    k is decomposed once; what it holds is k's eigenvalues lam, their roots
+    and its eigenvectors u.
+    """
+    lam, u = np.linalg.eigh(k)
+    root = np.sqrt(np.clip(lam, 0.0, None))
+    return float(root.sum()), (lam, root, u)
+
+
+def _half_inverse_root(held):
+    """tr sqrt(k), and (u, 2 sqrt(lam)) over k's support, from what ``_root_trace`` held.
+
+    d tr sqrt(k) / dk = u diag(1 / (2 sqrt(lam))) u^dag over the eigenvalues
+    lam above the support cutoff.
+    """
+    lam, root, u = held
+    keep = lam > linalg.support_cutoff(lam)
+    return float(root.sum()), u[:, keep], 2.0 * root[keep]
 
 
 class _RecoveryProblem:
@@ -216,9 +259,7 @@ class _RecoveryProblem:
         takes no boundary check.
         """
         w = self.root_factor
-        lam, u = np.linalg.eigh(w.conj().T @ self.sigma_tensor(v) @ w)
-        root = np.sqrt(np.clip(lam, 0.0, None))
-        return float(root.sum()), (lam, root, u)
+        return _root_trace(w.conj().T @ self.sigma_tensor(v) @ w)
 
     def fidelity_and_gradient(
         self, v: np.ndarray, held
@@ -229,11 +270,10 @@ class _RecoveryProblem:
         Z = W u for the eigenvectors u of W^dag sigma W, g = Z diag(1 / (2
         sqrt(lam))) Z^dag over the eigenvalues lam above the support cutoff.
         """
-        lam, root, u = held
-        keep = lam > linalg.support_cutoff(lam)
-        z = self.root_factor @ u[:, keep]
-        g = (z / (2.0 * root[keep])) @ z.conj().T
-        return (float(root.sum()), *self.isometry_gradient(v, g))
+        f, u, twice_root = _half_inverse_root(held)
+        z = self.root_factor @ u
+        g = (z / twice_root) @ z.conj().T
+        return (f, *self.isometry_gradient(v, g))
 
     def channel_form(self, g: np.ndarray) -> np.ndarray:
         """M(g) = Phi*(g), with tr(g sigma(V)) = tr(M(g) X X^dag) for X = ``kraus_columns(v)``.
@@ -309,6 +349,69 @@ class _RecoveryProblem:
             (("B", self.d_b), ("C", self.d_c)),
             self.d_env,
         )
+
+
+class _UhlmannProgram:
+    """The recovery program of a pure target as a program over xi_C.
+
+    With W[(c,r),b] = psi[b,c,r], rho_CR = W W^dag, so F(rho_CR, xi (x)
+    rho_R) = tr sqrt(K) with K = W^dag (xi (x) rho_R) W, a d_B x d_B matrix
+    linear in xi. The point is a unit vector a, the d_C x d_C matrix A with
+    xi = A A^dag and ||A||_F = 1, so the isometry ascent climbs it as a
+    one-column isometry; dF/dA* = G A with G = dF/dxi = Tr_R[(1_C (x) rho_R)
+    W (K^{-1/2} / 2) W^dag]. F is concave and 1/2-homogeneous in xi, so
+    F(xi') <= F(xi)/2 + tr(G xi') and ``gap`` is lambda_max(G) - tr(G xi).
+    """
+
+    def __init__(self, problem: _RecoveryProblem):
+        self.problem = problem
+        d_b, d_c, d_r = problem.d_b, problem.d_c, problem.d_r
+        self.psi = problem.root_factor[:, 0].reshape(d_b, d_c, d_r)
+        rho_r = np.einsum("bcr,bcs->rs", self.psi, self.psi.conj())
+        # K[b,e] = sum psi*[b,c,r] xi[c,d] rho_R[r,s] psi[e,d,s], as K.ravel() = form @ xi.ravel()
+        self.form = np.einsum("bcr,rs,eds->becd", self.psi.conj(), rho_r, self.psi).reshape(
+            d_b * d_b, d_c * d_c
+        )
+
+    def start(self) -> np.ndarray:
+        """A with A A^dag = (rho_C + 1/d_C) / 2, full rank: a rank-r A keeps xi at rank r."""
+        d_c = self.problem.d_c
+        rho_c = np.einsum("bcr,bdr->cd", self.psi, self.psi.conj())
+        return np.linalg.cholesky((rho_c + np.eye(d_c) / d_c) / 2.0).reshape(-1, 1)
+
+    def value(self, a: np.ndarray):
+        """F(rho_CR, xi (x) rho_R) for xi = A A^dag, and what its gradient needs."""
+        d_b, d_c = self.problem.d_b, self.problem.d_c
+        m = a.reshape(d_c, d_c)
+        return _root_trace((self.form @ (m @ m.conj().T).ravel()).reshape(d_b, d_b))
+
+    def value_and_gradient(self, a: np.ndarray, held) -> tuple[float, np.ndarray, np.ndarray]:
+        """F, dF/dA* = G A arranged like a, and G, from what ``value(a)`` held."""
+        d_c = self.problem.d_c
+        f, u, twice_root = _half_inverse_root(held)
+        g = (self.form.conj().T @ ((u / twice_root) @ u.conj().T).ravel()).reshape(d_c, d_c)
+        return f, (g @ a.reshape(d_c, d_c)).reshape(a.shape), g
+
+    def gap(self, a: np.ndarray, grad: np.ndarray, g: np.ndarray) -> float:
+        """lambda_max(G) - tr(G xi): no xi, and so no channel, scores above F + gap."""
+        return float(np.linalg.eigvalsh(g)[-1]) - _inner(a, grad)
+
+    def isometry(self, a: np.ndarray) -> np.ndarray:
+        """The channel of xi = A A^dag as an isometry arranged like the problem's v.
+
+        Its overlap with psi (x) A is tr(V T) for T[b,(b'c'e)] = sum_{c,r}
+        psi[b,c,r] psi*[b',c',r] A*[c,e], which V = Q P^dag maximises over
+        isometries for T = P S Q^dag (Uhlmann). Its d_C Kraus operators fill
+        the first d_C environment columns, the rest are zero.
+        """
+        p = self.problem
+        d_b, d_c = p.d_b, p.d_c
+        t = np.einsum("bcr,fgr,ce->bfge", self.psi, self.psi.conj(), a.reshape(d_c, d_c).conj())
+        left, _, right = np.linalg.svd(t.reshape(d_b, -1), full_matrices=False)
+        kraus = (left @ right).conj().T.reshape(p.d_bc, d_c, d_b)
+        v = np.zeros(p.isometry_shape(), dtype=complex)
+        v.reshape(p.d_bc, p.d_env, d_b)[:, :d_c, :] = kraus
+        return v
 
 
 def _project_tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -387,7 +490,7 @@ def _line_search(v, floor, direction, step, evaluate):
     return None
 
 
-def _ascend(v0, evaluate, gradient, bound, widen, tolerance: float, max_iterations: int):
+def _ascend(v0, evaluate, gradient, bound, tolerance: float, max_iterations: int, widen=None):
     """Riemannian L-BFGS ascent on the isometries, from ``v0``.
 
     ``evaluate(v)`` returns (score, held) and ``gradient(v, held)`` returns
@@ -398,19 +501,20 @@ def _ascend(v0, evaluate, gradient, bound, widen, tolerance: float, max_iteratio
     halved until the score rises above the best score less FLAT_TOLERANCE.
     A direction that is not an ascent direction, or along which no step
     rises, drops the pairs for the projected gradient from INITIAL_STEP.
-    The first direction also takes ``widen(v0, dF/dV*, M(g))``, the way out
-    of v0's Kraus rank, which no gradient step leaves.
+    The first direction also takes ``widen(v0, dF/dV*, M(g))``, when given,
+    the way out of v0's Kraus rank, which no gradient step leaves.
 
-    ``bound(v, dF/dV*, M(g))`` is a gap with no channel scoring above score +
-    gap, so the least such sum seen bounds the optimum, and the ascent stops
-    certified once that bound less the best score is below ``tolerance``.
-    The gap is first order in the distance to the optimum, the score's gain
-    only second order, so the score stops rising, within its evaluation
-    noise, while the gap is still open; hence the FLAT_TOLERANCE floor, and
-    the best point is kept. The ascent stops unconverged at the cap, when
-    not even the projected gradient rises, or once more than
-    CONVERGENCE_WINDOW steps in a row neither raise the best score by more
-    than FLAT_TOLERANCE nor lower the bound.
+    ``bound(v, dF/dV*, M(g))`` is a gap with no point (channel, or xi_C for
+    ``_UhlmannProgram``) scoring above score + gap, so the least such sum
+    seen bounds the optimum, and the ascent stops certified once that bound
+    less the best score is below ``tolerance``. The gap is first order in
+    the distance to the optimum, the score's gain only second order, so
+    the score stops rising, within its evaluation noise, while the gap is
+    still open; hence the FLAT_TOLERANCE floor, and the best point is kept.
+    The ascent stops unconverged at the cap, when not even the projected
+    gradient rises, or once more than CONVERGENCE_WINDOW steps in a row
+    neither raise the best score by more than FLAT_TOLERANCE nor lower the
+    bound.
 
     Returns (v, f, trace, converged, gap, evaluations) at the best point:
     ``trace`` holds the best score after each step that raised it, so it
@@ -450,7 +554,7 @@ def _ascend(v0, evaluate, gradient, bound, widen, tolerance: float, max_iteratio
         direction = g if pairs is None else _lbfgs_direction(g, pairs)
         if _inner(direction, g) <= 0.0:
             pairs, direction = None, g
-        if steps == 0:
+        if steps == 0 and widen is not None:
             direction = direction + widen(v, grad, form)
         floor = best_f - FLAT_TOLERANCE
         found = _line_search(v, floor, direction, INITIAL_STEP if pairs is None else 1.0, counted)
@@ -470,6 +574,42 @@ def _ascend(v0, evaluate, gradient, bound, widen, tolerance: float, max_iteratio
     return best_v, best_f, trace, converged, gap, evaluations
 
 
+def _channel_search(problem: _RecoveryProblem, objective_kind: str, max_iterations: int):
+    """The ascent over every channel from the transpose channel, as ``_ascend`` returns it."""
+    if objective_kind == "measured_re":
+        evaluate = problem.measured_re_score
+        gradient = problem.measured_re_score_and_gradient
+        tolerance = MEASURED_RE_GAP_TOL
+    else:
+        evaluate = problem.fidelity_value
+        gradient = problem.fidelity_and_gradient
+        tolerance = DUAL_GAP_TOL
+    v0 = _warm_start_isometry(problem)
+    return _ascend(
+        v0, evaluate, gradient, problem.dual_gap, tolerance, max_iterations, problem.widening
+    )
+
+
+def _uhlmann_search(problem: _RecoveryProblem, max_iterations: int):
+    """The fidelity search on a pure target through xi_C, as ``_ascend`` returns it.
+
+    The xi ascent runs to XI_GAP_TOL within ``max_iterations`` steps; the
+    channel of its last xi is certified, or not, by the channel's own dual
+    gap. ``trace`` is the xi ascent's, and ``evaluations`` counts its
+    evaluations and the channel's.
+    """
+    program = _UhlmannProgram(problem)
+    a, _, trace, _, _, evaluations = _ascend(
+        program.start(), program.value, program.value_and_gradient, program.gap,
+        XI_GAP_TOL, max_iterations,
+    )
+    v = program.isometry(a)
+    f, held = problem.fidelity_value(v)
+    _, grad, m = problem.fidelity_and_gradient(v, held)
+    gap = problem.dual_gap(v, grad, m)
+    return v, f, trace, gap < DUAL_GAP_TOL, gap, evaluations + 1
+
+
 def optimize_recovery(
     rho_tri: MultipartiteState,
     objective_kind: str = "fidelity",
@@ -477,8 +617,9 @@ def optimize_recovery(
 ) -> OptimizerResult:
     """Search for the best reconstruction channel B -> BC for one state.
 
-    One deterministic Riemannian L-BFGS ascent from the transpose channel,
-    capped at ``max_iterations`` accepted steps. Fidelity (and its monotone
+    A deterministic Riemannian L-BFGS ascent over every channel from the
+    transpose channel, capped at ``max_iterations`` accepted steps, unless a
+    pure target's Uhlmann route certifies first (below). Fidelity (and its monotone
     transform, the order-1/2 Renyi divergence) is ascended with its
     analytic gradient. The measured-RE objective takes the envelope
     gradient: by Danskin's theorem dD_M/dsigma = -w*/ln 2 at the witness w*
@@ -489,6 +630,13 @@ def optimize_recovery(
     ``OptimizerResult``). The search starts at the transpose channel, so
     the result is never worse than it; its first step leaves the transpose
     channel's Kraus rank (see ``_RecoveryProblem.widening``).
+
+    A fidelity or Renyi-1/2 search on a target of rank 1 first ascends
+    xi_C, also capped at ``max_iterations`` steps, and returns the channel
+    of the last xi when that channel's own dual gap certifies it (see
+    ``_UhlmannProgram``). Otherwise the ascent from the transpose channel
+    runs as it would have without the route, and its result is returned
+    with the route's evaluations added to its own.
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective {objective_kind!r}; pick from {OBJECTIVE_KINDS}")
@@ -502,19 +650,14 @@ def optimize_recovery(
     problem = _RecoveryProblem(rho_tri)
 
     measured_re = objective_kind == "measured_re"
-    if measured_re:
-        evaluate = problem.measured_re_score
-        gradient = problem.measured_re_score_and_gradient
-        tolerance = MEASURED_RE_GAP_TOL
-    else:
-        evaluate = problem.fidelity_value
-        gradient = problem.fidelity_and_gradient
-        tolerance = DUAL_GAP_TOL
-
-    v0 = _warm_start_isometry(problem)
-    v, f, trace, converged, gap, evaluations = _ascend(
-        v0, evaluate, gradient, problem.dual_gap, problem.widening, tolerance, max_iterations
-    )
+    found, evaluations = None, 0
+    if not measured_re and problem.root_factor.shape[1] == 1:
+        found = _uhlmann_search(problem, max_iterations)
+        evaluations = found[-1]
+    if found is None or not found[3]:
+        found = _channel_search(problem, objective_kind, max_iterations)
+        evaluations += found[-1]
+    v, f, trace, converged, gap, _ = found
 
     def to_units(score: float) -> float:
         if objective_kind == "fidelity":

@@ -403,6 +403,8 @@ class TestDualBound:
         assert result.dual_gap < recovery.DUAL_GAP_TOL
 
     def test_open_gap_is_not_convergence(self):
+        # a pure target whose two xi steps leave the route uncertified: the
+        # search over every channel runs, with the same cap
         rho = states.random_pure((2, 2, 2), states.sample_rng(700, 0), ("B", "C", "R"))
         result = recovery.optimize_recovery(rho, "fidelity", max_iterations=2)
         assert len(result.trace) == 3
@@ -442,6 +444,8 @@ class TestDualBound:
         v0 = recovery._warm_start_isometry(problem)
         columns = np.linalg.norm(problem.kraus_columns(v0), axis=0)
         assert np.all(columns[:rank] > 0.0) and columns[rank:].max() < 1e-15
+        # one xi step leaves the pure-target route uncertified, so this is
+        # the search over every channel
         result = recovery.optimize_recovery(rho, "fidelity", max_iterations=1)
         assert len(result.trace) == 2
         assert np.linalg.matrix_rank(result.best_channel.choi) == problem.d_env
@@ -474,6 +478,250 @@ class TestDualBound:
         assert result.converged and result.dual_gap < recovery.DUAL_GAP_TOL
         assert len(result.trace) - 1 <= 100
         assert result.best_value >= 0.8581571282
+
+
+def _pure_psi(rho):
+    """The state vector of a pure (B, C, R) target as a tensor psi[b, c, r], numpy only."""
+    return np.linalg.eigh(rho.matrix)[1][:, -1].reshape(rho.dims)
+
+
+def _bloch_oracle(rho, step_tolerance=1e-11):
+    """max over qubit xi_C of F(rho_CR, xi (x) rho_R) by a shrinking pattern search.
+
+    Uses numpy only, and neither search nor any dual bound: F = tr sqrt(W^dag
+    (xi (x) rho_R) W) with W[(c,r),b] = psi[b,c,r], and xi = (1 + n.sigma)/2
+    over the Bloch ball. F is concave in n, so a Hooke-Jeeves search (steps
+    along the axes, trial points outside the ball pulled back onto its
+    surface, the step halved when no axis step rises) climbs to the maximum,
+    which often lies on the surface.
+    """
+    psi = _pure_psi(rho)
+    d_b, d_c, d_r = psi.shape
+    assert d_c == 2
+    w = psi.transpose(1, 2, 0).reshape(d_c * d_r, d_b)
+    rho_r = np.einsum("bcr,bcs->rs", psi, psi.conj())
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+    def point(n):
+        n = n / max(1.0, np.linalg.norm(n))
+        xi = (np.eye(2) + np.einsum("i,ijk->jk", n, paulis)) / 2.0
+        k = w.conj().T @ np.kron(xi, rho_r) @ w
+        return n, np.sqrt(np.clip(np.linalg.eigvalsh(k), 0.0, None)).sum()
+
+    def explore(n, f, h):
+        for axis in np.eye(3):
+            for trial, f_trial in (point(n + h * axis), point(n - h * axis)):
+                if f_trial > f:
+                    n, f = trial, f_trial
+                    break
+        return n, f
+
+    base, f_base = point(np.zeros(3))
+    h = 0.5
+    while h > step_tolerance:
+        n, f = explore(base, f_base, h)
+        if f <= f_base:
+            h /= 2.0
+        while f > f_base:
+            # pattern move: repeat the step that rose, and explore around it
+            jump = 2.0 * n - base
+            base, f_base = n, f
+            n, f = explore(*point(jump), h)
+    return f_base
+
+
+def _product_c_state(dims, seed):
+    """A pure (B, C, R) target with C in a pure state, in product with BR: F = 1."""
+    rng = states.sample_rng(seed, 0)
+    phi = states.random_pure((dims[1],), rng, ("C",))
+    br = states.random_pure((dims[0], dims[2]), rng, ("B", "R"))
+    return states.permute(states.tensor(phi, br), ("B", "C", "R"))
+
+
+def _pure(dims, key, index):
+    return states.random_pure(dims, states.sample_rng(key, index), ("B", "C", "R"))
+
+
+def _embedded_c_state(seed):
+    """A pure (2,3,2) target whose rho_C has rank 2: a (2,2,2) state, C rotated into dimension 3."""
+    psi = np.zeros((2, 3, 2), dtype=complex)
+    psi[:, :2, :] = _pure_psi(_pure((2, 2, 2), seed, 0))
+    rotation = channels.haar_isometry(3, 3, states.sample_rng(seed, 1))
+    psi = np.einsum("cd,bdr->bcr", rotation, psi).ravel()
+    return states.MultipartiteState(np.outer(psi, psi.conj()), (("B", 2), ("C", 3), ("R", 2)))
+
+
+def _count_ascents(monkeypatch):
+    runs = []
+    ascend = recovery._ascend
+
+    def counted(*args, **kwargs):
+        runs.append(args[0].shape)
+        return ascend(*args, **kwargs)
+
+    monkeypatch.setattr(recovery, "_ascend", counted)
+    return runs
+
+
+def _panel_pure(k):
+    """Pure unit 2k of the certificate benchmark's panel."""
+    return _pure((2, 2, 2), 14114921, 2 * k)
+
+
+class TestUhlmannOracle:
+    """The pure-target route, the search over every channel and an independent oracle agree."""
+
+    @pytest.mark.parametrize(
+        "rho",
+        [pytest.param(_panel_pure(k), id=f"panel{2 * k}") for k in range(12)]
+        + [
+            pytest.param(_pure(dims, 17, i), id=name)
+            for i, (dims, name) in enumerate([((4, 2, 2), "422"), ((2, 2, 3), "223")])
+        ],
+    )
+    def test_route_matches_channel_search_and_bloch_oracle(self, rho):
+        route = recovery.optimize_recovery(rho, "fidelity")
+        problem = recovery._RecoveryProblem(rho)
+        _, stiefel, _, converged, gap, _ = recovery._channel_search(problem, "fidelity", 2000)
+        oracle = _bloch_oracle(rho)
+        assert route.converged and converged and gap < recovery.DUAL_GAP_TOL
+        assert abs(route.best_value - oracle) < 1e-8
+        assert abs(stiefel - oracle) < 1e-8
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 3, 2), (2, 3, 3)], ids=["232", "332", "233"])
+    def test_route_matches_channel_search_at_qutrit_c(self, dims):
+        rho = _pure(dims, 18, sum(dims))
+        route = recovery.optimize_recovery(rho, "fidelity")
+        problem = recovery._RecoveryProblem(rho)
+        _, stiefel, _, converged, _, _ = recovery._channel_search(problem, "fidelity", 2000)
+        assert route.converged and converged
+        assert abs(route.best_value - stiefel) < 1e-8
+
+
+class TestUhlmannProgram:
+    """F(rho_CR, xi (x) rho_R), its gradient in A and its bound."""
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            pytest.param(_pure((2, 2, 2), 19, 0), id="dc2"),
+            pytest.param(_pure((2, 3, 2), 19, 1), id="dc3"),
+            pytest.param(_embedded_c_state(19), id="singular_rho_c"),
+        ],
+    )
+    def test_gradient_matches_central_differences(self, rho):
+        problem = recovery._RecoveryProblem(rho)
+        program = recovery._UhlmannProgram(problem)
+        d_c = problem.d_c
+        draw = np.random.default_rng(d_c)
+        a = _random_isometry((d_c * d_c, 1), draw)
+        f, held = program.value(a)
+        # the value is the fidelity of rho_CR with xi (x) rho_R
+        m = a.reshape(d_c, d_c)
+        xi = states.MultipartiteState(m @ m.conj().T, (("C", d_c),))
+        rho_cr = states.partial_trace(rho, ["C", "R"])
+        product = states.tensor(xi, states.partial_trace(rho, ["R"]))
+        assert abs(f - entropy.fidelity(rho_cr, product)) < 1e-12
+        _, grad, _ = program.value_and_gradient(a, held)
+        h = 1e-5
+        for _ in range(3):
+            z = draw.standard_normal(a.shape) + 1j * draw.standard_normal(a.shape)
+            d = recovery._project_tangent(a, z)
+            d /= np.linalg.norm(d)
+            plus, _ = program.value(recovery._retract(a + h * d))
+            minus, _ = program.value(recovery._retract(a - h * d))
+            central = (plus - minus) / (2.0 * h)
+            analytic = 2.0 * np.real(np.vdot(grad, d))
+            assert abs(analytic - central) <= 1e-6 * abs(central)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2)], ids=["222", "232", "322"])
+    def test_bound_holds_at_random_xi(self, dims):
+        rho = states.random_pure(dims, states.rng_from_seed(41), ("B", "C", "R"))
+        program = recovery._UhlmannProgram(recovery._RecoveryProblem(rho))
+        d_c = dims[1]
+        draw = np.random.default_rng(sum(dims))
+        for _ in range(5):
+            a = _random_isometry((d_c * d_c, 1), draw)
+            f, held = program.value(a)
+            _, grad, g = program.value_and_gradient(a, held)
+            gap = program.gap(a, grad, g)
+            assert gap >= -1e-13
+            for _ in range(10):
+                other = _random_isometry((d_c * d_c, 1), draw)
+                m = other.reshape(d_c, d_c)
+                f_other, _ = program.value(other)
+                # F(xi') <= F(xi)/2 + tr(G xi') <= F(xi) + gap
+                assert f_other <= f / 2.0 + np.trace(g @ m @ m.conj().T).real + 1e-13
+                assert f_other <= f + gap + 1e-13
+
+
+class TestUhlmannRoute:
+    """Which searches take the pure-target route, and what they report."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["fidelity", "renyi_half"])
+    def test_pure_targets_certify_on_the_route(self, monkeypatch, kind, seed):
+        rho = _pure((2, 2, 2), 700, seed)
+        runs = _count_ascents(monkeypatch)
+        result = recovery.optimize_recovery(rho, kind)
+        # one ascent, over xi_C, and no search over every channel
+        assert runs == [(4, 1)]
+        assert result.converged and result.dual_gap < recovery.DUAL_GAP_TOL
+        f_route = entropy.fidelity(rho, recovery.reconstruct(rho, result.best_channel))
+        f_best = result.best_value if kind == "fidelity" else 2.0 ** (-result.best_value / 2.0)
+        assert abs(f_route - f_best) <= 1e-12
+        rho_bc = states.permute(states.partial_trace(rho, ["B", "C"]), ("B", "C"))
+        f_transpose = entropy.fidelity(
+            rho, recovery.reconstruct(rho, channels.transpose_channel(rho_bc))
+        )
+        assert f_best >= f_transpose - 1e-9
+
+    @pytest.mark.parametrize(
+        "rho, value",
+        [
+            pytest.param(_product_c_state((2, 2, 2), 3), 1.0, id="product_c_222"),
+            pytest.param(_product_c_state((2, 3, 2), 4), 1.0, id="product_c_232"),
+            pytest.param(_embedded_c_state(5), None, id="rank2_rho_c_in_dc3"),
+        ],
+    )
+    def test_boundary_targets_certify_on_the_route(self, monkeypatch, rho, value):
+        problem = recovery._RecoveryProblem(rho)
+        _, stiefel, *_ = recovery._channel_search(problem, "fidelity", 2000)
+        runs = _count_ascents(monkeypatch)
+        result = recovery.optimize_recovery(rho, "fidelity")
+        assert len(runs) == 1
+        assert result.converged and result.dual_gap < recovery.DUAL_GAP_TOL
+        assert abs(result.best_value - (stiefel if value is None else value)) < 1e-8
+
+    def test_rank_two_and_measured_re_never_take_the_route(self, monkeypatch):
+        def no_route(*args):
+            raise AssertionError("the search took the pure-target route")
+
+        monkeypatch.setattr(recovery, "_uhlmann_search", no_route)
+        rank2 = states.random_mixed(
+            (2, 2, 2), states.sample_rng(701, 0), ("B", "C", "R"), ancilla_dim=2
+        )
+        for kind in ("fidelity", "renyi_half"):
+            assert recovery.optimize_recovery(rank2, kind, max_iterations=5).evaluations > 0
+        pure = _pure((2, 2, 2), 700, 0)
+        assert recovery.optimize_recovery(pure, "measured_re", max_iterations=1).evaluations > 0
+
+    @pytest.mark.parametrize(
+        "cap, falls_back", [(2000, False), (2, True)], ids=["route", "fallback"]
+    )
+    def test_evaluations_count_the_route_and_the_fallback(self, monkeypatch, cap, falls_back):
+        rho = _pure((2, 2, 2), 700, 0)
+        xi_values, values = [], []
+        _count_calls(monkeypatch, recovery._UhlmannProgram, "value", xi_values)
+        _count_calls(monkeypatch, recovery._RecoveryProblem, "fidelity_value", values)
+        runs = _count_ascents(monkeypatch)
+        result = recovery.optimize_recovery(rho, "fidelity", max_iterations=cap)
+        assert len(runs) == 1 + falls_back
+        assert len(xi_values) > 0
+        # the route's channel is evaluated once; a fallback evaluates its own points too
+        assert len(values) > 1 if falls_back else len(values) == 1
+        assert result.evaluations == len(xi_values) + len(values)
+        assert result.converged == (not falls_back)
 
 
 class TestRenyiHalfObjective:
