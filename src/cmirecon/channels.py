@@ -8,6 +8,9 @@ Validation happens at the input boundary: ``Channel(...)``, the JSON
 loader and ``stinespring_to_channel`` check the CPTP invariants. The
 transpose channel is built from a checked state and skips that check, and
 so does the state ``apply`` returns; both still check their arguments.
+``apply`` checks its labels and builds its einsum operand lists once per
+(state layout, channel layout, ``on``) and caches that plan
+(``functools.lru_cache``); bad labels raise on every call.
 
 Choi convention: choi = (id (x) channel)(|O><O|) with |O> the unnormalized
 maximally entangled vector, scaled so that tracing out the output leaves
@@ -17,6 +20,7 @@ factor: channel(pi) = tr_in[(pi^T (x) I) choi].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -86,11 +90,11 @@ class Channel:
 
     @property
     def input_labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.input_dims)
+        return states._layout(self.input_dims)[0]
 
     @property
     def output_labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.output_dims)
+        return states._layout(self.output_dims)[0]
 
     @property
     def d_in(self) -> int:
@@ -119,58 +123,87 @@ def _derived(choi: np.ndarray, input_dims: Subsystems, output_dims: Subsystems) 
 
 
 def apply(
-    channel: Channel, state: MultipartiteState, on: Sequence[str] | None = None
+    channel: Channel, state: MultipartiteState, on: Sequence[str] | str | None = None
 ) -> MultipartiteState:
     """Apply ``channel`` to the ``on`` subsystems of a state, identity elsewhere.
 
-    The ``on`` labels (default: the channel's input labels) must match the
-    channel input dimensions in order. In the output, the channel's output
-    subsystems take the place of the first ``on`` subsystem in state order;
-    a name collision with an untouched subsystem is an error. Only the
-    result is built, by one contraction.
+    The ``on`` labels (default: the channel's input labels; a string is one
+    label) must match the channel input dimensions in order. In the output,
+    the channel's output subsystems take the place of the first ``on``
+    subsystem in state order; a name collision with an untouched subsystem
+    is an error. Only the result is built, by one contraction.
     """
-    on = list(on) if on is not None else list(channel.input_labels)
+    if isinstance(on, str):
+        on = (on,)
+    elif on is not None:
+        on = tuple(on)
+    state_shape, state_axes, choi_shape, choi_axes, out_axes, subs, d = _apply_plan(
+        state.subsystems, channel.input_dims, channel.output_dims, on
+    )
+    out = np.einsum(
+        state.matrix.reshape(state_shape),
+        state_axes,
+        channel.choi.reshape(choi_shape),
+        choi_axes,
+        out_axes,
+    )
+    return states._derived(out.reshape(d, d), subs)
+
+
+@functools.lru_cache(maxsize=states.PLAN_CACHE_SIZE)
+def _apply_plan(
+    subsystems: Subsystems, input_dims: Subsystems, output_dims: Subsystems, on: tuple | None
+):
+    """How ``apply`` contracts a state layout with a channel layout.
+
+    Checks the ``on`` labels against both layouts and returns the einsum
+    operands: the state's tensor shape and axes, the Choi tensor's shape and
+    axes, the output axes, then the output subsystems and their dimension.
+    """
+    labels, dims = states._layout(subsystems)
+    in_labels, in_dims = states._layout(input_dims)
+    out_labels, out_dims = states._layout(output_dims)
+    on = in_labels if on is None else on
     for label in on:
-        if label not in state.labels:
-            raise ValueError(f"state has no subsystem {label!r}; labels are {state.labels}")
+        if label not in labels:
+            raise ValueError(f"state has no subsystem {label!r}; labels are {labels}")
     if len(set(on)) != len(on):
-        raise ValueError(f"repeated labels in {on}")
-    on_dims = tuple(state.dim_of(label) for label in on)
-    if on_dims != tuple(d for _, d in channel.input_dims):
+        raise ValueError(f"repeated labels in {list(on)}")
+    on_dims = tuple(dims[labels.index(label)] for label in on)
+    if on_dims != in_dims:
         raise ValueError(
-            f"subsystems {on} have dims {on_dims}, channel expects "
-            f"{tuple(d for _, d in channel.input_dims)}"
+            f"subsystems {list(on)} have dims {on_dims}, channel expects {in_dims}"
         )
-    rest = [label for label in state.labels if label not in on]
-    collision = set(channel.output_labels) & set(rest)
+    rest = [label for label in labels if label not in on]
+    collision = set(out_labels) & set(rest)
     if collision:
         raise ValueError(f"channel output labels {sorted(collision)} collide with {rest}")
 
     # state tensor axes: rows 0..n-1, columns n..2n-1; Choi tensor axes:
     # (in, out, in, out), its outputs numbered from 2n
-    n = len(state.labels)
-    pos = [state.labels.index(label) for label in on]
+    n = len(labels)
+    pos = [labels.index(label) for label in on]
     first = min(pos)
     before = [k for k in range(first) if k not in pos]
     after = [k for k in range(first + 1, n) if k not in pos]
-    n_out = len(channel.output_dims)
+    n_out = len(out_dims)
     out_rows = list(range(2 * n, 2 * n + n_out))
     out_cols = list(range(2 * n + n_out, 2 * n + 2 * n_out))
-    io_dims = tuple(d for _, d in channel.input_dims + channel.output_dims)
-    out = np.einsum(
-        state.matrix.reshape(state.dims + state.dims),
-        list(range(2 * n)),
-        channel.choi.reshape(io_dims + io_dims),
-        pos + out_rows + [n + k for k in pos] + out_cols,
-        before + out_rows + after + [n + k for k in before] + out_cols + [n + k for k in after],
-    )
+    io_dims = in_dims + out_dims
     subs = (
-        tuple(state.subsystems[k] for k in before)
-        + channel.output_dims
-        + tuple(state.subsystems[k] for k in after)
+        tuple(subsystems[k] for k in before)
+        + output_dims
+        + tuple(subsystems[k] for k in after)
     )
-    d = math.prod(dim for _, dim in subs)
-    return states._derived(out.reshape(d, d), subs)
+    return (
+        dims + dims,
+        tuple(range(2 * n)),
+        io_dims + io_dims,
+        tuple(pos + out_rows + [n + k for k in pos] + out_cols),
+        tuple(before + out_rows + after + [n + k for k in before] + out_cols + [n + k for k in after]),
+        subs,
+        math.prod(dim for _, dim in subs),
+    )
 
 
 def transpose_channel(rho_bc: MultipartiteState) -> Channel:

@@ -87,7 +87,7 @@ def _support_contained(rho: np.ndarray, sigma_spec: linalg.Spectrum) -> bool:
         return True
     v = sigma_spec.eigenvectors[:, kernel]
     leak = v.conj().T @ rho @ v
-    return linalg.trace_norm(leak) < SUPPORT_LEAK_TOL
+    return linalg._trace_norm(leak) < SUPPORT_LEAK_TOL
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -121,7 +121,7 @@ def fidelity(rho, sigma) -> float:
     sigma, sigma_spec = _decomposed(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    f = linalg.trace_norm(rho_spec.apply(np.sqrt) @ sigma_spec.apply(np.sqrt))
+    f = linalg._trace_norm(rho_spec.apply(np.sqrt) @ sigma_spec.apply(np.sqrt))
     return min(max(f, 0.0), 1.0)
 
 

@@ -44,11 +44,15 @@ class Spectrum:
             cutoff = support_cutoff(w)
         if cutoff < 0:
             raise ValueError(f"support cutoff must be >= 0, got {cutoff}")
+        v = self.eigenvectors
+        if len(w) and w[0] > cutoff:
+            # full support: f sees every eigenvalue, elementwise as below
+            return (v * f(w)) @ v.conj().T
         fw = np.zeros_like(w)
         mask = w > cutoff
-        if np.any(mask):
+        if mask.any():
             fw[mask] = f(w[mask])
-        return (self.eigenvectors * fw) @ self.eigenvectors.conj().T
+        return (v * fw) @ v.conj().T
 
 
 def _check_square(a: np.ndarray) -> np.ndarray:
@@ -122,7 +126,12 @@ def matrix_function(
 
 def trace_norm(a: np.ndarray) -> float:
     """Sum of singular values of a square matrix."""
-    a = _check_square(a)
+    return _trace_norm(_check_square(a))
+
+
+def _trace_norm(a: np.ndarray) -> float:
+    """``trace_norm`` without its check, for a complex square matrix the
+    program built from checked input."""
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 

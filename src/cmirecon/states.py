@@ -4,6 +4,12 @@ Construction, tensor products, partial trace, purification, diagonal
 (classical) states, and seeded Haar-random sampling. States are immutable,
 keep their eigendecomposition, and keep the marginals taken of them.
 
+What depends only on the subsystem layout (labels and dims, the partial
+trace and permute plans, normalized subsystems) is worked out once per
+layout and cached (``functools.lru_cache``, keyed by labels and dims, never
+by matrix values); bad labels raise on every call, since a cache keeps no
+exceptions.
+
 Validation happens once, at the input boundary: ``MultipartiteState(...)``
 and the JSON loaders check the density-matrix invariants. Every other
 constructor here builds from input that is already checked (a valid state,
@@ -13,6 +19,7 @@ still validates its own arguments (labels, dimensions, tables).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -64,6 +71,16 @@ def _normalize_subsystems(subsystems: Iterable) -> Subsystems:
     return subs
 
 
+# Bound on each per-layout plan cache below; a program sees a handful of layouts.
+PLAN_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _layout(subsystems: Subsystems) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The labels and the dims of normalized subsystems."""
+    return tuple(label for label, _ in subsystems), tuple(dim for _, dim in subsystems)
+
+
 @dataclass(frozen=True)
 class MultipartiteState:
     """Density matrix over an ordered list of labeled subsystems.
@@ -109,11 +126,11 @@ class MultipartiteState:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.subsystems)
+        return _layout(self.subsystems)[0]
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.subsystems)
+        return _layout(self.subsystems)[1]
 
     @property
     def dim(self) -> int:
@@ -147,8 +164,13 @@ def _derived(matrix: np.ndarray, subsystems: Subsystems) -> MultipartiteState:
 
 def _labelled(dims: Sequence[int], labels: Sequence[str] | None) -> Subsystems:
     """Normalized subsystems for ``dims``, labelled s0, s1, ... by default."""
+    return _labelled_plan(tuple(dims), None if labels is None else tuple(map(str, labels)))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _labelled_plan(dims: tuple, labels: tuple | None) -> Subsystems:
     dims = tuple(int(d) for d in dims)
-    labels = tuple(f"s{k}" for k in range(len(dims))) if labels is None else tuple(labels)
+    labels = tuple(f"s{k}" for k in range(len(dims))) if labels is None else labels
     if len(labels) != len(dims):
         raise ValueError(f"{len(labels)} labels given for {len(dims)} subsystems")
     return _normalize_subsystems(zip(labels, dims))
@@ -201,31 +223,42 @@ def partial_trace(state: MultipartiteState, keep: Iterable[str] | str) -> Multip
     in any order, returns the same object.
     """
     if isinstance(keep, str):
-        keep = [keep]
-    keep_set = set(keep)
-    labels = state.labels
-    unknown = keep_set - set(labels)
+        keep = (keep,)
+    key, shape, trace_axes, kept_subs, d = _trace_plan(state.subsystems, frozenset(keep))
+    marginal = state._marginals.get(key)
+    if marginal is None:
+        t = state.matrix.reshape(shape)
+        for axis1, axis2 in trace_axes:
+            t = np.trace(t, axis1=axis1, axis2=axis2)
+        marginal = _derived(t.reshape(d, d), kept_subs)
+        state._marginals[key] = marginal
+    return marginal
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _trace_plan(subsystems: Subsystems, keep: frozenset):
+    """How ``partial_trace`` reduces a layout to the ``keep`` labels.
+
+    Returns the marginal's key (the kept labels in state order), the
+    tensor shape of the matrix, the axis pairs to trace one after the
+    other (last subsystem first), the kept subsystems and their dimension.
+    """
+    labels, dims = _layout(subsystems)
+    unknown = keep - set(labels)
     if unknown:
         raise ValueError(f"unknown subsystem labels {sorted(unknown)}; state has {labels}")
-    if not keep_set:
+    if not keep:
         raise ValueError("must keep at least one subsystem")
-    key = tuple(label for label in labels if label in keep_set)
-    if key in state._marginals:
-        return state._marginals[key]
-
-    dims = list(state.dims)
-    n = len(dims)
-    t = state.matrix.reshape(dims + dims)
-    remaining = list(range(n))
-    for pos in sorted((i for i, lab in enumerate(labels) if lab not in keep_set), reverse=True):
+    key = tuple(label for label in labels if label in keep)
+    remaining = list(range(len(dims)))
+    trace_axes = []
+    for pos in sorted((i for i, lab in enumerate(labels) if lab not in keep), reverse=True):
         k = remaining.index(pos)
-        t = np.trace(t, axis1=k, axis2=k + len(remaining))
+        trace_axes.append((k, k + len(remaining)))
         remaining.pop(k)
-    kept_subs = tuple(state.subsystems[i] for i in remaining)
+    kept_subs = tuple(subsystems[i] for i in remaining)
     d = math.prod(dim for _, dim in kept_subs)
-    marginal = _derived(t.reshape(d, d), kept_subs)
-    state._marginals[key] = marginal
-    return marginal
+    return key, dims + dims, tuple(trace_axes), kept_subs, d
 
 
 def tensor(a: MultipartiteState, b: MultipartiteState) -> MultipartiteState:
@@ -238,18 +271,27 @@ def tensor(a: MultipartiteState, b: MultipartiteState) -> MultipartiteState:
 
 def permute(state: MultipartiteState, order: Sequence[str]) -> MultipartiteState:
     """Reorder subsystems to the given label order (an index permutation)."""
-    order = tuple(order)
-    if sorted(order) != sorted(state.labels):
-        raise ValueError(f"{order} is not a permutation of {state.labels}")
-    if order == state.labels:
+    plan = _permute_plan(state.subsystems, tuple(order))
+    if plan is None:
         return state
-    perm = [state.labels.index(lab) for lab in order]
-    dims = list(state.dims)
-    n = len(dims)
-    tensor_form = state.matrix.reshape(dims + dims)
-    tensor_form = tensor_form.transpose(perm + [p + n for p in perm])
-    subs = tuple(state.subsystems[p] for p in perm)
+    shape, axes, subs = plan
+    tensor_form = state.matrix.reshape(shape).transpose(axes)
     return _derived(tensor_form.reshape(state.dim, state.dim), subs)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _permute_plan(subsystems: Subsystems, order: tuple):
+    """How ``permute`` reorders a layout: ``None`` when ``order`` is the
+    layout's own, else the tensor shape, the axis permutation and the
+    reordered subsystems."""
+    labels, dims = _layout(subsystems)
+    if sorted(order) != sorted(labels):
+        raise ValueError(f"{order} is not a permutation of {labels}")
+    if order == labels:
+        return None
+    perm = [labels.index(lab) for lab in order]
+    n = len(dims)
+    return dims + dims, tuple(perm + [p + n for p in perm]), tuple(subsystems[p] for p in perm)
 
 
 def purify(state: MultipartiteState, ancilla_label: str) -> MultipartiteState:

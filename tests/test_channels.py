@@ -134,6 +134,14 @@ class TestApply:
         out = channels.apply(t, rho, on=["B"])
         assert out.labels == ("B", "C", "R")
 
+    def test_string_on_is_one_label(self):
+        rng = states.rng_from_seed(9)
+        rho = states.random_mixed((2, 3), rng, ("B1", "R"))
+        ch = channels.random_channel(2, 2, None, rng, (("B1", 2),), (("B1", 2),))
+        out = channels.apply(ch, rho, on="B1")
+        assert out.subsystems == rho.subsystems
+        assert np.array_equal(out.matrix, channels.apply(ch, rho, on=["B1"]).matrix)
+
     def test_linearity_on_convex_mixtures(self):
         rng = states.rng_from_seed(4)
         a = states.random_mixed((2,), rng, ("A",))

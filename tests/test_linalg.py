@@ -90,6 +90,17 @@ class TestMatrixFunction:
         out = linalg.matrix_function(np.diag([1.0, 1e-14]), np.log, cutoff=1e-10)
         assert np.abs(out).max() < 1e-12
 
+    @pytest.mark.parametrize("f", [np.sqrt, np.log, np.ones_like, lambda x: 1.0 / np.sqrt(x)])
+    def test_full_support_matches_masked_form_bit_for_bit(self, f):
+        # a full-rank spectrum skips the mask; f still sees the same values
+        spec = linalg.eigh(random_density(np.random.default_rng(4), 6))
+        w, v = spec.eigenvalues, spec.eigenvectors
+        fw = np.zeros_like(w)
+        mask = w > linalg.support_cutoff(w)
+        assert mask.all()
+        fw[mask] = f(w[mask])
+        assert np.array_equal(spec.apply(f), (v * fw) @ v.conj().T)
+
 
 class TestTraceNorm:
     def test_density_matrix_is_one(self):

@@ -5,9 +5,11 @@ channel is then built from ``sample_rng`` streams. ``derandomize=True``
 makes each run try the same examples, so the suite stays deterministic.
 """
 
+import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -208,3 +210,144 @@ def test_derived_constructors_pass_the_boundary_check(dims, seed, rank, rank_b):
         built.append(marginal)
     for item in built:
         assert_boundary_accepts(item)
+
+
+# --- per-layout plans: cached paths against their definitions ---------------
+
+LABEL_POOL = ("A", "B", "C", "D")
+
+
+@st.composite
+def layouts(draw, max_subsystems=4):
+    """Subsystems with unequal dims 1-3 and shuffled labels."""
+    n = draw(st.integers(1, max_subsystems))
+    labels = draw(st.permutations(LABEL_POOL))[:n]
+    return tuple((label, draw(st.integers(1, 3))) for label in labels)
+
+
+def layout_state(subsystems, seed):
+    labels, dims = zip(*subsystems)
+    return states.random_mixed(dims, states.sample_rng(seed, 0), labels)
+
+
+def first_and_cached(plan, call):
+    """``call()`` with ``plan``'s cache cleared, then again, as a cache hit."""
+    plan.cache_clear()
+    first = call()
+    assert plan.cache_info().misses >= 1
+    hits = plan.cache_info().hits
+    again = call()
+    assert plan.cache_info().hits > hits
+    return first, again
+
+
+def assert_same_error_twice(call, message):
+    """``call()`` raises ValueError(message) on a first and on a repeated call."""
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
+@PROPERTY
+@given(layouts(), seeds)
+def test_partial_trace_plan_matches_einsum(subsystems, seed):
+    rho = layout_state(subsystems, seed)
+    labels = rho.labels
+    for r in range(1, len(labels) + 1):
+        for keep in itertools.combinations(labels, r):
+            # each call on a fresh state with rho's layout, so the marginal is
+            # built through the plan rather than looked up on the state
+            first, again = first_and_cached(
+                states._trace_plan,
+                lambda: states.partial_trace(
+                    states.MultipartiteState(rho.matrix, rho.subsystems), keep[::-1]
+                ),
+            )
+            oracle = partial_trace_oracle(rho, keep)
+            for marginal in (first, again):
+                assert marginal.labels == keep
+                assert marginal.subsystems == tuple(s for s in subsystems if s[0] in keep)
+                assert np.abs(marginal.matrix - oracle).max() < 1e-14
+    assert_same_error_twice(
+        lambda: states.partial_trace(rho, [labels[0], "Z"]),
+        f"unknown subsystem labels ['Z']; state has {labels}",
+    )
+    assert_same_error_twice(lambda: states.partial_trace(rho, []), "must keep at least one subsystem")
+
+
+@PROPERTY
+@given(layouts(), seeds, st.randoms(use_true_random=False))
+def test_permute_plan_round_trips(subsystems, seed, random):
+    rho = layout_state(subsystems, seed)
+    order = tuple(random.sample(rho.labels, len(rho.labels)))
+    first, again = first_and_cached(states._permute_plan, lambda: states.permute(rho, order))
+    for permuted in (first, again):
+        assert permuted.labels == order
+        assert permuted.dims == tuple(rho.dim_of(label) for label in order)
+        back = states.permute(permuted, rho.labels)
+        assert back.subsystems == rho.subsystems
+        assert np.array_equal(back.matrix, rho.matrix)
+    short = order[:-1]
+    assert_same_error_twice(
+        lambda: states.permute(rho, short), f"{short} is not a permutation of {rho.labels}"
+    )
+
+
+def apply_oracle(channel, state, on):
+    """``channels.apply`` by one string einsum over the state and Choi tensors."""
+    letters = iter("abcdefghijklmnopqrstuvwxyz")
+    rows = {label: next(letters) for label in state.labels}
+    cols = {label: next(letters) for label in state.labels}
+    out_rows = "".join(next(letters) for _ in channel.output_dims)
+    out_cols = "".join(next(letters) for _ in channel.output_dims)
+    choi = "".join(rows[k] for k in on) + out_rows + "".join(cols[k] for k in on) + out_cols
+    kept_labels = [label for label in state.labels if label not in on]
+    first = min(state.labels.index(label) for label in on)
+    before = [label for label in kept_labels if state.labels.index(label) < first]
+    after = [label for label in kept_labels if state.labels.index(label) > first]
+    out = (
+        "".join(rows[k] for k in before) + out_rows + "".join(rows[k] for k in after)
+        + "".join(cols[k] for k in before) + out_cols + "".join(cols[k] for k in after)
+    )
+    io_dims = tuple(d for _, d in channel.input_dims + channel.output_dims)
+    t = np.einsum(
+        f"{''.join(rows.values())}{''.join(cols.values())},{choi}->{out}",
+        state.matrix.reshape(state.dims * 2),
+        channel.choi.reshape(io_dims * 2),
+    )
+    subs = (
+        tuple((k, state.dim_of(k)) for k in before)
+        + channel.output_dims
+        + tuple((k, state.dim_of(k)) for k in after)
+    )
+    d = math.prod(dim for _, dim in subs)
+    return t.reshape(d, d), subs
+
+
+@PROPERTY
+@given(
+    layouts(max_subsystems=3),
+    seeds,
+    st.randoms(use_true_random=False),
+    st.lists(st.integers(1, 2), min_size=1, max_size=2),
+)
+def test_apply_plan_matches_choi_einsum(subsystems, seed, random, out_dims):
+    rho = layout_state(subsystems, seed)
+    on = random.sample(rho.labels, random.randint(1, len(rho.labels)))
+    in_dims = tuple((label, rho.dim_of(label)) for label in on)
+    outputs = tuple(zip(("P", "Q"), out_dims))
+    d_in, d_out = math.prod(d for _, d in in_dims), math.prod(out_dims)
+    ch = channels.random_channel(d_in, d_out, None, states.sample_rng(seed, 1), in_dims, outputs)
+    first, again = first_and_cached(channels._apply_plan, lambda: channels.apply(ch, rho, on=on))
+    oracle, subs = apply_oracle(ch, rho, on)
+    for out in (first, again):
+        assert out.subsystems == subs
+        assert np.abs(out.matrix - oracle).max() < 1e-13
+    assert_same_error_twice(
+        lambda: channels.apply(ch, rho, on=[*on[:-1], "Z"]),
+        f"state has no subsystem 'Z'; labels are {rho.labels}",
+    )
+    assert_same_error_twice(
+        lambda: channels.apply(ch, rho, on=on + on[:1]), f"repeated labels in {on + on[:1]}"
+    )

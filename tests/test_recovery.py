@@ -485,49 +485,87 @@ def _pure_psi(rho):
     return np.linalg.eigh(rho.matrix)[1][:, -1].reshape(rho.dims)
 
 
-def _bloch_oracle(rho, step_tolerance=1e-11):
-    """max over qubit xi_C of F(rho_CR, xi (x) rho_R) by a shrinking pattern search.
+def _hooke_jeeves(point, x0, step_tolerance=1e-11):
+    """Maximum of ``point`` (x -> (x pulled back, value)) by a shrinking pattern search.
 
-    Uses numpy only, and neither search nor any dual bound: F = tr sqrt(W^dag
-    (xi (x) rho_R) W) with W[(c,r),b] = psi[b,c,r], and xi = (1 + n.sigma)/2
-    over the Bloch ball. F is concave in n, so a Hooke-Jeeves search (steps
-    along the axes, trial points outside the ball pulled back onto its
-    surface, the step halved when no axis step rises) climbs to the maximum,
-    which often lies on the surface.
+    Steps along the axes, takes the first that rises, repeats the step that
+    rose as a pattern move, and halves the step when no axis step rises.
     """
+    axes = np.eye(len(x0))
+
+    def explore(x, f, h):
+        for axis in axes:
+            for trial, f_trial in (point(x + h * axis), point(x - h * axis)):
+                if f_trial > f:
+                    x, f = trial, f_trial
+                    break
+        return x, f
+
+    base, f_base = point(x0)
+    h = 0.5
+    while h > step_tolerance:
+        x, f = explore(base, f_base, h)
+        if f <= f_base:
+            h /= 2.0
+        while f > f_base:
+            # pattern move: repeat the step that rose, and explore around it
+            jump = 2.0 * x - base
+            base, f_base = x, f
+            x, f = explore(*point(jump), h)
+    return f_base
+
+
+def _uhlmann_parts(rho):
+    """W[(c,r),b] = psi[b,c,r] and rho_R of a pure (B, C, R) target, numpy only:
+    F(rho_CR, xi (x) rho_R) = tr sqrt(W^dag (xi (x) rho_R) W)."""
     psi = _pure_psi(rho)
     d_b, d_c, d_r = psi.shape
-    assert d_c == 2
     w = psi.transpose(1, 2, 0).reshape(d_c * d_r, d_b)
-    rho_r = np.einsum("bcr,bcs->rs", psi, psi.conj())
+    return w, np.einsum("bcr,bcs->rs", psi, psi.conj())
+
+
+def _uhlmann_fidelity(w, xi, rho_r):
+    k = w.conj().T @ np.kron(xi, rho_r) @ w
+    return np.sqrt(np.clip(np.linalg.eigvalsh(k), 0.0, None)).sum()
+
+
+def _bloch_oracle(rho):
+    """max over qubit xi_C of F(rho_CR, xi (x) rho_R) by a pattern search.
+
+    Uses numpy only, and neither search nor any dual bound. xi = (1 + n.sigma)/2
+    over the Bloch ball. F is concave in n, so a Hooke-Jeeves search with
+    trial points outside the ball pulled back onto its surface climbs to
+    the maximum, which often lies on the surface.
+    """
+    w, rho_r = _uhlmann_parts(rho)
+    assert w.shape[0] == 2 * rho_r.shape[0]
     paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
     def point(n):
         n = n / max(1.0, np.linalg.norm(n))
         xi = (np.eye(2) + np.einsum("i,ijk->jk", n, paulis)) / 2.0
-        k = w.conj().T @ np.kron(xi, rho_r) @ w
-        return n, np.sqrt(np.clip(np.linalg.eigvalsh(k), 0.0, None)).sum()
+        return n, _uhlmann_fidelity(w, xi, rho_r)
 
-    def explore(n, f, h):
-        for axis in np.eye(3):
-            for trial, f_trial in (point(n + h * axis), point(n - h * axis)):
-                if f_trial > f:
-                    n, f = trial, f_trial
-                    break
-        return n, f
+    return _hooke_jeeves(point, np.zeros(3))
 
-    base, f_base = point(np.zeros(3))
-    h = 0.5
-    while h > step_tolerance:
-        n, f = explore(base, f_base, h)
-        if f <= f_base:
-            h /= 2.0
-        while f > f_base:
-            # pattern move: repeat the step that rose, and explore around it
-            jump = 2.0 * n - base
-            base, f_base = n, f
-            n, f = explore(*point(jump), h)
-    return f_base
+
+def _density_oracle(rho):
+    """max over every xi_C of F(rho_CR, xi (x) rho_R), any d_C, by a pattern search.
+
+    Uses numpy only, and neither search nor any dual bound. xi = A A^dag /
+    tr(A A^dag) over the 2 d_C^2 real parameters of a d_C x d_C matrix A,
+    from A = 1. Unlike a Bloch vector at d_C >= 3, this needs no pullback
+    onto the boundary of the density matrices, where an axis search stalls.
+    """
+    w, rho_r = _uhlmann_parts(rho)
+    d_c = w.shape[0] // rho_r.shape[0]
+
+    def point(x):
+        a = (x[: d_c * d_c] + 1j * x[d_c * d_c :]).reshape(d_c, d_c)
+        xi = a @ a.conj().T
+        return x, _uhlmann_fidelity(w, xi / np.trace(xi).real, rho_r)
+
+    return _hooke_jeeves(point, np.concatenate([np.eye(d_c).ravel(), np.zeros(d_c * d_c)]))
 
 
 def _product_c_state(dims, seed):
@@ -587,6 +625,13 @@ class TestUhlmannOracle:
         assert route.converged and converged and gap < recovery.DUAL_GAP_TOL
         assert abs(route.best_value - oracle) < 1e-8
         assert abs(stiefel - oracle) < 1e-8
+
+    @pytest.mark.parametrize("index", [7, 8])
+    def test_route_matches_density_oracle_at_qutrit_c(self, index):
+        rho = _pure((2, 3, 2), 18, index)
+        route = recovery.optimize_recovery(rho, "fidelity")
+        assert route.converged
+        assert abs(route.best_value - _density_oracle(rho)) < 1e-8
 
     @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 3, 2), (2, 3, 3)], ids=["232", "332", "233"])
     def test_route_matches_channel_search_at_qutrit_c(self, dims):

@@ -12,7 +12,10 @@ seed to seed, starting with the parent. ``--trace`` instead makes one
 ``--trace 1`` run per side on the first seed and keeps its per-layer
 metrics. Runs are added to the output file, which is created when absent,
 and its ``summary`` (median and quartiles of every end-to-end metric, per
-workload and side) is computed again from all the runs it holds.
+workload and side, and the pair wins) is computed again from all the runs
+it holds. A pair is the parent and change runs of one seed; the change
+wins it on a metric when it is better in the direction ``BENCHMARK.json``
+gives, the parent when it is worse, and a tie counts for neither.
 
 Each run prints its items/s, ``peak_rss_mb`` and ``correct``; the exit
 status is 1 when any run the file holds is not ``correct``.
@@ -28,6 +31,7 @@ import sys
 from pathlib import Path
 
 SECONDS = 20
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 # per-layer metrics kept from a traced run, by prefix
 TRACE_PREFIXES = ("recovery.", "entropy.", "linalg.", "states.", "channels.", "experiments.", "trace.")
 
@@ -50,8 +54,34 @@ def run_once(tree: Path, workload: str, seed: int, trace: bool) -> tuple[str, di
     return env, json.loads(lines[-1])
 
 
-def summarize(runs: list[dict]) -> dict:
-    """workload -> metric -> side -> median, quartiles and count of the runs."""
+def pair_wins(runs: list[dict], better: dict[str, str]) -> dict:
+    """workload -> metric -> {"change", "parent", "pairs"}: the pairs each side won.
+
+    ``better`` maps an end-to-end metric to "higher" or "lower". Runs of one
+    seed pair in the order they were made; ties count for neither side.
+    """
+    by_seed: dict = {}
+    for run in runs:
+        sides = by_seed.setdefault((run["workload"], run["seed"]), {})
+        sides.setdefault(run["side"], []).append(run["result"]["metrics"])
+    wins: dict = {}
+    for (workload, _), sides in by_seed.items():
+        for parent, change in zip(sides.get("parent", []), sides.get("change", [])):
+            for name, direction in better.items():
+                if name not in parent or name not in change:
+                    continue
+                tally = wins.setdefault(workload, {}).setdefault(
+                    name, {"change": 0, "parent": 0, "pairs": 0})
+                tally["pairs"] += 1
+                p, c = parent[name]["value"], change[name]["value"]
+                if c != p:
+                    tally["change" if (c > p) == (direction == "higher") else "parent"] += 1
+    return wins
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """workload -> metric -> side -> median, quartiles and count of the runs,
+    with the metric's ``pair_wins`` beside the sides."""
     values: dict = {}
     for run in runs:
         for name, metric in run["result"]["metrics"].items():
@@ -64,6 +94,9 @@ def summarize(runs: list[dict]) -> dict:
                 q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
                 summary.setdefault(workload, {}).setdefault(name, {})[side] = {
                     "median": statistics.median(xs), "q1": q1, "q3": q3, "n": len(xs)}
+    for workload, metrics in pair_wins(runs, better).items():
+        for name, tally in metrics.items():
+            summary[workload][name]["pair_wins"] = tally
     return summary
 
 
@@ -82,8 +115,10 @@ def main(argv=None) -> int:
                               " (--trace 1 for the per-layer runs)")
     doc.setdefault("runs", [])
 
+    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+
     def save():
-        doc["summary"] = summarize(doc["runs"])
+        doc["summary"] = summarize(doc["runs"], better)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
     trees = {"parent": args.parent, "change": args.change}
