@@ -426,11 +426,12 @@ def _check_recovery_certificate(seed, n, sampler=None):
         rho = sampler(rng)
         result = recovery.optimize_recovery(rho, "fidelity")
         shalf = math.inf if result.best_value <= 0 else -2.0 * math.log2(result.best_value)
-        return shalf > entropy.cmi(rho) + CERTIFICATE_TOL_BITS, None
+        return shalf > entropy.cmi(rho) + CERTIFICATE_TOL_BITS, not result.converged
 
-    def summarize(_, failures):
+    def summarize(uncertified, failures):
         fraction = 1.0 - len(failures) / n
-        return fraction >= CERTIFICATE_MIN_PASS, f"witness within tolerance on {fraction:.1%}"
+        detail = f"witness within tolerance on {fraction:.1%}, {sum(uncertified)} uncertified"
+        return fraction >= CERTIFICATE_MIN_PASS, detail
 
     return _run_check("recovery-certificate", seed, n, sample, summarize)
 

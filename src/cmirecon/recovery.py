@@ -53,10 +53,11 @@ matrices xi_C of F(rho_CR, xi_C (x) rho_R) (the pure-state duality of the
 fidelity of recovery, Seshadreesan-Wilde). That is a concave program over
 one d_C x d_C matrix xi = A A^dag, and the same ascent climbs the unit
 vector A, stopping on the bound lambda_max(G) - tr(G xi) for G = dF/dxi.
-The channel comes from one SVD of the Uhlmann overlap at the last xi, has
-d_E = d_C Kraus operators, and is certified by the same channel dual gap
-as every other search. If that gap is open, the search over every channel
-runs from the transpose channel as it would have without the route.
+The channel of the last xi comes from one SVD of the Uhlmann overlap, has
+d_E = d_C Kraus operators, and is where the ascent over every channel
+starts instead of the transpose channel: it certifies there at once when
+its dual gap is closed, and is otherwise widened and climbed like any
+other start.
 """
 
 from __future__ import annotations
@@ -109,10 +110,8 @@ class OptimizerResult:
 
     ``trace`` holds the best objective value after each step that improved
     it, in objective units: non-decreasing for fidelity, non-increasing
-    for the divergence objectives. When a pure target's search certifies
-    on the Uhlmann route, these are the values F(rho_CR, xi (x) rho_R) of
-    the xi ascent, and ``best_value`` is the score of the channel built
-    from its last xi, equal to the last of them within round-off.
+    for the divergence objectives. They are the channel ascent's, from its
+    start on.
 
     ``dual_gap`` is U - score for the returned score and the least upper
     bound U on any channel's score that the search found (each from a
@@ -124,12 +123,10 @@ class OptimizerResult:
     the iteration cap with the gap open is not converged.
 
     ``evaluations`` counts the objective evaluations, rejected trial points
-    included: on a pure target's Uhlmann route, the xi evaluations and the
-    channel's, plus every evaluation of the search over every channel when
-    the route did not certify. For the measured-RE objective,
-    ``inner_nonconverged`` counts the inner solves among them whose Newton
-    decrement did not fall below tolerance; it is None for the other
-    objectives, which have no inner solve.
+    included, those of a pure target's xi ascent too. For the measured-RE
+    objective, ``inner_nonconverged`` counts the inner solves among them
+    whose Newton decrement did not fall below tolerance; it is None for the
+    other objectives, which have no inner solve.
     """
 
     best_channel: Channel
@@ -574,8 +571,10 @@ def _ascend(v0, evaluate, gradient, bound, tolerance: float, max_iterations: int
     return best_v, best_f, trace, converged, gap, evaluations
 
 
-def _channel_search(problem: _RecoveryProblem, objective_kind: str, max_iterations: int):
-    """The ascent over every channel from the transpose channel, as ``_ascend`` returns it."""
+def _channel_search(
+    problem: _RecoveryProblem, objective_kind: str, v0: np.ndarray, max_iterations: int
+):
+    """The ascent over every channel from the isometry ``v0``, as ``_ascend`` returns it."""
     if objective_kind == "measured_re":
         evaluate = problem.measured_re_score
         gradient = problem.measured_re_score_and_gradient
@@ -584,30 +583,22 @@ def _channel_search(problem: _RecoveryProblem, objective_kind: str, max_iteratio
         evaluate = problem.fidelity_value
         gradient = problem.fidelity_and_gradient
         tolerance = DUAL_GAP_TOL
-    v0 = _warm_start_isometry(problem)
     return _ascend(
         v0, evaluate, gradient, problem.dual_gap, tolerance, max_iterations, problem.widening
     )
 
 
-def _uhlmann_search(problem: _RecoveryProblem, max_iterations: int):
-    """The fidelity search on a pure target through xi_C, as ``_ascend`` returns it.
+def _uhlmann_start(problem: _RecoveryProblem, max_iterations: int) -> tuple[np.ndarray, int]:
+    """The isometry of the channel of a pure target's last xi, and the xi evaluations.
 
-    The xi ascent runs to XI_GAP_TOL within ``max_iterations`` steps; the
-    channel of its last xi is certified, or not, by the channel's own dual
-    gap. ``trace`` is the xi ascent's, and ``evaluations`` counts its
-    evaluations and the channel's.
+    The xi ascent runs to XI_GAP_TOL within ``max_iterations`` steps.
     """
     program = _UhlmannProgram(problem)
-    a, _, trace, _, _, evaluations = _ascend(
+    a, *_, evaluations = _ascend(
         program.start(), program.value, program.value_and_gradient, program.gap,
         XI_GAP_TOL, max_iterations,
     )
-    v = program.isometry(a)
-    f, held = problem.fidelity_value(v)
-    _, grad, m = problem.fidelity_and_gradient(v, held)
-    gap = problem.dual_gap(v, grad, m)
-    return v, f, trace, gap < DUAL_GAP_TOL, gap, evaluations + 1
+    return program.isometry(a), evaluations
 
 
 def optimize_recovery(
@@ -617,9 +608,8 @@ def optimize_recovery(
 ) -> OptimizerResult:
     """Search for the best reconstruction channel B -> BC for one state.
 
-    A deterministic Riemannian L-BFGS ascent over every channel from the
-    transpose channel, capped at ``max_iterations`` accepted steps, unless a
-    pure target's Uhlmann route certifies first (below). Fidelity (and its monotone
+    One deterministic Riemannian L-BFGS ascent over every channel, capped
+    at ``max_iterations`` accepted steps. Fidelity (and its monotone
     transform, the order-1/2 Renyi divergence) is ascended with its
     analytic gradient. The measured-RE objective takes the envelope
     gradient: by Danskin's theorem dD_M/dsigma = -w*/ln 2 at the witness w*
@@ -627,16 +617,14 @@ def optimize_recovery(
     converged, while the bound from w* holds either way. Every search stops
     once its dual gap certifies the score to within DUAL_GAP_TOL in F or
     MEASURED_RE_GAP_TOL in bits, so ``converged`` means certified (see
-    ``OptimizerResult``). The search starts at the transpose channel, so
-    the result is never worse than it; its first step leaves the transpose
-    channel's Kraus rank (see ``_RecoveryProblem.widening``).
+    ``OptimizerResult``). The ascent never ends below its start, and its
+    first step leaves the start's Kraus rank (see
+    ``_RecoveryProblem.widening``).
 
-    A fidelity or Renyi-1/2 search on a target of rank 1 first ascends
-    xi_C, also capped at ``max_iterations`` steps, and returns the channel
-    of the last xi when that channel's own dual gap certifies it (see
-    ``_UhlmannProgram``). Otherwise the ascent from the transpose channel
-    runs as it would have without the route, and its result is returned
-    with the route's evaluations added to its own.
+    A fidelity or Renyi-1/2 search on a target of rank 1 starts at the
+    channel of xi_C, ascended first and also capped at ``max_iterations``
+    steps (see ``_UhlmannProgram``); every other search starts at the
+    transpose channel.
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective {objective_kind!r}; pick from {OBJECTIVE_KINDS}")
@@ -650,14 +638,13 @@ def optimize_recovery(
     problem = _RecoveryProblem(rho_tri)
 
     measured_re = objective_kind == "measured_re"
-    found, evaluations = None, 0
     if not measured_re and problem.root_factor.shape[1] == 1:
-        found = _uhlmann_search(problem, max_iterations)
-        evaluations = found[-1]
-    if found is None or not found[3]:
-        found = _channel_search(problem, objective_kind, max_iterations)
-        evaluations += found[-1]
-    v, f, trace, converged, gap, _ = found
+        v0, evaluations = _uhlmann_start(problem, max_iterations)
+    else:
+        v0, evaluations = _warm_start_isometry(problem), 0
+    v, f, trace, converged, gap, channel_evaluations = _channel_search(
+        problem, objective_kind, v0, max_iterations
+    )
 
     def to_units(score: float) -> float:
         if objective_kind == "fidelity":
@@ -673,7 +660,7 @@ def optimize_recovery(
         trace=[to_units(t) for t in trace],
         converged=converged,
         dual_gap=gap,
-        evaluations=evaluations,
+        evaluations=evaluations + channel_evaluations,
         inner_nonconverged=problem.inner_nonconverged if measured_re else None,
     )
 

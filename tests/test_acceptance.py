@@ -113,7 +113,7 @@ def test_recovery_certificate():
     report(
         "recovery-certificate",
         result.passed,
-        f"-2 log2 F <= CMI + 1e-4 bits: {result.detail} of 500 states (>= 99% required)",
+        f"-2 log2 F <= CMI + 1e-4 bits on 500 states (>= 99% required): {result.detail}",
     )
 
 

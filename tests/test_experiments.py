@@ -185,7 +185,9 @@ class TestInequalitySuite:
         assert lines[2].startswith("[PASS] classical-cmi-equality (n=3): max deviation ")
         assert lines[2].endswith(" bits")
         assert all(line.endswith(f"(n={n})") for line, n in zip(lines[3:8], budgets[3:8]))
-        assert lines[8] == "[PASS] recovery-certificate (n=1): witness within tolerance on 100.0%"
+        assert lines[8] == (
+            "[PASS] recovery-certificate (n=1): witness within tolerance on 100.0%, 0 uncertified"
+        )
 
     def test_mis_scaled_entropy_fails_classical_equality(self, monkeypatch):
         # mutation control: a base-e/base-2 mix must trip the equality check
@@ -205,6 +207,19 @@ class TestInequalitySuite:
         result = experiments._check_recovery_certificate(seed=4, n=5, sampler=markov_sampler)
         assert result.passed
         assert not result.failures
+
+    def test_certificate_reports_uncertified_searches(self, monkeypatch):
+        # searches capped before their first step end uncertified but still
+        # meet the witness; the detail counts them, the pass rule does not
+        optimize = cmirecon.recovery.optimize_recovery
+
+        def capped(rho, objective_kind="fidelity", max_iterations=2000):
+            return optimize(rho, objective_kind, max_iterations=0)
+
+        monkeypatch.setattr(cmirecon.recovery, "optimize_recovery", capped)
+        result = experiments._check_recovery_certificate(seed=4, n=3)
+        assert result.detail == "witness within tolerance on 100.0%, 3 uncertified"
+        assert result.passed
 
 
 class TestEmitOutputs:

@@ -403,11 +403,17 @@ class TestDualBound:
         assert result.dual_gap < recovery.DUAL_GAP_TOL
 
     def test_open_gap_is_not_convergence(self):
-        # a pure target whose two xi steps leave the route uncertified: the
-        # search over every channel runs, with the same cap
+        # two steps of the search over every channel from the transpose
+        # channel leave the gap open
         rho = states.random_pure((2, 2, 2), states.sample_rng(700, 0), ("B", "C", "R"))
+        problem = recovery._RecoveryProblem(rho)
+        v0 = recovery._warm_start_isometry(problem)
+        _, _, trace, converged, gap, _ = recovery._channel_search(problem, "fidelity", v0, 2)
+        assert len(trace) == 3
+        assert not converged
+        assert gap >= recovery.DUAL_GAP_TOL
+        # so do two xi steps and two channel steps from the channel they reach
         result = recovery.optimize_recovery(rho, "fidelity", max_iterations=2)
-        assert len(result.trace) == 3
         assert not result.converged
         assert result.dual_gap >= recovery.DUAL_GAP_TOL
 
@@ -444,11 +450,10 @@ class TestDualBound:
         v0 = recovery._warm_start_isometry(problem)
         columns = np.linalg.norm(problem.kraus_columns(v0), axis=0)
         assert np.all(columns[:rank] > 0.0) and columns[rank:].max() < 1e-15
-        # one xi step leaves the pure-target route uncertified, so this is
-        # the search over every channel
-        result = recovery.optimize_recovery(rho, "fidelity", max_iterations=1)
-        assert len(result.trace) == 2
-        assert np.linalg.matrix_rank(result.best_channel.choi) == problem.d_env
+        # one step of the search over every channel from there
+        v, _, trace, _, _, _ = recovery._channel_search(problem, "fidelity", v0, 1)
+        assert len(trace) == 2
+        assert np.linalg.matrix_rank(problem.channel_from(v).choi) == problem.d_env
 
     def test_widening_sets_the_zero_columns_along_the_slack(self):
         rho = _singular_b_state()
@@ -590,15 +595,32 @@ def _embedded_c_state(seed):
 
 
 def _count_ascents(monkeypatch):
+    """Log (shape of the start, evaluations) for each ``_ascend`` call."""
     runs = []
     ascend = recovery._ascend
 
     def counted(*args, **kwargs):
-        runs.append(args[0].shape)
-        return ascend(*args, **kwargs)
+        found = ascend(*args, **kwargs)
+        runs.append((args[0].shape, found[-1]))
+        return found
 
     monkeypatch.setattr(recovery, "_ascend", counted)
     return runs
+
+
+def _transpose_start_search(rho):
+    """F, converged and gap of the fidelity search over channels from the transpose channel."""
+    problem = recovery._RecoveryProblem(rho)
+    v0 = recovery._warm_start_isometry(problem)
+    _, f, _, converged, gap, _ = recovery._channel_search(problem, "fidelity", v0, 2000)
+    return f, converged, gap
+
+
+def _no_transpose_start(monkeypatch):
+    def refuse(problem):
+        raise AssertionError("a pure-target search started at the transpose channel")
+
+    monkeypatch.setattr(recovery, "_warm_start_isometry", refuse)
 
 
 def _panel_pure(k):
@@ -619,8 +641,7 @@ class TestUhlmannOracle:
     )
     def test_route_matches_channel_search_and_bloch_oracle(self, rho):
         route = recovery.optimize_recovery(rho, "fidelity")
-        problem = recovery._RecoveryProblem(rho)
-        _, stiefel, _, converged, gap, _ = recovery._channel_search(problem, "fidelity", 2000)
+        stiefel, converged, gap = _transpose_start_search(rho)
         oracle = _bloch_oracle(rho)
         assert route.converged and converged and gap < recovery.DUAL_GAP_TOL
         assert abs(route.best_value - oracle) < 1e-8
@@ -637,8 +658,7 @@ class TestUhlmannOracle:
     def test_route_matches_channel_search_at_qutrit_c(self, dims):
         rho = _pure(dims, 18, sum(dims))
         route = recovery.optimize_recovery(rho, "fidelity")
-        problem = recovery._RecoveryProblem(rho)
-        _, stiefel, _, converged, _, _ = recovery._channel_search(problem, "fidelity", 2000)
+        stiefel, converged, _ = _transpose_start_search(rho)
         assert route.converged and converged
         assert abs(route.best_value - stiefel) < 1e-8
 
@@ -707,10 +727,13 @@ class TestUhlmannRoute:
     @pytest.mark.parametrize("kind", ["fidelity", "renyi_half"])
     def test_pure_targets_certify_on_the_route(self, monkeypatch, kind, seed):
         rho = _pure((2, 2, 2), 700, seed)
+        _no_transpose_start(monkeypatch)
         runs = _count_ascents(monkeypatch)
         result = recovery.optimize_recovery(rho, kind)
-        # one ascent, over xi_C, and no search over every channel
-        assert runs == [(4, 1)]
+        # the ascent over xi_C, then one over channels that certifies its
+        # start, the channel of the last xi, with one evaluation and no step
+        assert [shape for shape, _ in runs] == [(4, 1), (32, 2)]
+        assert runs[1][1] == 1 and len(result.trace) == 1
         assert result.converged and result.dual_gap < recovery.DUAL_GAP_TOL
         f_route = entropy.fidelity(rho, recovery.reconstruct(rho, result.best_channel))
         f_best = result.best_value if kind == "fidelity" else 2.0 ** (-result.best_value / 2.0)
@@ -730,11 +753,11 @@ class TestUhlmannRoute:
         ],
     )
     def test_boundary_targets_certify_on_the_route(self, monkeypatch, rho, value):
-        problem = recovery._RecoveryProblem(rho)
-        _, stiefel, *_ = recovery._channel_search(problem, "fidelity", 2000)
+        stiefel, *_ = _transpose_start_search(rho)
         runs = _count_ascents(monkeypatch)
         result = recovery.optimize_recovery(rho, "fidelity")
-        assert len(runs) == 1
+        # the xi ascent, then a channel ascent that certifies at its start
+        assert len(runs) == 2 and runs[1][1] == 1 and len(result.trace) == 1
         assert result.converged and result.dual_gap < recovery.DUAL_GAP_TOL
         assert abs(result.best_value - (stiefel if value is None else value)) < 1e-8
 
@@ -742,7 +765,7 @@ class TestUhlmannRoute:
         def no_route(*args):
             raise AssertionError("the search took the pure-target route")
 
-        monkeypatch.setattr(recovery, "_uhlmann_search", no_route)
+        monkeypatch.setattr(recovery, "_uhlmann_start", no_route)
         rank2 = states.random_mixed(
             (2, 2, 2), states.sample_rng(701, 0), ("B", "C", "R"), ancilla_dim=2
         )
@@ -755,18 +778,31 @@ class TestUhlmannRoute:
         "cap, falls_back", [(2000, False), (2, True)], ids=["route", "fallback"]
     )
     def test_evaluations_count_the_route_and_the_fallback(self, monkeypatch, cap, falls_back):
+        # at cap 2 the channel of the second xi is not certified, and the
+        # channel ascent climbs it, with the same cap
         rho = _pure((2, 2, 2), 700, 0)
         xi_values, values = [], []
         _count_calls(monkeypatch, recovery._UhlmannProgram, "value", xi_values)
         _count_calls(monkeypatch, recovery._RecoveryProblem, "fidelity_value", values)
         runs = _count_ascents(monkeypatch)
         result = recovery.optimize_recovery(rho, "fidelity", max_iterations=cap)
-        assert len(runs) == 1 + falls_back
-        assert len(xi_values) > 0
-        # the route's channel is evaluated once; a fallback evaluates its own points too
+        assert [n for _, n in runs] == [len(xi_values), len(values)]
         assert len(values) > 1 if falls_back else len(values) == 1
         assert result.evaluations == len(xi_values) + len(values)
         assert result.converged == (not falls_back)
+
+    def test_uncertified_uhlmann_channel_is_climbed_from_where_it_stands(self, monkeypatch):
+        # about 1 in 2,000 (2,2,2) pure targets: the channel of the last xi
+        # keeps a dual gap near 7e-9 however far xi converges; searching
+        # again from the transpose channel took 35 evaluations in all
+        rho = _pure((2, 2, 2), 11, 232)
+        _no_transpose_start(monkeypatch)
+        runs = _count_ascents(monkeypatch)
+        result = recovery.optimize_recovery(rho, "fidelity")
+        assert result.converged and result.dual_gap < recovery.DUAL_GAP_TOL
+        assert [shape for shape, _ in runs] == [(4, 1), (32, 2)]
+        assert runs[1][1] > 1
+        assert result.evaluations < 35
 
 
 class TestRenyiHalfObjective:
