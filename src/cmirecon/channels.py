@@ -223,14 +223,15 @@ def transpose_channel(rho_bc: MultipartiteState) -> Channel:
     sqrt_bc = rho_bc.spectrum.apply(np.sqrt)
     spec_b = states.partial_trace(rho_bc, [b_label]).spectrum
     inv_sqrt_b = spec_b.apply(lambda x: 1.0 / np.sqrt(x))
-    proj_b = spec_b.apply(np.ones_like)
     # Kraus stack kt[o, j, c] = sum_i sqrt_bc[o, (i, c)] inv_sqrt_b[i, j],
     # that is sqrt(rho_BC) (rho_B^{-1/2} (x) I_C)
     kt = inv_sqrt_b.T @ sqrt_bc.reshape(d_b * d_c, d_b, d_c)
     choi = np.einsum("oic,pjc->iojp", kt, kt.conj())
-    defect = np.eye(d_b) - proj_b
-    if np.abs(defect).max() > 1e-14:
-        choi = choi + np.einsum("ji,op->iojp", defect, rho_bc.matrix)
+    kernel = spec_b.eigenvalues <= linalg.support_cutoff(spec_b.eigenvalues)
+    if kernel.any():
+        # the completion: the projector onto rho_B's kernel, routed to rho_BC
+        v = spec_b.eigenvectors[:, kernel]
+        choi = choi + np.einsum("ji,op->iojp", v @ v.conj().T, rho_bc.matrix)
     choi = choi.reshape(d_b * d_b * d_c, d_b * d_b * d_c)
     return _derived(choi, ((b_label, d_b),), rho_bc.subsystems)
 

@@ -80,48 +80,48 @@ def cmi(state: MultipartiteState) -> float:
     return s_bc + s_br - s_bcr - s_b
 
 
-def _support_contained(rho: np.ndarray, sigma_spec: linalg.Spectrum) -> bool:
-    cutoff = linalg.support_cutoff(sigma_spec.eigenvalues)
-    kernel = sigma_spec.eigenvalues <= cutoff
-    if not np.any(kernel):
-        return True
-    v = sigma_spec.eigenvectors[:, kernel]
-    leak = v.conj().T @ rho @ v
-    return linalg._trace_norm(leak) < SUPPORT_LEAK_TOL
-
-
 def relative_entropy(rho, sigma) -> float:
     """Quantum relative entropy tr[rho(log rho - log sigma)] in bits.
 
     Returns ``math.inf`` when the support of rho is not contained in the
-    support of sigma (both supports taken at the spectral cutoff).
+    support of sigma (both supports taken at the spectral cutoff). With
+    rho = W W^dag (``linalg.root_factor``) and sigma's eigenpairs (w_j, v_j),
+    tr rho log sigma = sum over sigma's support of ln w_j ||v_j^dag W||^2.
     """
     rho, rho_spec = _decomposed(rho)
     sigma, sigma_spec = _decomposed(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    if not _support_contained(rho, sigma_spec):
+    # weight[j] = ||v_j^dag W||^2 = <v_j|rho|v_j> on rho's support
+    weight = (np.abs(sigma_spec.eigenvectors.conj().T @ linalg.root_factor(rho_spec)) ** 2).sum(axis=1)
+    kernel = sigma_spec.eigenvalues <= linalg.support_cutoff(sigma_spec.eigenvalues)
+    # the leak V_k^dag rho V_k onto sigma's kernel is positive semidefinite,
+    # so its trace norm is its trace, ||V_k^dag W||_F^2
+    if float(weight[kernel].sum()) >= SUPPORT_LEAK_TOL:
         return math.inf
     w = rho_spec.eigenvalues
     w = w[w > linalg.support_cutoff(w)]
     tr_rho_log_rho = float((w * np.log(w)).sum())
-    log_sigma = sigma_spec.apply(np.log)
-    tr_rho_log_sigma = float(np.trace(rho @ log_sigma).real)
+    support = ~kernel
+    tr_rho_log_sigma = float((np.log(sigma_spec.eigenvalues[support]) * weight[support]).sum())
     return (tr_rho_log_rho - tr_rho_log_sigma) / LN2
 
 
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity tr[(sigma^1/2 rho sigma^1/2)^1/2], clipped to [0, 1].
 
-    Evaluated as the trace norm of sqrt(rho) sqrt(sigma), whose singular
+    Evaluated as the trace norm of sqrt(sigma) sqrt(rho), whose singular
     values are the eigenvalues of the bracketed root; round-off then enters
-    linearly instead of under a square root.
+    linearly instead of under a square root. With the root factors
+    (``linalg.root_factor``) that norm is ||W_sigma^dag W_rho||_1, an
+    r_sigma x r_rho matrix for the ranks r at the support cutoff.
     """
     rho, rho_spec = _decomposed(rho)
     sigma, sigma_spec = _decomposed(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    f = linalg._trace_norm(rho_spec.apply(np.sqrt) @ sigma_spec.apply(np.sqrt))
+    overlap = linalg.root_factor(sigma_spec).conj().T @ linalg.root_factor(rho_spec)
+    f = linalg._trace_norm(overlap)
     return min(max(f, 0.0), 1.0)
 
 
@@ -342,8 +342,11 @@ def _ascend_measured_re(rho, sigma, h0, max_iterations: int):
         if len(trace) > max_iterations or stalled:
             break
         x = _from_coordinates(y, d)
-        norm = float(np.abs(np.linalg.eigvalsh(x)).max())
-        scale = min(1.0, MRE_MAX_STEP / norm)
+        # the coordinates are orthonormal, so ||y|| = ||X||_F >= ||X||_2: a
+        # step no longer than the cap in y needs no spectral norm
+        scale = 1.0
+        if math.sqrt(y @ y) > MRE_MAX_STEP:
+            scale = min(1.0, MRE_MAX_STEP / float(np.abs(np.linalg.eigvalsh(x)).max()))
         x = (scale * u) @ x @ u.conj().T
         step = 1.0
         while step >= MRE_MIN_STEP:

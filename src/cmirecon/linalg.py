@@ -104,6 +104,19 @@ def support_cutoff(eigenvalues: np.ndarray) -> float:
     return SUPPORT_RTOL * max(top, 0.0)
 
 
+def root_factor(spectrum: Spectrum) -> np.ndarray:
+    """W = V_s diag(sqrt(w_s)) over the eigenpairs above the support cutoff.
+
+    For a positive semidefinite H this gives H = W W^dag and sqrt(H) =
+    W V_s^dag, both up to the eigenvalues at or below the cutoff, so any
+    unitarily invariant norm of sqrt(H) A equals that of W^dag A. W is
+    d x r for the rank r at the default cutoff.
+    """
+    w = spectrum.eigenvalues
+    keep = w > support_cutoff(w)
+    return spectrum.eigenvectors[:, keep] * np.sqrt(w[keep])
+
+
 def matrix_function(
     h: np.ndarray,
     f: Callable[[np.ndarray], np.ndarray],
@@ -130,8 +143,8 @@ def trace_norm(a: np.ndarray) -> float:
 
 
 def _trace_norm(a: np.ndarray) -> float:
-    """``trace_norm`` without its check, for a complex square matrix the
-    program built from checked input."""
+    """``trace_norm`` without its check, for a complex matrix of any shape
+    the program built from checked input."""
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 

@@ -206,13 +206,11 @@ class _RecoveryProblem:
         rho4 = rho_br.reshape(self.d_b, self.d_r, self.d_b, self.d_r)
         self.rho_st_bc = rho4.transpose(3, 1, 2, 0).reshape(self.d_r**2, self.d_b**2)
 
-        spec = ordered.spectrum
         # sqrt(rho) = W U^dag on rho's support U, so sqrt(rho) sigma
         # sqrt(rho) and the rank x rank W^dag sigma W share their nonzero
         # spectrum; the full product's off-support round-off eigenvalues
         # (~1e-17) would add their roots, ~1e-8, to F
-        keep = spec.eigenvalues > linalg.support_cutoff(spec.eigenvalues)
-        self.root_factor = spec.eigenvectors[:, keep] * np.sqrt(spec.eigenvalues[keep])
+        self.root_factor = linalg.root_factor(ordered.spectrum)
 
     def isometry_shape(self) -> tuple[int, int]:
         return (self.d_bc * self.d_env, self.d_b)

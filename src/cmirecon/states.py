@@ -304,13 +304,12 @@ def purify(state: MultipartiteState, ancilla_label: str) -> MultipartiteState:
     ancilla_label = str(ancilla_label)
     if ancilla_label in state.labels:
         raise ValueError(f"ancilla label {ancilla_label!r} collides with {state.labels}")
-    spec = state.spectrum
-    keep = spec.eigenvalues > linalg.support_cutoff(spec.eigenvalues)
-    if not np.any(keep):
+    root = linalg.root_factor(state.spectrum)
+    if root.shape[1] == 0:
         raise ValueError("state has numerically empty support")
     # psi[(a, k)] = sqrt(w_k) v_k[a] over the kept eigenpairs
-    psi = (spec.eigenvectors[:, keep] * np.sqrt(spec.eigenvalues[keep])).reshape(-1)
-    subs = state.subsystems + ((ancilla_label, int(np.count_nonzero(keep))),)
+    psi = root.reshape(-1)
+    subs = state.subsystems + ((ancilla_label, root.shape[1]),)
     return _derived(np.outer(psi, psi.conj()), subs)
 
 

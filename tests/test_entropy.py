@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmirecon import channels, entropy, linalg, markov, recovery, states
 from cmirecon.states import MultipartiteState
@@ -146,6 +148,94 @@ class TestFidelity:
         assert math.isinf(entropy.renyi_half(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
 
 
+# --- root-factor formulas against the full-matrix ones -----------------------
+
+
+def fidelity_oracle(rho, sigma):
+    """||sqrt(rho) sqrt(sigma)||_1 from the two full matrix roots."""
+    return linalg.trace_norm(
+        linalg.matrix_function(rho, np.sqrt) @ linalg.matrix_function(sigma, np.sqrt)
+    )
+
+
+def relative_entropy_oracle(rho, sigma):
+    """tr rho(log rho - log sigma) in bits, +inf when the trace norm (an SVD)
+    of rho compressed onto sigma's kernel reaches SUPPORT_LEAK_TOL."""
+    spec = linalg.eigh(sigma)
+    kernel = spec.eigenvalues <= linalg.support_cutoff(spec.eigenvalues)
+    v = spec.eigenvectors[:, kernel]
+    if kernel.any() and linalg.trace_norm(v.conj().T @ rho @ v) >= entropy.SUPPORT_LEAK_TOL:
+        return math.inf
+    w = np.linalg.eigvalsh(rho)
+    w = w[w > linalg.support_cutoff(w)]
+    tr_rho_log_rho = float((w * np.log(w)).sum())
+    tr_rho_log_sigma = float(np.trace(rho @ spec.apply(np.log)).real)
+    return (tr_rho_log_rho - tr_rho_log_sigma) / entropy.LN2
+
+
+def oracle_pair(d, seed, rho_rank, sigma_kernel, inside):
+    """rho of rank ``rho_rank`` (None: full) and sigma with a kernel of
+    ``sigma_kernel`` dimensions, both d x d; with ``inside``, rho is drawn
+    within sigma's support (its rank capped at that support's)."""
+    rng = states.sample_rng(seed, 0)
+    u = channels.haar_isometry(d, d, rng)
+    p = rng.uniform(0.05, 1.0, d)
+    p[:sigma_kernel] = 0.0
+    sigma = (u * (p / p.sum())) @ u.conj().T
+    rank = d if rho_rank is None else rho_rank
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    if inside:
+        support = u[:, sigma_kernel:]
+        g = support @ (support.conj().T @ g[:, : d - sigma_kernel])
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real, sigma
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(
+    st.integers(2, 8),
+    st.integers(0, 2**63 - 1),
+    st.sampled_from(["pure", "rank-deficient", "full"]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_root_factor_formulas_match_the_full_matrix_ones(d, seed, kind, sigma_has_kernel, inside):
+    rank = {"pure": 1, "rank-deficient": max(1, d // 2), "full": None}[kind]
+    sigma_kernel = max(1, d // 3) if sigma_has_kernel else 0
+    rho, sigma = oracle_pair(d, seed, rank, sigma_kernel, inside)
+    assert abs(entropy.fidelity(rho, sigma) - fidelity_oracle(rho, sigma)) <= 1e-12
+    got, want = entropy.relative_entropy(rho, sigma), relative_entropy_oracle(rho, sigma)
+    if math.isinf(want):
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12
+    # the leak is whole or nothing here: rho outside sigma's support is infinite
+    assert math.isinf(got) == (sigma_has_kernel and not inside)
+
+
+class TestSupportLeakEdge:
+    """rho = (1 - eps) psi psi^dag + eps phi phi^dag with phi in sigma's kernel."""
+
+    @staticmethod
+    def pair(eps):
+        psi = np.array([1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+        phi = np.array([0.0, 0.0, 1.0], dtype=complex)
+        rho = (1.0 - eps) * np.outer(psi, psi.conj()) + eps * np.outer(phi, phi.conj())
+        return rho, np.diag([0.7, 0.3, 0.0]).astype(complex)
+
+    def test_leak_above_the_tolerance_is_infinite(self):
+        rho, sigma = self.pair(1e-8)
+        assert math.isinf(entropy.relative_entropy(rho, sigma))
+        assert math.isinf(relative_entropy_oracle(rho, sigma))
+
+    def test_leak_below_the_support_cutoff_is_finite(self):
+        # eps sits below rho's support cutoff, so W carries no weight on phi
+        rho, sigma = self.pair(1e-11)
+        got = entropy.relative_entropy(rho, sigma)
+        assert math.isfinite(got)
+        assert abs(got - relative_entropy_oracle(rho, sigma)) <= 1e-9
+
+
 def qubit_measurement_grid_value(rho, sigma, n_theta=24, n_phi=30):
     """Brute-force oracle: best classical KL over a grid of projective
     qubit measurements parametrized by Bloch angles."""
@@ -270,6 +360,24 @@ class TestMeasuredReNewtonStep:
         assert not capped.converged
         full = entropy.measured_relative_entropy(rho, sigma)
         assert full.converged and full.value_bits > capped.value_bits
+
+    def test_accepted_steps_respect_the_cap(self):
+        # pure rho: the supremum lies at infinity in H, so the first Newton
+        # step overshoots and the cap binds. The ascent is deterministic, so
+        # capping it at k steps returns the k-th accepted H.
+        rho = states.random_pure((2, 2, 2), states.sample_rng(4100, 0), ("B", "C", "R"))
+        rho, sigma = (m.matrix for m in transpose_rebuild_pair(rho))
+        h0 = np.zeros_like(rho)
+        trace = entropy._ascend_measured_re(rho, sigma, h0, 600)[2]
+        iterates = []
+        for k in range(len(trace)):
+            _, (w, u), _, _ = entropy._ascend_measured_re(rho, sigma, h0, k)
+            iterates.append((u * w) @ u.conj().T)
+        norms = [np.abs(np.linalg.eigvalsh(b - a)).max() for a, b in zip(iterates, iterates[1:])]
+        assert len(norms) == len(trace) - 1 >= 2
+        assert max(norms) <= entropy.MRE_MAX_STEP + 1e-9
+        # a step of exactly the cap's norm is a capped one
+        assert any(abs(n - entropy.MRE_MAX_STEP) <= 1e-9 for n in norms)
 
     @pytest.mark.parametrize("w", [[-1.0, 0.3, 2.0], [0.5, 0.5 + 1e-9, 0.5 + 2e-4], [-30.0, -2.0, 0.0]])
     def test_first_differences_match_their_definition(self, w):

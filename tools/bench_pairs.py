@@ -17,14 +17,17 @@ it holds. A pair is the parent and change runs of one seed; the change
 wins it on a metric when it is better in the direction ``BENCHMARK.json``
 gives, the parent when it is worse, and a tie counts for neither.
 
-Each run prints its items/s, ``peak_rss_mb`` and ``correct``; the exit
-status is 1 when any run the file holds is not ``correct``.
+Each run prints its items/s, ``peak_rss_mb``, its timed pass count (parsed
+from the ``# items_per_s ... N pass(es)`` line; ``peak_rss_mb`` grows with
+it) and ``correct``, and the file keeps the count as the run's ``passes``;
+the exit status is 1 when any run the file holds is not ``correct``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -44,14 +47,23 @@ def parse_seeds(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
-def run_once(tree: Path, workload: str, seed: int, trace: bool) -> tuple[str, dict]:
-    """One benchmark run in ``tree``: its env line and its result object."""
+def timed_passes(lines: list[str]) -> int | None:
+    """The pass count of the ``# items_per_s`` line; None when there is none (a traced run)."""
+    for line in lines:
+        if line.startswith("# items_per_s "):
+            found = re.search(r"(\d+) pass\(es\)", line)
+            return int(found.group(1)) if found else None
+    return None
+
+
+def run_once(tree: Path, workload: str, seed: int, trace: bool) -> tuple[str, dict, int | None]:
+    """One benchmark run in ``tree``: its env line, its result object and its timed passes."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(int(trace))]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout
     lines = out.strip().splitlines()
     env = next(line for line in lines if line.startswith("# env "))
-    return env, json.loads(lines[-1])
+    return env, json.loads(lines[-1]), timed_passes(lines)
 
 
 def pair_wins(runs: list[dict], better: dict[str, str]) -> dict:
@@ -125,7 +137,7 @@ def main(argv=None) -> int:
     if args.trace:
         seed = args.seeds[0]
         for side, tree in trees.items():
-            env, result = run_once(tree, args.workload, seed, trace=True)
+            env, result, _ = run_once(tree, args.workload, seed, trace=True)
             kept = {k: v for k, v in result["metrics"].items() if k.startswith(TRACE_PREFIXES)}
             doc.setdefault("per_layer_trace", {}).setdefault(args.workload, {})[side] = {
                 "seed": seed, "env": env, "correct": result["correct"], "metrics": kept}
@@ -135,13 +147,14 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                env, result = run_once(trees[side], args.workload, seed, trace=False)
+                env, result, passes = run_once(trees[side], args.workload, seed, trace=False)
                 doc["runs"].append({"workload": args.workload, "seed": seed, "side": side,
-                                    "first": order[0], "env": env, "result": result})
+                                    "first": order[0], "env": env, "passes": passes, "result": result})
                 save()
                 metrics = result["metrics"]
                 print(f"{args.workload} seed {seed} {side}: {metrics['items_per_s']['value']:.2f} items/s, "
-                      f"peak_rss_mb {metrics['peak_rss_mb']['value']:.2f}, correct {result['correct']}",
+                      f"peak_rss_mb {metrics['peak_rss_mb']['value']:.2f} over {passes} pass(es), "
+                      f"correct {result['correct']}",
                       flush=True)
     wrong = [f"{r['workload']} seed {r['seed']} {r['side']}" for r in doc["runs"] if not r["result"]["correct"]]
     wrong += [f"{workload} seed {t['seed']} {side} traced"
