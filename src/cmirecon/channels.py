@@ -227,10 +227,10 @@ def transpose_channel(rho_bc: MultipartiteState) -> Channel:
     # that is sqrt(rho_BC) (rho_B^{-1/2} (x) I_C)
     kt = inv_sqrt_b.T @ sqrt_bc.reshape(d_b * d_c, d_b, d_c)
     choi = np.einsum("oic,pjc->iojp", kt, kt.conj())
-    kernel = spec_b.eigenvalues <= linalg.support_cutoff(spec_b.eigenvalues)
-    if kernel.any():
+    k = linalg.kernel_size(spec_b.eigenvalues)
+    if k:
         # the completion: the projector onto rho_B's kernel, routed to rho_BC
-        v = spec_b.eigenvectors[:, kernel]
+        v = spec_b.eigenvectors[:, :k]
         choi = choi + np.einsum("ji,op->iojp", v @ v.conj().T, rho_bc.matrix)
     choi = choi.reshape(d_b * d_b * d_c, d_b * d_b * d_c)
     return _derived(choi, ((b_label, d_b),), rho_bc.subsystems)

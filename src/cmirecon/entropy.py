@@ -93,17 +93,18 @@ def relative_entropy(rho, sigma) -> float:
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     # weight[j] = ||v_j^dag W||^2 = <v_j|rho|v_j> on rho's support
-    weight = (np.abs(sigma_spec.eigenvectors.conj().T @ linalg.root_factor(rho_spec)) ** 2).sum(axis=1)
-    kernel = sigma_spec.eigenvalues <= linalg.support_cutoff(sigma_spec.eigenvalues)
-    # the leak V_k^dag rho V_k onto sigma's kernel is positive semidefinite,
-    # so its trace norm is its trace, ||V_k^dag W||_F^2
-    if float(weight[kernel].sum()) >= SUPPORT_LEAK_TOL:
+    overlap = sigma_spec.eigenvectors.conj().T @ linalg.root_factor(rho_spec)
+    weight = (np.abs(overlap) ** 2).sum(axis=1)
+    w_sigma = sigma_spec.eigenvalues
+    k = linalg.kernel_size(w_sigma)
+    # the leak V_k^dag rho V_k onto sigma's kernel (its first k eigenvectors)
+    # is positive semidefinite, so its trace norm is its trace, ||V_k^dag W||_F^2
+    if float(weight[:k].sum()) >= SUPPORT_LEAK_TOL:
         return math.inf
     w = rho_spec.eigenvalues
     w = w[w > linalg.support_cutoff(w)]
     tr_rho_log_rho = float((w * np.log(w)).sum())
-    support = ~kernel
-    tr_rho_log_sigma = float((np.log(sigma_spec.eigenvalues[support]) * weight[support]).sum())
+    tr_rho_log_sigma = float(np.log(w_sigma[k:]) @ weight[k:])
     return (tr_rho_log_rho - tr_rho_log_sigma) / LN2
 
 

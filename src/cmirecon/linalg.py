@@ -104,6 +104,12 @@ def support_cutoff(eigenvalues: np.ndarray) -> float:
     return SUPPORT_RTOL * max(top, 0.0)
 
 
+def kernel_size(eigenvalues: np.ndarray) -> int:
+    """How many of the ascending eigenvalues lie at or below the support
+    cutoff: the kernel is the leading eigenpairs, the support the rest."""
+    return int(np.count_nonzero(eigenvalues <= support_cutoff(eigenvalues)))
+
+
 def root_factor(spectrum: Spectrum) -> np.ndarray:
     """W = V_s diag(sqrt(w_s)) over the eigenpairs above the support cutoff.
 
@@ -113,8 +119,8 @@ def root_factor(spectrum: Spectrum) -> np.ndarray:
     d x r for the rank r at the default cutoff.
     """
     w = spectrum.eigenvalues
-    keep = w > support_cutoff(w)
-    return spectrum.eigenvectors[:, keep] * np.sqrt(w[keep])
+    k = kernel_size(w)
+    return spectrum.eigenvectors[:, k:] * np.sqrt(w[k:])
 
 
 def matrix_function(
