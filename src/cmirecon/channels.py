@@ -227,10 +227,9 @@ def transpose_channel(rho_bc: MultipartiteState) -> Channel:
     # that is sqrt(rho_BC) (rho_B^{-1/2} (x) I_C)
     kt = inv_sqrt_b.T @ sqrt_bc.reshape(d_b * d_c, d_b, d_c)
     choi = np.einsum("oic,pjc->iojp", kt, kt.conj())
-    k = linalg.kernel_size(spec_b.eigenvalues)
-    if k:
+    if spec_b.kernel:
         # the completion: the projector onto rho_B's kernel, routed to rho_BC
-        v = spec_b.eigenvectors[:, :k]
+        v = spec_b.eigenvectors[:, : spec_b.kernel]
         choi = choi + np.einsum("ji,op->iojp", v @ v.conj().T, rho_bc.matrix)
     choi = choi.reshape(d_b * d_b * d_c, d_b * d_b * d_c)
     return _derived(choi, ((b_label, d_b),), rho_bc.subsystems)
@@ -297,20 +296,12 @@ def random_channel(
 def kraus_operators(channel: Channel) -> list[np.ndarray]:
     """Kraus operators from the kept spectral decomposition of the Choi matrix.
 
-    Ordered by decreasing weight; eigenvalues at or below the support
-    cutoff are dropped.
+    The columns sqrt(w_i) v_i of the Choi spectrum's ``root``, reshaped and
+    ordered by decreasing weight: the kernel is dropped. The operators are
+    read-only views of that root, like the channel's other kept matrices.
     """
-    spec = channel.spectrum
-    cutoff = linalg.support_cutoff(spec.eigenvalues)
     d_in, d_out = channel.d_in, channel.d_out
-    ops = []
-    for i in range(len(spec.eigenvalues) - 1, -1, -1):
-        w = spec.eigenvalues[i]
-        if w <= cutoff:
-            break
-        vec = spec.eigenvectors[:, i].reshape(d_in, d_out)
-        ops.append(np.sqrt(w) * vec.T)
-    return ops
+    return [col.reshape(d_in, d_out).T for col in channel.spectrum.root.T[::-1]]
 
 
 # --- JSON interchange -------------------------------------------------------

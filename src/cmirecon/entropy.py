@@ -53,11 +53,15 @@ def _psd_part(m: np.ndarray, spec: linalg.Spectrum) -> np.ndarray:
     return m
 
 
+def _w_log_w(spec: linalg.Spectrum) -> float:
+    """sum of w ln w over the support of the spectrum, in nats."""
+    w = spec.eigenvalues[spec.kernel :]
+    return float((w * np.log(w)).sum())
+
+
 def von_neumann(state_or_matrix) -> float:
     """Von Neumann entropy in bits: -sum of w log2 w over the spectrum."""
-    w = _decomposed(state_or_matrix)[1].eigenvalues
-    w = w[w > linalg.support_cutoff(w)]
-    return float(-(w * np.log(w)).sum() / LN2)
+    return -_w_log_w(_decomposed(state_or_matrix)[1]) / LN2
 
 
 def cmi(state: MultipartiteState) -> float:
@@ -85,7 +89,7 @@ def relative_entropy(rho, sigma) -> float:
 
     Returns ``math.inf`` when the support of rho is not contained in the
     support of sigma (both supports taken at the spectral cutoff). With
-    rho = W W^dag (``linalg.root_factor``) and sigma's eigenpairs (w_j, v_j),
+    rho = W W^dag (``Spectrum.root``) and sigma's eigenpairs (w_j, v_j),
     tr rho log sigma = sum over sigma's support of ln w_j ||v_j^dag W||^2.
     """
     rho, rho_spec = _decomposed(rho)
@@ -93,19 +97,15 @@ def relative_entropy(rho, sigma) -> float:
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     # weight[j] = ||v_j^dag W||^2 = <v_j|rho|v_j> on rho's support
-    overlap = sigma_spec.eigenvectors.conj().T @ linalg.root_factor(rho_spec)
+    overlap = sigma_spec.eigenvectors.conj().T @ rho_spec.root
     weight = (np.abs(overlap) ** 2).sum(axis=1)
-    w_sigma = sigma_spec.eigenvalues
-    k = linalg.kernel_size(w_sigma)
+    w_sigma, k = sigma_spec.eigenvalues, sigma_spec.kernel
     # the leak V_k^dag rho V_k onto sigma's kernel (its first k eigenvectors)
     # is positive semidefinite, so its trace norm is its trace, ||V_k^dag W||_F^2
     if float(weight[:k].sum()) >= SUPPORT_LEAK_TOL:
         return math.inf
-    w = rho_spec.eigenvalues
-    w = w[w > linalg.support_cutoff(w)]
-    tr_rho_log_rho = float((w * np.log(w)).sum())
     tr_rho_log_sigma = float(np.log(w_sigma[k:]) @ weight[k:])
-    return (tr_rho_log_rho - tr_rho_log_sigma) / LN2
+    return (_w_log_w(rho_spec) - tr_rho_log_sigma) / LN2
 
 
 def fidelity(rho, sigma) -> float:
@@ -114,14 +114,14 @@ def fidelity(rho, sigma) -> float:
     Evaluated as the trace norm of sqrt(sigma) sqrt(rho), whose singular
     values are the eigenvalues of the bracketed root; round-off then enters
     linearly instead of under a square root. With the root factors
-    (``linalg.root_factor``) that norm is ||W_sigma^dag W_rho||_1, an
+    (``Spectrum.root``) that norm is ||W_sigma^dag W_rho||_1, an
     r_sigma x r_rho matrix for the ranks r at the support cutoff.
     """
     rho, rho_spec = _decomposed(rho)
     sigma, sigma_spec = _decomposed(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    overlap = linalg.root_factor(sigma_spec).conj().T @ linalg.root_factor(rho_spec)
+    overlap = sigma_spec.root.conj().T @ rho_spec.root
     f = linalg._trace_norm(overlap)
     return min(max(f, 0.0), 1.0)
 
@@ -380,9 +380,10 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
     which puts the value within about that much of the supremum.
     ``max_iterations`` caps the accepted Newton steps per start.
 
-    A rank-deficient sigma is mixed with 1e-12 of the maximally mixed
-    state first, which keeps the objective finite and shifts the result
-    far below reporting tolerance.
+    A sigma with a ``kernel`` is mixed with 1e-12 of the maximally mixed
+    state first, which keeps the objective finite. That shifts the result
+    far below reporting tolerance only while rho lies in sigma's support:
+    on a leak D_M is +inf, yet a finite value is returned (a known defect).
     """
     rho, rho_spec = _decomposed(rho)
     sigma, sigma_spec = _decomposed(sigma)
@@ -393,8 +394,8 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
     # unbounded objective out of round-off-negative directions
     rho = _psd_part(rho, rho_spec)
     sigma = _psd_part(sigma, sigma_spec)
-    # a clipped sigma had a negative minimum: below the cutoff either way
-    if sigma_spec.eigenvalues[0] <= linalg.support_cutoff(sigma_spec.eigenvalues):
+    # a clipped sigma had a negative minimum: in the kernel either way
+    if sigma_spec.kernel:
         delta = SIGMA_REGULARIZATION
         sigma = (1.0 - delta) * sigma + delta * np.eye(d) / d
 

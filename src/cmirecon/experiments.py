@@ -96,15 +96,13 @@ def transpose_reconstruction_metrics(
     fid = entropy.fidelity(rho, sigma)
     shalf = math.inf if fid == 0.0 else -2.0 * math.log2(fid)
 
-    w_b = states.partial_trace(rho_bc, ["B"]).spectrum.eigenvalues
-
     out = {
         "cmi_bits": cmi_bits,
         "relent_transpose_bits": rel,
         "fidelity_transpose": fid,
         "shalf_transpose_bits": shalf,
         "strict": bool(rel < cmi_bits - STRICT_TOL),
-        "completion_used": bool(w_b[0] <= linalg.support_cutoff(w_b)),
+        "completion_used": bool(states.partial_trace(rho_bc, ["B"]).spectrum.kernel),
     }
     if include_measured_re:
         solution = entropy.measured_relative_entropy(rho, sigma)

@@ -7,6 +7,7 @@ All scalars are double precision.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,11 +26,30 @@ class Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
     ``eigenvalues`` is real and ascending; the columns of ``eigenvectors``
-    are the matching orthonormal eigenvectors.
+    are the matching orthonormal eigenvectors. ``kernel`` and ``root`` hold
+    the split at the default cutoff, each computed once.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    @functools.cached_property
+    def kernel(self) -> int:
+        """The number of leading eigenpairs at or below the support cutoff."""
+        return kernel_size(self.eigenvalues)
+
+    @functools.cached_property
+    def root(self) -> np.ndarray:
+        """W = V_s diag(sqrt(w_s)) over the support, d x r for rank r, read-only.
+
+        For a positive semidefinite H, H = W W^dag and sqrt(H) = W V_s^dag up
+        to the kernel, so any unitarily invariant norm of sqrt(H) A equals
+        that of W^dag A.
+        """
+        w, k = self.eigenvalues, self.kernel
+        root = self.eigenvectors[:, k:] * np.sqrt(w[k:])
+        root.setflags(write=False)
+        return root
 
     def apply(
         self, f: Callable[[np.ndarray], np.ndarray], cutoff: float | None = None
@@ -37,21 +57,21 @@ class Spectrum:
         """V diag(f(w)) V^dag, with eigenvalues at or below the cutoff mapped to zero.
 
         ``cutoff`` is absolute (must be >= 0); ``None`` selects the default
-        relative cutoff from this spectrum.
+        relative cutoff, that is the spectrum's ``kernel``.
         """
         w = self.eigenvalues
         if cutoff is None:
-            cutoff = support_cutoff(w)
-        if cutoff < 0:
+            k = self.kernel
+        elif cutoff < 0:
             raise ValueError(f"support cutoff must be >= 0, got {cutoff}")
+        else:
+            k = int(np.count_nonzero(w <= cutoff))
         v = self.eigenvectors
-        if len(w) and w[0] > cutoff:
+        if k == 0:
             # full support: f sees every eigenvalue, elementwise as below
             return (v * f(w)) @ v.conj().T
         fw = np.zeros_like(w)
-        mask = w > cutoff
-        if mask.any():
-            fw[mask] = f(w[mask])
+        fw[k:] = f(w[k:])
         return (v * fw) @ v.conj().T
 
 
@@ -108,19 +128,6 @@ def kernel_size(eigenvalues: np.ndarray) -> int:
     """How many of the ascending eigenvalues lie at or below the support
     cutoff: the kernel is the leading eigenpairs, the support the rest."""
     return int(np.count_nonzero(eigenvalues <= support_cutoff(eigenvalues)))
-
-
-def root_factor(spectrum: Spectrum) -> np.ndarray:
-    """W = V_s diag(sqrt(w_s)) over the eigenpairs above the support cutoff.
-
-    For a positive semidefinite H this gives H = W W^dag and sqrt(H) =
-    W V_s^dag, both up to the eigenvalues at or below the cutoff, so any
-    unitarily invariant norm of sqrt(H) A equals that of W^dag A. W is
-    d x r for the rank r at the default cutoff.
-    """
-    w = spectrum.eigenvalues
-    k = kernel_size(w)
-    return spectrum.eigenvectors[:, k:] * np.sqrt(w[k:])
 
 
 def matrix_function(

@@ -171,8 +171,8 @@ def _half_inverse_root(held):
     lam above the support cutoff.
     """
     lam, root, u = held
-    keep = lam > linalg.support_cutoff(lam)
-    return float(root.sum()), u[:, keep], 2.0 * root[keep]
+    k = linalg.kernel_size(lam)
+    return float(root.sum()), u[:, k:], 2.0 * root[k:]
 
 
 class _RecoveryProblem:
@@ -210,7 +210,7 @@ class _RecoveryProblem:
         # sqrt(rho) and the rank x rank W^dag sigma W share their nonzero
         # spectrum; the full product's off-support round-off eigenvalues
         # (~1e-17) would add their roots, ~1e-8, to F
-        self.root_factor = linalg.root_factor(ordered.spectrum)
+        self.root_factor = ordered.spectrum.root
 
     def isometry_shape(self) -> tuple[int, int]:
         return (self.d_bc * self.d_env, self.d_b)

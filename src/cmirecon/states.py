@@ -304,7 +304,7 @@ def purify(state: MultipartiteState, ancilla_label: str) -> MultipartiteState:
     ancilla_label = str(ancilla_label)
     if ancilla_label in state.labels:
         raise ValueError(f"ancilla label {ancilla_label!r} collides with {state.labels}")
-    root = linalg.root_factor(state.spectrum)
+    root = state.spectrum.root
     if root.shape[1] == 0:
         raise ValueError("state has numerically empty support")
     # psi[(a, k)] = sqrt(w_k) v_k[a] over the kept eigenpairs

@@ -56,6 +56,14 @@ class TestChannelValidation:
         with pytest.raises(ValueError, match="not CP"):
             Channel(j, (("A", 2),), (("A", 2),))
 
+    def test_rejects_a_small_negative_eigenvalue(self):
+        # the dephasing channel's Choi matrix diag(1, 0, 0, 1) plus
+        # 1e-6 |0><0| (x) Z: still trace preserving, smallest eigenvalue -1e-6
+        j = np.diag([1.0 + 1e-6, -1e-6, 0.0, 1.0]).astype(complex)
+        assert np.linalg.eigvalsh(j)[0] == -1e-6
+        with pytest.raises(ValueError, match="not CP"):
+            Channel(j, (("A", 2),), (("A", 2),))
+
     def test_rejects_non_tp(self):
         j = np.zeros((4, 4), dtype=complex)
         j[0, 0] = 1.0  # sub-normalized
@@ -308,6 +316,13 @@ class TestKrausOperators:
         assert np.abs(rebuilt - channels.apply(ch, rho).matrix).max() < 1e-10
         complete = sum(k.conj().T @ k for k in ops)
         assert np.abs(complete - np.eye(2)).max() < 1e-8
+
+    def test_operators_are_read_only(self):
+        ch = channels.random_channel(2, 3, 2, states.sample_rng(400, 0), (("A", 2),), (("A", 3),))
+        for k in channels.kraus_operators(ch):
+            assert not k.flags.writeable
+            with pytest.raises(ValueError):
+                k[0, 0] = 0.0
 
 
 class TestChannelJson:

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import cmirecon
 import cmirecon.entropy
-from cmirecon import channels, experiments, markov, states
+from cmirecon import channels, entropy, experiments, linalg, markov, states
 from cmirecon.experiments import ExperimentRecord, RunConfig
 
 
@@ -73,9 +74,11 @@ class TestFigure1:
     def test_each_matrix_of_a_sample_built_once(self, monkeypatch, labels):
         # rho in (B, C, R) order, rho_BC, rho_BR, rho_B and sigma, plus the
         # transpose channel; every one is derived from the checked input, so
-        # no boundary validation runs inside a sample
+        # no boundary validation runs inside a sample. Each of the five
+        # spectra decides its support once, and only rho and sigma need a
+        # root factor.
         rho = states.random_pure((2, 2, 2), states.rng_from_seed(11), labels)
-        built = {"states": 0, "channels": 0, "validated": 0}
+        built = {"states": 0, "channels": 0, "validated": 0, "cutoffs": 0, "roots": 0}
 
         def counting(owner, attr, *keys):
             original = getattr(owner, attr)
@@ -91,10 +94,32 @@ class TestFigure1:
         counting(channels, "_derived", "channels")
         counting(states.MultipartiteState, "__post_init__", "states", "validated")
         counting(channels.Channel, "__post_init__", "channels", "validated")
+        counting(linalg, "support_cutoff", "cutoffs")
+        root = linalg.Spectrum.__dict__["root"].func
+
+        def counted_root(spec):
+            built["roots"] += 1
+            return root(spec)
+
+        cached_root = functools.cached_property(counted_root)
+        cached_root.__set_name__(linalg.Spectrum, "root")
+        monkeypatch.setattr(linalg.Spectrum, "root", cached_root)
         experiments.transpose_reconstruction_metrics(rho)
         assert built["states"] <= 5
         assert built["channels"] == 1
         assert built["validated"] == 0
+        assert built["cutoffs"] <= 5
+        assert built["roots"] == 2
+
+    @pytest.mark.parametrize("gap, strict", [(5e-8, True), (5e-10, False)])
+    def test_strict_is_pinned_at_its_tolerance(self, monkeypatch, gap, strict):
+        # strict means D < CMI - STRICT_TOL with STRICT_TOL = 1e-9: a gap of
+        # 5e-8 bits counts, one of 5e-10 does not
+        rho = states.random_pure((2, 2, 2), states.rng_from_seed(11), ("B", "C", "R"))
+        monkeypatch.setattr(entropy, "relative_entropy", lambda r, s: entropy.cmi(r) - gap)
+        m = experiments.transpose_reconstruction_metrics(rho)
+        assert m["cmi_bits"] > 0.01
+        assert m["strict"] is strict
 
     def test_strict_fraction_estimator_consistency(self):
         # doubling the sample count moves the fraction by < 4 sqrt(p(1-p)/n)

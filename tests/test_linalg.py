@@ -102,6 +102,48 @@ class TestMatrixFunction:
         assert np.array_equal(spec.apply(f), (v * fw) @ v.conj().T)
 
 
+class TestSpectrumSplit:
+    @staticmethod
+    def _spectra():
+        rng = np.random.default_rng(9)
+        full = random_density(rng, 6)
+        v = linalg.eigh(random_hermitian(rng, 6)).eigenvectors
+        # rank 3, with round-off-sized and slightly negative kernel eigenvalues
+        deficient = (v * np.array([-1e-15, 0.0, 1e-13, 0.2, 0.3, 0.5])) @ v.conj().T
+        return {"full": linalg.eigh(full), "deficient": linalg.eigh(deficient)}
+
+    @pytest.mark.parametrize("kind, rank", [("full", 6), ("deficient", 3)])
+    def test_kernel_and_root_follow_the_cutoff(self, kind, rank):
+        spec = self._spectra()[kind]
+        w, v = spec.eigenvalues, spec.eigenvectors
+        keep = w > linalg.support_cutoff(w)
+        assert spec.kernel == len(w) - rank == np.count_nonzero(~keep)
+        assert np.array_equal(spec.root, v[:, keep] * np.sqrt(w[keep]))
+        m = (v * w) @ v.conj().T
+        assert np.abs(spec.root @ spec.root.conj().T - m).max() < 1e-12
+
+    def test_an_eigenvalue_at_the_cutoff_is_in_the_kernel(self):
+        spec = linalg.eigh(np.diag([1e-10, 1.0]))
+        assert spec.eigenvalues[0] == linalg.support_cutoff(spec.eigenvalues)
+        assert spec.kernel == 1
+        assert np.array_equal(spec.root, spec.eigenvectors[:, 1:])
+
+    def test_default_cutoff_slices_at_the_kernel(self):
+        spec = self._spectra()["deficient"]
+        w, v = spec.eigenvalues, spec.eigenvectors
+        fw = np.zeros_like(w)
+        mask = w > linalg.support_cutoff(w)
+        fw[mask] = np.log(w[mask])
+        assert np.array_equal(spec.apply(np.log), (v * fw) @ v.conj().T)
+
+    def test_root_is_built_once_and_read_only(self):
+        spec = self._spectra()["deficient"]
+        assert spec.root is spec.root
+        assert not spec.root.flags.writeable
+        with pytest.raises(ValueError):
+            spec.root[0, 0] = 1.0
+
+
 class TestTraceNorm:
     def test_density_matrix_is_one(self):
         rng = np.random.default_rng(1)
