@@ -4,10 +4,11 @@ Application to labeled states, CPTP validation, the transpose recovery
 channel built from a bipartite state, Kraus operators, and random channels
 through Stinespring isometries.
 
-Validation happens at the input boundary: ``Channel(...)``, the JSON
-loader and ``stinespring_to_channel`` check the CPTP invariants. The
-transpose channel is built from a checked state and skips that check, and
-so does the state ``apply`` returns; both still check their arguments.
+Validation happens at the input boundary: ``Channel(...)`` and the JSON
+loader check the CPTP invariants, ``stinespring_to_channel`` its isometry
+and trace preservation (its Choi matrix is positive by construction). The
+transpose channel and the state ``apply`` returns are built from checked
+input and skip the check; both still check their arguments.
 ``apply`` checks its labels and builds its einsum operand lists once per
 (state layout, channel layout, ``on``) and caches that plan
 (``functools.lru_cache``); bad labels raise on every call.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,16 +47,14 @@ class Channel:
     Hermitian (``linalg.eigh``), positivity (min eigenvalue >= -1e-9) and
     trace preservation (tr_out choi = identity on the input, within
     TRACE_PRESERVING_ATOL, the state boundary's unit-trace tolerance).
-    ``transpose_channel`` builds its channel without that check
-    (``_derived``). The eigendecomposition of the Choi matrix is kept as
-    ``spectrum``, made by the check or, for a derived channel, on first
-    read; the Kraus operators read it.
+    ``transpose_channel`` skips the check and ``stinespring_to_channel``
+    keeps only trace preservation (``_derived``). The eigendecomposition
+    is kept as ``spectrum``: the check's, or made on first read.
     """
 
     choi: np.ndarray
     input_dims: Subsystems
     output_dims: Subsystems
-    _spectrum: linalg.Spectrum | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.choi, dtype=complex)
@@ -69,24 +68,18 @@ class Channel:
             )
         spectrum = linalg.eigh(m)
         if spectrum.eigenvalues[0] < -CHOI_PSD_ATOL:
-            raise ValueError(
-                f"Choi matrix has eigenvalue {spectrum.eigenvalues[0]:.3e}; map is not CP"
-            )
-        marginal = np.trace(m.reshape(d_in, d_out, d_in, d_out), axis1=1, axis2=3)
-        dev = float(np.abs(marginal - np.eye(d_in)).max())
-        if dev > TRACE_PRESERVING_ATOL:
-            raise ValueError(f"map is not trace preserving: deviation {dev:.3e}")
+            raise ValueError(f"Choi matrix has eigenvalue {spectrum.eigenvalues[0]:.3e}; map is not CP")
+        _check_trace_preserving(m, d_in, d_out)
         m.setflags(write=False)
         object.__setattr__(self, "choi", m)
         object.__setattr__(self, "input_dims", ins)
         object.__setattr__(self, "output_dims", outs)
-        object.__setattr__(self, "_spectrum", spectrum)
+        object.__setattr__(self, "spectrum", spectrum)  # seeds the cached property
 
-    @property
+    @functools.cached_property
     def spectrum(self) -> linalg.Spectrum:
-        if self._spectrum is None:
-            object.__setattr__(self, "_spectrum", linalg._spectrum(self.choi))
-        return self._spectrum
+        """The Choi matrix's eigendecomposition, made once, on first read."""
+        return linalg._spectrum(self.choi)
 
     @property
     def input_labels(self) -> tuple[str, ...]:
@@ -105,12 +98,19 @@ class Channel:
         return math.prod(d for _, d in self.output_dims)
 
 
+def _check_trace_preserving(choi: np.ndarray, d_in: int, d_out: int) -> None:
+    """Raise unless tr_out choi = I within TRACE_PRESERVING_ATOL (NaN fails)."""
+    marginal = np.trace(choi.reshape(d_in, d_out, d_in, d_out), axis1=1, axis2=3)
+    dev = float(np.abs(marginal - np.eye(d_in)).max())
+    if not dev <= TRACE_PRESERVING_ATOL:
+        raise ValueError(f"map is not trace preserving: deviation {dev:.3e}")
+
+
 def _derived(choi: np.ndarray, input_dims: Subsystems, output_dims: Subsystems) -> Channel:
     """A channel built from input the program has already checked.
 
     Skips the boundary check of ``Channel.__post_init__``; the spectrum is
-    decomposed when first read (``linalg._spectrum``, the same bits as
-    ``linalg.eigh``). The subsystems must already be normalized.
+    decomposed when first read. The subsystems must already be normalized.
     """
     m = np.asarray(choi, dtype=complex)
     m.setflags(write=False)
@@ -118,7 +118,6 @@ def _derived(choi: np.ndarray, input_dims: Subsystems, output_dims: Subsystems) 
     object.__setattr__(channel, "choi", m)
     object.__setattr__(channel, "input_dims", input_dims)
     object.__setattr__(channel, "output_dims", output_dims)
-    object.__setattr__(channel, "_spectrum", None)
     return channel
 
 
@@ -244,6 +243,7 @@ def stinespring_to_channel(
     """Channel pi -> tr_env(V pi V^dag) from an isometry V: in -> out (x) env.
 
     Rows of ``v`` are indexed by (output, environment) with output major.
+    Checks the isometry and trace preservation; the Choi matrix is positive by construction.
     """
     ins = _normalize_subsystems(input_dims)
     outs = _normalize_subsystems(output_dims)
@@ -253,11 +253,12 @@ def stinespring_to_channel(
     if v.shape != (d_out * env_dim, d_in):
         raise ValueError(f"isometry shape {v.shape}, expected ({d_out * env_dim}, {d_in})")
     dev = float(np.abs(v.conj().T @ v - np.eye(d_in)).max())
-    if dev > ISOMETRY_ATOL:
+    if not dev <= ISOMETRY_ATOL:
         raise ValueError(f"matrix is not an isometry: max|V^dag V - I| = {dev:.3e}")
     vt = v.reshape(d_out, env_dim, d_in)
     choi = np.einsum("oei,pej->iojp", vt, vt.conj()).reshape(d_in * d_out, d_in * d_out)
-    return Channel(choi, ins, outs)
+    _check_trace_preserving(choi, d_in, d_out)
+    return _derived(choi, ins, outs)
 
 
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -283,12 +284,11 @@ def random_channel(
     The default environment dimension d_in * d_out suffices to reach every
     extreme point of the channel set.
     """
-    if d_env is None:
-        d_env = d_in * d_out
+    d_env = d_in * d_out if d_env is None else d_env
     if d_env < 1:
         raise ValueError(f"environment dimension must be >= 1, got {d_env}")
-    ins = _normalize_subsystems(input_dims) if input_dims is not None else (("X", d_in),)
-    outs = _normalize_subsystems(output_dims) if output_dims is not None else (("X", d_out),)
+    ins = (("X", d_in),) if input_dims is None else input_dims
+    outs = (("X", d_out),) if output_dims is None else output_dims
     v = haar_isometry(d_out * d_env, d_in, rng)
     return stinespring_to_channel(v, ins, outs, d_env)
 

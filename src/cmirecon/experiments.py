@@ -14,6 +14,7 @@ import csv
 import functools
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -129,14 +130,16 @@ def figure1_experiment(cfg: RunConfig) -> tuple[list[ExperimentRecord], dict]:
     sample = functools.partial(
         _sample_record, cfg.seed, dims=cfg.dims, include_measured_re=cfg.include_measured_re
     )
-    if cfg.workers == 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    processes = min(cfg.workers, cpus or 1, cfg.n_samples)  # a pool starts them all at once
+    if processes == 1:
         records = list(map(sample, ids))
     else:
         # imported here so that importing the package loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, math.ceil(cfg.n_samples / (cfg.workers * 8)))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        chunk = max(1, math.ceil(cfg.n_samples / (processes * 8)))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             records = list(pool.map(sample, ids, chunksize=chunk))
 
     finite_rel = [r.relent_transpose_bits for r in records if math.isfinite(r.relent_transpose_bits)]
@@ -473,9 +476,7 @@ def _fmt(x: float) -> str:
 
 
 def records_to_csv_text(records: list[ExperimentRecord]) -> str:
-    with_ms = bool(records) and all(
-        r.measured_re_transpose_bits is not None for r in records
-    )
+    with_ms = bool(records) and all(r.measured_re_transpose_bits is not None for r in records)
     header = CSV_HEADER + (",measured_re_transpose_bits" if with_ms else "")
     lines = [header]
     for r in records:

@@ -2,7 +2,7 @@
 
 Construction, tensor products, partial trace, purification, diagonal
 (classical) states, and seeded Haar-random sampling. States are immutable,
-keep their eigendecomposition, and keep the marginals taken of them.
+are decomposed on first read, and keep the marginals taken of them.
 
 What depends only on the subsystem layout (labels and dims, the partial
 trace and permute plans, normalized subsystems) is worked out once per
@@ -90,15 +90,14 @@ class MultipartiteState:
     within 1e-9, smallest eigenvalue >= -1e-9, and the subsystem dimensions
     multiply to the matrix size. The module's other constructors build
     states from checked input without repeating the check (``_derived``).
-    The eigendecomposition is kept as ``spectrum``, so entropies, roots and
-    projectors of the state need no second one. ``partial_trace`` keeps
-    each marginal it takes on the state, keyed by the kept labels in state
-    order, so a marginal is built and decomposed once per state.
+    The eigendecomposition is kept as ``spectrum``, this check's or made on
+    first read, so entropies, roots and projectors need no second one.
+    ``partial_trace`` keeps each marginal it takes, keyed by the kept labels
+    in state order, so a marginal is built and decomposed at most once.
     """
 
     matrix: np.ndarray
     subsystems: Subsystems
-    spectrum: linalg.Spectrum = field(init=False, repr=False, compare=False)
     _marginals: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,14 +114,17 @@ class MultipartiteState:
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"state trace {tr!r} is not 1 within {TRACE_ATOL}")
         if spectrum.eigenvalues[0] < -EIGENVALUE_ATOL:
-            raise ValueError(
-                f"state has eigenvalue {spectrum.eigenvalues[0]:.3e} below -{EIGENVALUE_ATOL}"
-            )
+            raise ValueError(f"state has eigenvalue {spectrum.eigenvalues[0]:.3e} below -{EIGENVALUE_ATOL}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "subsystems", subs)
-        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "spectrum", spectrum)  # seeds the cached property
         object.__setattr__(self, "_marginals", {})
+
+    @functools.cached_property
+    def spectrum(self) -> linalg.Spectrum:
+        """The matrix's eigendecomposition, made once, on first read."""
+        return linalg._spectrum(self.matrix)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -146,18 +148,15 @@ class MultipartiteState:
 def _derived(matrix: np.ndarray, subsystems: Subsystems) -> MultipartiteState:
     """A state built from input the program has already checked.
 
-    Skips the boundary check of ``MultipartiteState.__post_init__`` but
-    keeps what that check keeps: the read-only complex matrix, its spectrum
-    (``linalg._spectrum``, the same bits as ``linalg.eigh``) and an empty
-    marginal store. ``subsystems`` must already be normalized.
+    Skips the boundary check of ``MultipartiteState.__post_init__`` and
+    decomposes nothing: the spectrum is made when first read. The matrix is
+    kept read-only and complex; ``subsystems`` must already be normalized.
     """
     m = np.asarray(matrix, dtype=complex)
     state = object.__new__(MultipartiteState)
-    spectrum = linalg._spectrum(m)
     m.setflags(write=False)
     object.__setattr__(state, "matrix", m)
     object.__setattr__(state, "subsystems", subsystems)
-    object.__setattr__(state, "spectrum", spectrum)
     object.__setattr__(state, "_marginals", {})
     return state
 

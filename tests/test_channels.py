@@ -258,6 +258,34 @@ class TestStinespring:
         with pytest.raises(ValueError, match="isometry"):
             channels.stinespring_to_channel(v, (("A", 2),), (("A", 2),), 2)
 
+    def test_rejects_a_non_finite_isometry(self):
+        v = np.eye(4, 2, dtype=complex)
+        v[0, 0] = np.nan
+        with pytest.raises(ValueError, match="isometry"):
+            channels.stinespring_to_channel(v, (("A", 2),), (("A", 2),), 2)
+
+    def test_trace_preservation_is_held_to_the_channel_boundary(self):
+        # V^dag V = (1 + 1e-7)^2 I passes ISOMETRY_ATOL, but tr_out of the
+        # Choi matrix misses the identity by 2e-7, past TRACE_PRESERVING_ATOL
+        v = channels.haar_isometry(4, 2, states.rng_from_seed(25)) * (1.0 + 1e-7)
+        assert np.abs(v.conj().T @ v - np.eye(2)).max() < channels.ISOMETRY_ATOL
+        vt = v.reshape(2, 2, 2)
+        choi = np.einsum("oei,pej->iojp", vt, vt.conj()).reshape(4, 4)
+        for build in (
+            lambda: channels.stinespring_to_channel(v, (("A", 2),), (("A", 2),), 2),
+            lambda: Channel(choi, (("A", 2),), (("A", 2),)),
+        ):
+            with pytest.raises(ValueError, match="trace preserving"):
+                build()
+
+    def test_decomposes_only_when_the_kraus_operators_read_it(self, decompositions):
+        v = channels.haar_isometry(12, 3, states.rng_from_seed(26))
+        ch = channels.stinespring_to_channel(v, (("A", 3),), (("A", 4),), 3)
+        assert decompositions() == 0
+        channels.kraus_operators(ch)
+        channels.kraus_operators(ch)
+        assert decompositions() == 1
+
 
 class TestRandomChannel:
     def test_deterministic_under_seed(self):
@@ -303,6 +331,15 @@ class TestKeptSpectrum:
             fresh = linalg.eigh(ch.choi)
             assert np.array_equal(ch.spectrum.eigenvalues, fresh.eigenvalues)
             assert np.array_equal(ch.spectrum.eigenvectors, fresh.eigenvectors)
+
+
+class TestDecomposedOnFirstRead:
+    def test_the_boundary_decomposes_once(self, decompositions):
+        ch = depolarizing((("A", 2),), (("A", 3),))
+        assert decompositions() == 1
+        assert ch.spectrum is ch.spectrum
+        channels.kraus_operators(ch)
+        assert decompositions() == 1
 
 
 class TestKrausOperators:

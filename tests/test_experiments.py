@@ -53,6 +53,37 @@ class TestFigure1:
         rec2, _ = experiments.figure1_experiment(cfg2)
         assert experiments.records_to_csv_text(rec1) == experiments.records_to_csv_text(rec2)
 
+    def test_the_pool_is_bounded_by_the_machine_and_the_samples(self, monkeypatch):
+        # a pool forks all its processes at once, so a stand-in records the
+        # size asked for and maps serially: no process starts here
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                assert chunksize >= 1
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        has_affinity = hasattr(os, "sched_getaffinity")
+        cpus = len(os.sched_getaffinity(0)) if has_affinity else os.cpu_count() or 1
+        many, summary = experiments.figure1_experiment(RunConfig(seed=42, n_samples=3, workers=10_000))
+        one, _ = experiments.figure1_experiment(RunConfig(seed=42, n_samples=3, workers=1))
+        assert all(n <= min(3, cpus) for n in sizes)
+        assert len(sizes) == int(min(3, cpus) > 1)
+        assert summary["workers"] == 10_000
+        assert experiments.records_to_csv_text(many) == experiments.records_to_csv_text(one)
+
     def test_importing_the_package_loads_no_multiprocessing(self):
         # the process pool is imported only when figure1 runs with workers > 1
         src = os.path.dirname(os.path.dirname(cmirecon.__file__))

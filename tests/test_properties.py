@@ -203,6 +203,7 @@ def test_derived_constructors_pass_the_boundary_check(dims, seed, rank, rank_b):
         markov.markov_state(markov.random_markov_spec(rng)),
         t,
         channels.apply(t, states.partial_trace(rho, ["B", "R"])),
+        channels.random_channel(d_b, d_c, None, rng, (("B", d_b),), (("C", d_c),)),
     ]
     for labels in (["B"], ["C"], ["R"], ["B", "C"], ["B", "R"], ["C", "R"]):
         marginal = states.partial_trace(rho, labels)

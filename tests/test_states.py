@@ -77,6 +77,26 @@ class TestKeptSpectrum:
             assert not rho.spectrum.eigenvectors.flags.writeable, name
 
 
+class TestDecomposedOnFirstRead:
+    def test_the_boundary_decomposes_once(self, decompositions):
+        rho = MultipartiteState(np.diag([0.5, 0.25, 0.25, 0.0]), (("A", 2), ("B", 2)))
+        assert decompositions() == 1
+        assert rho.spectrum is rho.spectrum
+        entropy.von_neumann(rho)
+        assert decompositions() == 1
+
+    def test_derived_states_decompose_when_read(self, decompositions):
+        spec = markov.random_markov_spec(states.rng_from_seed(23))
+        rho = states.random_mixed((2, 2), states.rng_from_seed(24), ("A", "B"))
+        marginal = states.partial_trace(rho, ["A"])
+        assert decompositions() == 0
+        marginal.spectrum.kernel
+        states.partial_trace(rho, ["A"]).spectrum.root
+        assert decompositions() == 1
+        spec.blocks[0].left.spectrum
+        assert decompositions() == 2
+
+
 class TestRandomPure:
     def test_rank_one_and_trace(self):
         rho = states.random_pure((2, 2, 2), states.rng_from_seed(0))

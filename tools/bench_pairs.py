@@ -15,7 +15,12 @@ and its ``summary`` (median and quartiles of every end-to-end metric, per
 workload and side, and the pair wins) is computed again from all the runs
 it holds. A pair is the parent and change runs of one seed; the change
 wins it on a metric when it is better in the direction ``BENCHMARK.json``
-gives, the parent when it is worse, and a tie counts for neither.
+gives, the parent when it is worse, and a tie counts for neither. A metric
+whose change median is worse than the parent median by more than its
+``bound`` in ``BENCHMARK.json`` (a fraction of the parent median) is marked
+``past_bound`` in the summary and printed at the end, one line each; -1
+(not applicable) medians are skipped. The mark does not change the exit
+status.
 
 Each run prints its items/s, ``peak_rss_mb``, its timed pass count (parsed
 from the ``# items_per_s ... N pass(es)`` line; ``peak_rss_mb`` grows with
@@ -37,6 +42,8 @@ SECONDS = 20
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 # per-layer metrics kept from a traced run, by prefix
 TRACE_PREFIXES = ("recovery.", "entropy.", "linalg.", "states.", "channels.", "experiments.", "trace.")
+# the value perfbench reports for an end-to-end metric a workload does not have
+NOT_APPLICABLE = -1.0
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -91,9 +98,28 @@ def pair_wins(runs: list[dict], better: dict[str, str]) -> dict:
     return wins
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def past_bound(summary: dict, better: dict[str, str], bounds: dict[str, float]) -> list[tuple]:
+    """(workload, metric, parent median, change median) for every metric of
+    ``bounds`` whose change median is worse than the parent median by more
+    than that fraction of it; -1 (not applicable) medians are skipped."""
+    flagged = []
+    for workload, metrics in summary.items():
+        for name, sides in metrics.items():
+            if name not in bounds or "parent" not in sides or "change" not in sides:
+                continue
+            p, c = sides["parent"]["median"], sides["change"]["median"]
+            if NOT_APPLICABLE in (p, c):
+                continue
+            worse = c - p if better[name] == "lower" else p - c
+            if worse > bounds[name] * abs(p):
+                flagged.append((workload, name, p, c))
+    return flagged
+
+
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """workload -> metric -> side -> median, quartiles and count of the runs,
-    with the metric's ``pair_wins`` beside the sides."""
+    with the metric's ``pair_wins`` beside the sides and ``past_bound`` set
+    on the metrics ``past_bound`` flags."""
     values: dict = {}
     for run in runs:
         for name, metric in run["result"]["metrics"].items():
@@ -109,6 +135,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     for workload, metrics in pair_wins(runs, better).items():
         for name, tally in metrics.items():
             summary[workload][name]["pair_wins"] = tally
+    for workload, name, _, _ in past_bound(summary, better, bounds):
+        summary[workload][name]["past_bound"] = True
     return summary
 
 
@@ -127,10 +155,12 @@ def main(argv=None) -> int:
                               " (--trace 1 for the per-layer runs)")
     doc.setdefault("runs", [])
 
-    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
 
     def save():
-        doc["summary"] = summarize(doc["runs"], better)
+        doc["summary"] = summarize(doc["runs"], better, bounds)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
     trees = {"parent": args.parent, "change": args.change}
@@ -156,6 +186,9 @@ def main(argv=None) -> int:
                       f"peak_rss_mb {metrics['peak_rss_mb']['value']:.2f} over {passes} pass(es), "
                       f"correct {result['correct']}",
                       flush=True)
+    for workload, name, p, c in past_bound(doc.get("summary", {}), better, bounds):
+        print(f"past bound: {workload} {name} median {p:.6g} (parent) -> {c:.6g} (change), "
+              f"worse by more than {bounds[name]:g} of the parent's")
     wrong = [f"{r['workload']} seed {r['seed']} {r['side']}" for r in doc["runs"] if not r["result"]["correct"]]
     wrong += [f"{workload} seed {t['seed']} {side} traced"
               for workload, sides in doc.get("per_layer_trace", {}).items()

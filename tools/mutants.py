@@ -88,6 +88,18 @@ MUTANTS = (
         "root = self.eigenvectors[:, k:] * np.sqrt(w[k:])",
         "root = self.eigenvectors[:, 0:] * np.sqrt(np.maximum(w[0:], 0.0))",
     ),
+    Mutant(
+        # the state boundary's check no longer seeds the cached spectrum,
+        # so the first read decomposes the matrix a second time
+        "unseeded-spectrum", "src/cmirecon/states.py",
+        '        object.__setattr__(self, "spectrum", spectrum)  # seeds the cached property\n', "",
+    ),
+    Mutant(
+        # stinespring_to_channel held to the isometry tolerance only
+        "stinespring-tp-unchecked", "src/cmirecon/channels.py",
+        "    _check_trace_preserving(choi, d_in, d_out)\n    return _derived(choi, ins, outs)",
+        "    return _derived(choi, ins, outs)",
+    ),
 )
 
 # what a test run leaves behind, not copied into the mutant's tree
