@@ -46,13 +46,6 @@ def _decomposed(state_or_matrix) -> tuple[np.ndarray, linalg.Spectrum]:
     return m, linalg.eigh(m)
 
 
-def _psd_part(m: np.ndarray, spec: linalg.Spectrum) -> np.ndarray:
-    """Clip round-off-negative eigenvalues of m (spectrum ``spec``) to zero."""
-    if spec.eigenvalues[0] < 0.0:
-        return spec.apply(lambda w: w, cutoff=0.0)
-    return m
-
-
 def _w_log_w(spec: linalg.Spectrum) -> float:
     """sum of w ln w over the support of the spectrum, in nats."""
     w = spec.eigenvalues[spec.kernel :]
@@ -295,6 +288,11 @@ def _newton_hessian(phi2: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (k + k.T) / 2.0
 
 
+def _from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V diag(w) V^dag."""
+    return (v * w) @ v.conj().T
+
+
 def _ascend_measured_re(rho, sigma, h0, max_iterations: int):
     """Damped Newton ascent of f(H) = tr(rho H) + 1 - tr(sigma e^H).
 
@@ -380,28 +378,30 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
     which puts the value within about that much of the supremum.
     ``max_iterations`` caps the accepted Newton steps per start.
 
-    A sigma with a ``kernel`` is mixed with 1e-12 of the maximally mixed
-    state first, which keeps the objective finite. That shifts the result
-    far below reporting tolerance only while rho lies in sigma's support:
-    on a leak D_M is +inf, yet a finite value is returned (a known defect).
+    Both starts and the regularization read the spectra the inputs keep, so
+    a solve on states whose spectra were read decomposes nothing. A sigma
+    with a ``kernel`` is mixed with 1e-12 of the maximally mixed state,
+    which keeps the objective finite. That shifts the result far below
+    reporting tolerance only while rho lies in sigma's support: on a leak
+    D_M is +inf, yet a finite value is returned (a known defect).
     """
     rho, rho_spec = _decomposed(rho)
     sigma, sigma_spec = _decomposed(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     d = sigma.shape[0]
-    # strict positivity of both spectra keeps the ascent from milking
-    # unbounded objective out of round-off-negative directions
-    rho = _psd_part(rho, rho_spec)
-    sigma = _psd_part(sigma, sigma_spec)
-    # a clipped sigma had a negative minimum: in the kernel either way
+    # clipped spectra keep the ascent from milking unbounded objective out
+    # of round-off-negative directions; a matrix is rebuilt only if changed
+    v_rho, v_sigma = rho_spec.eigenvectors, sigma_spec.eigenvectors
+    w_rho = np.maximum(rho_spec.eigenvalues, 0.0)
+    if rho_spec.eigenvalues[0] < 0.0:
+        rho = _from_eigenpairs(w_rho, v_rho)
+    w_sigma = sigma_spec.eigenvalues
     if sigma_spec.kernel:
-        delta = SIGMA_REGULARIZATION
-        sigma = (1.0 - delta) * sigma + delta * np.eye(d) / d
-
-    rho_reg = rho + SIGMA_REGULARIZATION * np.eye(d)
-    warm = linalg.matrix_function(rho_reg, np.log, cutoff=0.0) - linalg.matrix_function(
-        sigma, np.log, cutoff=0.0
+        w_sigma = (1.0 - SIGMA_REGULARIZATION) * np.maximum(w_sigma, 0.0) + SIGMA_REGULARIZATION / d
+        sigma = _from_eigenpairs(w_sigma, v_sigma)
+    warm = _from_eigenpairs(np.log(w_rho + SIGMA_REGULARIZATION), v_rho) - _from_eigenpairs(
+        np.log(w_sigma), v_sigma
     )
     best = None
     converged = False
@@ -412,7 +412,7 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
             best = (f, eigenpairs, trace)
 
     f, (w, u), trace = best
-    witness = (u * np.exp(w)) @ u.conj().T
+    witness = _from_eigenpairs(np.exp(w), u)
     witness = (witness + witness.conj().T) / 2.0
     return MeasuredReSolution(
         value_bits=f / LN2,

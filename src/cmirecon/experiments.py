@@ -398,7 +398,7 @@ def _check_continuity_bound(seed, n):
     def sample(rng, i):
         d = int(rng.integers(2, 9))
         rho, sigma = _random_pair(rng, d)
-        t = linalg.trace_norm(rho.matrix - sigma.matrix)
+        t = linalg._trace_norm(rho.matrix - sigma.matrix)
         beta = sigma.spectrum.eigenvalues[0]
         if beta <= 0:
             return False, None
@@ -419,12 +419,9 @@ def _check_markov_gap(seed, n):
     return _run_check("markov-gap-nonnegative", seed, n, sample)
 
 
-def _check_recovery_certificate(seed, n, sampler=None):
-    if sampler is None:
-        sampler = lambda rng: states.random_pure((2, 2, 2), rng, TRIPARTITE_LABELS)
-
+def _check_recovery_certificate(seed, n):
     def sample(rng, i):
-        rho = sampler(rng)
+        rho = states.random_pure((2, 2, 2), rng, TRIPARTITE_LABELS)
         result = recovery.optimize_recovery(rho, "fidelity")
         shalf = math.inf if result.best_value <= 0 else -2.0 * math.log2(result.best_value)
         return shalf > entropy.cmi(rho) + CERTIFICATE_TOL_BITS, not result.converged

@@ -321,8 +321,10 @@ class _RecoveryProblem:
 
     def measured_re_score(self, v: np.ndarray) -> tuple[float, entropy.MeasuredReSolution]:
         """Ascended score -D_M(rho || sigma(V)) in bits, and the inner solve behind it."""
+        # built from checked input: a state decomposed once, without a check
+        sigma = states._derived(self.sigma_tensor(v), self.target.subsystems)
         sol = entropy.measured_relative_entropy(
-            self.target, self.sigma_tensor(v), max_iterations=INNER_MEASURED_RE_ITERATIONS
+            self.target, sigma, max_iterations=INNER_MEASURED_RE_ITERATIONS
         )
         self.inner_nonconverged += not sol.converged
         return -sol.value_bits, sol

@@ -306,6 +306,19 @@ class TestMeasuredRelativeEntropy:
         sol = entropy.measured_relative_entropy(rho, sigma)
         assert math.isfinite(sol.value_bits)
 
+    def test_round_off_negative_rho_is_clipped(self):
+        # the boundary accepts eigenvalues down to -1e-9; unclipped, the
+        # log-ratio start takes the log of a negative eigenvalue
+        rng = states.rng_from_seed(40)
+        u = channels.haar_isometry(3, 3, rng)
+        rho = MultipartiteState((u * np.array([0.6, 0.4 + 5e-10, -5e-10])) @ u.conj().T, (("A", 3),))
+        sigma = states.random_mixed((3,), rng, ("A",))
+        assert rho.spectrum.eigenvalues[0] < 0.0
+        sol = entropy.measured_relative_entropy(rho, sigma)
+        assert sol.converged
+        assert sol.value_bits <= entropy.relative_entropy(rho, sigma) + 1e-7
+        assert abs(entropy.measured_re_objective_bits(rho, sigma, sol.witness) - sol.value_bits) < 1e-7
+
     @pytest.mark.parametrize("seed", range(6))
     def test_ordering_panel(self, seed):
         rng = states.sample_rng(7000, seed)
@@ -430,8 +443,12 @@ def random_start_oracle_bits(rho, sigma, n_starts=5):
     Each ascends the pair as the solver does: round-off-negative
     eigenvalues clipped, and a singular sigma mixed with the regularization.
     """
-    rho_m = entropy._psd_part(rho.matrix, rho.spectrum)
-    sigma_m = entropy._psd_part(sigma.matrix, sigma.spectrum)
+
+    def clipped(state):
+        w, v = state.spectrum.eigenvalues, state.spectrum.eigenvectors
+        return state.matrix if w[0] >= 0.0 else (v * np.maximum(w, 0.0)) @ v.conj().T
+
+    rho_m, sigma_m = clipped(rho), clipped(sigma)
     w = sigma.spectrum.eigenvalues
     d = len(w)
     if w[0] <= linalg.support_cutoff(w):
@@ -497,6 +514,18 @@ class TestKeptSpectra:
         from_matrices = entropy.measured_relative_entropy(rho.matrix, sigma.matrix)
         assert from_states.value_bits == from_matrices.value_bits
         assert np.array_equal(from_states.witness, from_matrices.witness)
+
+    @pytest.mark.parametrize("sigma_ancilla", [None, 1], ids=["full-rank", "singular"])
+    def test_solve_on_read_spectra_decomposes_nothing(self, decompositions, sigma_ancilla):
+        # the regularization and both starts come from the kept spectra
+        rng = states.rng_from_seed(24)
+        rho = states.random_mixed((3,), rng, ("A",))
+        sigma = states.random_mixed((3,), rng, ("A",), ancilla_dim=sigma_ancilla)
+        assert bool(sigma.spectrum.kernel) == (sigma_ancilla == 1)
+        assert rho.spectrum.kernel == 0
+        read = decompositions()
+        entropy.measured_relative_entropy(rho, sigma)
+        assert decompositions() == read
 
 
 class TestContinuityBound:

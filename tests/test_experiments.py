@@ -256,11 +256,12 @@ class TestInequalitySuite:
         result = experiments._check_classical_equality(seed=1, n=10)
         assert not result.passed
 
-    def test_markov_only_source_passes_certificate_trivially(self):
-        def markov_sampler(rng):
+    def test_markov_only_source_passes_certificate_trivially(self, monkeypatch):
+        def markov_sampler(dims, rng, labels=None):
             return markov.markov_state(markov.random_markov_spec(rng))
 
-        result = experiments._check_recovery_certificate(seed=4, n=5, sampler=markov_sampler)
+        monkeypatch.setattr(states, "random_pure", markov_sampler)
+        result = experiments._check_recovery_certificate(seed=4, n=5)
         assert result.passed
         assert not result.failures
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cmirecon import channels, entropy, experiments, markov, recovery, states
+from cmirecon import channels, entropy, experiments, linalg, markov, recovery, states
 
 SMALL_BUDGET = 400  # ascent iteration cap for the quick checks
 
@@ -98,12 +98,16 @@ def _count_calls(monkeypatch, owner, name, log):
     """Replace owner.name by a wrapper that logs the bytes of each call's second argument.
 
     That is the isometry V for the problem's methods and sigma for
-    measured_relative_entropy(rho, sigma).
+    measured_relative_entropy(rho, sigma), whose matrix is logged when it
+    is a state.
     """
     original = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        log.append(np.asarray(args[1]).tobytes())
+        arg = args[1]
+        if isinstance(arg, states.MultipartiteState):
+            arg = arg.matrix
+        log.append(np.asarray(arg).tobytes())
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -135,6 +139,19 @@ class TestSearchEvaluations:
         recovery.optimize_recovery(rho, "measured_re", max_iterations=3)
         assert len(solves) == len(scores) > 0
         assert len(set(solves)) == len(solves)
+
+    def test_measured_re_score_decomposes_sigma_once_unchecked(self, monkeypatch, decompositions):
+        # sigma(V) is built from checked input: one decomposition, no boundary check
+        rho = states.random_mixed((2, 2, 2), states.sample_rng(77, 3), ("B", "C", "R"))
+        problem = recovery._RecoveryProblem(rho)
+        v = recovery._warm_start_isometry(problem)
+        checked = []
+        eigh = linalg.eigh
+        monkeypatch.setattr(linalg, "eigh", lambda h: checked.append(h) or eigh(h))
+        read = decompositions()
+        problem.measured_re_score(v)
+        assert decompositions() == read + 1
+        assert checked == []
 
 
 class TestAscentSteps:

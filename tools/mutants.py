@@ -100,6 +100,17 @@ MUTANTS = (
         "    _check_trace_preserving(choi, d_in, d_out)\n    return _derived(choi, ins, outs)",
         "    return _derived(choi, ins, outs)",
     ),
+    Mutant(
+        # the measured-RE solve takes rho's round-off-negative eigenvalues as they are
+        "mre-rho-unclipped", "src/cmirecon/entropy.py",
+        "w_rho = np.maximum(rho_spec.eigenvalues, 0.0)", "w_rho = rho_spec.eigenvalues",
+    ),
+    Mutant(
+        # the measured-RE solve no longer mixes a singular sigma
+        "mre-sigma-unmixed", "src/cmirecon/entropy.py",
+        "w_sigma = (1.0 - SIGMA_REGULARIZATION) * np.maximum(w_sigma, 0.0) + SIGMA_REGULARIZATION / d",
+        "w_sigma = np.maximum(w_sigma, 0.0)",
+    ),
 )
 
 # what a test run leaves behind, not copied into the mutant's tree
