@@ -32,18 +32,21 @@ SUPPORT_LEAK_TOL = 1e-9
 SIGMA_REGULARIZATION = 1e-12
 
 
-def _density(state_or_matrix) -> np.ndarray:
+def _state(state_or_matrix) -> MultipartiteState:
+    """A state as it is, or a raw matrix through the state boundary, as one subsystem.
+
+    A raw matrix is checked like any ``MultipartiteState``: square, finite,
+    Hermitian, of unit trace and positive semidefinite within tolerance.
+    """
     if isinstance(state_or_matrix, MultipartiteState):
-        return state_or_matrix.matrix
-    return np.asarray(state_or_matrix, dtype=complex)
+        return state_or_matrix
+    m = np.asarray(state_or_matrix, dtype=complex)
+    return MultipartiteState(m, (("A", len(m) if m.ndim else 1),))
 
 
-def _decomposed(state_or_matrix) -> tuple[np.ndarray, linalg.Spectrum]:
-    """The density matrix and its spectrum: kept by a state, computed for a raw matrix."""
-    if isinstance(state_or_matrix, MultipartiteState):
-        return state_or_matrix.matrix, state_or_matrix.spectrum
-    m = _density(state_or_matrix)
-    return m, linalg.eigh(m)
+def _renyi_half_bits(f: float) -> float:
+    """-2 log2 F in bits for a fidelity F in [0, 1]: +inf at F = 0."""
+    return math.inf if f <= 0.0 else -2.0 * math.log2(min(f, 1.0))
 
 
 def _w_log_w(spec: linalg.Spectrum) -> float:
@@ -54,7 +57,7 @@ def _w_log_w(spec: linalg.Spectrum) -> float:
 
 def von_neumann(state_or_matrix) -> float:
     """Von Neumann entropy in bits: -sum of w log2 w over the spectrum."""
-    return -_w_log_w(_decomposed(state_or_matrix)[1]) / LN2
+    return -_w_log_w(_state(state_or_matrix).spectrum) / LN2
 
 
 def cmi(state: MultipartiteState) -> float:
@@ -85,20 +88,19 @@ def relative_entropy(rho, sigma) -> float:
     rho = W W^dag (``Spectrum.root``) and sigma's eigenpairs (w_j, v_j),
     tr rho log sigma = sum over sigma's support of ln w_j ||v_j^dag W||^2.
     """
-    rho, rho_spec = _decomposed(rho)
-    sigma, sigma_spec = _decomposed(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    rho, sigma = _state(rho), _state(sigma)
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     # weight[j] = ||v_j^dag W||^2 = <v_j|rho|v_j> on rho's support
-    overlap = sigma_spec.eigenvectors.conj().T @ rho_spec.root
+    overlap = sigma.spectrum.eigenvectors.conj().T @ rho.spectrum.root
     weight = (np.abs(overlap) ** 2).sum(axis=1)
-    w_sigma, k = sigma_spec.eigenvalues, sigma_spec.kernel
+    w_sigma, k = sigma.spectrum.eigenvalues, sigma.spectrum.kernel
     # the leak V_k^dag rho V_k onto sigma's kernel (its first k eigenvectors)
     # is positive semidefinite, so its trace norm is its trace, ||V_k^dag W||_F^2
     if float(weight[:k].sum()) >= SUPPORT_LEAK_TOL:
         return math.inf
     tr_rho_log_sigma = float(np.log(w_sigma[k:]) @ weight[k:])
-    return (_w_log_w(rho_spec) - tr_rho_log_sigma) / LN2
+    return (_w_log_w(rho.spectrum) - tr_rho_log_sigma) / LN2
 
 
 def fidelity(rho, sigma) -> float:
@@ -110,21 +112,17 @@ def fidelity(rho, sigma) -> float:
     (``Spectrum.root``) that norm is ||W_sigma^dag W_rho||_1, an
     r_sigma x r_rho matrix for the ranks r at the support cutoff.
     """
-    rho, rho_spec = _decomposed(rho)
-    sigma, sigma_spec = _decomposed(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    overlap = sigma_spec.root.conj().T @ rho_spec.root
+    rho, sigma = _state(rho), _state(sigma)
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    overlap = sigma.spectrum.root.conj().T @ rho.spectrum.root
     f = linalg._trace_norm(overlap)
     return min(max(f, 0.0), 1.0)
 
 
 def renyi_half(rho, sigma) -> float:
     """Order-1/2 Renyi relative entropy -2 log2 F(rho, sigma) in bits."""
-    f = fidelity(rho, sigma)
-    if f == 0.0:
-        return math.inf
-    return -2.0 * math.log2(f)
+    return _renyi_half_bits(fidelity(rho, sigma))
 
 
 # --- measured relative entropy ----------------------------------------------
@@ -171,8 +169,7 @@ def measured_re_objective_bits(rho, sigma, witness: np.ndarray) -> float:
     For any positive-definite ``witness`` this is a lower bound on the
     measured relative entropy of (rho, sigma).
     """
-    rho = _density(rho)
-    sigma = _density(sigma)
+    rho, sigma = _state(rho).matrix, _state(sigma).matrix
     log_w = linalg.matrix_function(witness, np.log, cutoff=0.0)
     val = float(np.trace(rho @ log_w).real) + 1.0 - float(np.trace(sigma @ witness).real)
     return val / LN2
@@ -385,11 +382,12 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
     reporting tolerance only while rho lies in sigma's support: on a leak
     D_M is +inf, yet a finite value is returned (a known defect).
     """
-    rho, rho_spec = _decomposed(rho)
-    sigma, sigma_spec = _decomposed(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    d = sigma.shape[0]
+    rho, sigma = _state(rho), _state(sigma)
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    rho_spec, sigma_spec = rho.spectrum, sigma.spectrum
+    d = sigma.dim
+    rho, sigma = rho.matrix, sigma.matrix
     # clipped spectra keep the ascent from milking unbounded objective out
     # of round-off-negative directions; a matrix is rebuilt only if changed
     v_rho, v_sigma = rho_spec.eigenvectors, sigma_spec.eigenvectors

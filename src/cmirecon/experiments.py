@@ -95,7 +95,7 @@ def transpose_reconstruction_metrics(
     sigma = recovery.reconstruct(rho, channels.transpose_channel(rho_bc))
     rel = entropy.relative_entropy(rho, sigma)
     fid = entropy.fidelity(rho, sigma)
-    shalf = math.inf if fid == 0.0 else -2.0 * math.log2(fid)
+    shalf = entropy._renyi_half_bits(fid)
 
     out = {
         "cmi_bits": cmi_bits,
@@ -423,7 +423,7 @@ def _check_recovery_certificate(seed, n):
     def sample(rng, i):
         rho = states.random_pure((2, 2, 2), rng, TRIPARTITE_LABELS)
         result = recovery.optimize_recovery(rho, "fidelity")
-        shalf = math.inf if result.best_value <= 0 else -2.0 * math.log2(result.best_value)
+        shalf = entropy._renyi_half_bits(result.best_value)
         return shalf > entropy.cmi(rho) + CERTIFICATE_TOL_BITS, not result.converged
 
     def summarize(uncertified, failures):
@@ -440,9 +440,14 @@ def inequality_suite(seed: int = 42, samples: int = 200, certificate_samples: in
     ``samples`` is the per-check budget; the optimizer-backed certificate
     check gets its own (smaller default) budget because each sample runs a
     full recovery search. Check k (from 1) draws from seed + k * 10^7.
+    Either budget below 1 raises ``ValueError``: a check of no sample
+    verifies nothing.
     """
     if certificate_samples is None:
         certificate_samples = max(10, samples // 4)
+    for name, n in (("samples", samples), ("certificate_samples", certificate_samples)):
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
     checks = (
         (_check_ssa, samples),
         (_check_pure_cmi_identity, samples),

@@ -50,9 +50,11 @@ A fidelity or Renyi-1/2 search on a pure target psi_BCR (a root factor of
 one column) first takes a shorter route. C purifies rho_BR, so Uhlmann's
 theorem, applied twice, gives max_R F(psi, R(rho_BR)) = max over density
 matrices xi_C of F(rho_CR, xi_C (x) rho_R) (the pure-state duality of the
-fidelity of recovery, Seshadreesan-Wilde). That is a concave program over
-one d_C x d_C matrix xi = A A^dag, and the same ascent climbs the unit
-vector A, stopping on the bound lambda_max(G) - tr(G xi) for G = dF/dxi.
+fidelity of recovery, Seshadreesan-Wilde). That is itself a recovery
+problem: rho_CR rebuilt from a one-dimensional B by a channel that prepares
+xi = A A^dag, whose isometry is the unit vector A. The same ascent climbs
+it, with the same evaluation, gradient and bound, which here read
+sigma(V) = xi (x) rho_R, M(g) = dF/dxi and lambda_max(M) - tr(M xi).
 The channel of the last xi comes from one SVD of the Uhlmann overlap, has
 d_E = d_C Kraus operators, and is where the ascent over every channel
 starts instead of the transpose channel: it certifies there at once when
@@ -160,7 +162,7 @@ def _root_trace(k: np.ndarray):
     and its eigenvectors u.
     """
     lam, u = np.linalg.eigh(k)
-    root = np.sqrt(np.clip(lam, 0.0, None))
+    root = np.sqrt(np.maximum(lam, 0.0))
     return float(root.sum()), (lam, root, u)
 
 
@@ -285,8 +287,11 @@ class _RecoveryProblem:
     def dual_slack(self, v: np.ndarray, grad: np.ndarray, m: np.ndarray) -> np.ndarray:
         """M(g) - 1_BC (x) Y0^T with Y0 = Herm(V^dag dF/dV*), from dF/dV* and M(g) at V."""
         y0 = v.conj().T @ grad
-        shift = np.eye(self.d_bc)[:, None, :, None] * (y0 + y0.conj().T).T[None, :, None, :] / 2.0
-        return (m.reshape(shift.shape) - shift).reshape(m.shape)
+        slack = m.copy()
+        # 1_BC (x) Y0^T lies on the diagonal d_B x d_B blocks
+        blocks, i = slack.reshape(self.d_bc, self.d_b, self.d_bc, self.d_b), np.arange(self.d_bc)
+        blocks[i, :, i, :] -= (y0 + y0.conj().T).T / 2.0
+        return slack
 
     def dual_gap(self, v: np.ndarray, grad: np.ndarray, m: np.ndarray) -> float:
         """A bound on how far any channel's score exceeds the score at V.
@@ -346,69 +351,6 @@ class _RecoveryProblem:
             (("B", self.d_b), ("C", self.d_c)),
             self.d_env,
         )
-
-
-class _UhlmannProgram:
-    """The recovery program of a pure target as a program over xi_C.
-
-    With W[(c,r),b] = psi[b,c,r], rho_CR = W W^dag, so F(rho_CR, xi (x)
-    rho_R) = tr sqrt(K) with K = W^dag (xi (x) rho_R) W, a d_B x d_B matrix
-    linear in xi. The point is a unit vector a, the d_C x d_C matrix A with
-    xi = A A^dag and ||A||_F = 1, so the isometry ascent climbs it as a
-    one-column isometry; dF/dA* = G A with G = dF/dxi = Tr_R[(1_C (x) rho_R)
-    W (K^{-1/2} / 2) W^dag]. F is concave and 1/2-homogeneous in xi, so
-    F(xi') <= F(xi)/2 + tr(G xi') and ``gap`` is lambda_max(G) - tr(G xi).
-    """
-
-    def __init__(self, problem: _RecoveryProblem):
-        self.problem = problem
-        d_b, d_c, d_r = problem.d_b, problem.d_c, problem.d_r
-        self.psi = problem.root_factor[:, 0].reshape(d_b, d_c, d_r)
-        rho_r = np.einsum("bcr,bcs->rs", self.psi, self.psi.conj())
-        # K[b,e] = sum psi*[b,c,r] xi[c,d] rho_R[r,s] psi[e,d,s], as K.ravel() = form @ xi.ravel()
-        self.form = np.einsum("bcr,rs,eds->becd", self.psi.conj(), rho_r, self.psi).reshape(
-            d_b * d_b, d_c * d_c
-        )
-
-    def start(self) -> np.ndarray:
-        """A with A A^dag = (rho_C + 1/d_C) / 2, full rank: a rank-r A keeps xi at rank r."""
-        d_c = self.problem.d_c
-        rho_c = np.einsum("bcr,bdr->cd", self.psi, self.psi.conj())
-        return np.linalg.cholesky((rho_c + np.eye(d_c) / d_c) / 2.0).reshape(-1, 1)
-
-    def value(self, a: np.ndarray):
-        """F(rho_CR, xi (x) rho_R) for xi = A A^dag, and what its gradient needs."""
-        d_b, d_c = self.problem.d_b, self.problem.d_c
-        m = a.reshape(d_c, d_c)
-        return _root_trace((self.form @ (m @ m.conj().T).ravel()).reshape(d_b, d_b))
-
-    def value_and_gradient(self, a: np.ndarray, held) -> tuple[float, np.ndarray, np.ndarray]:
-        """F, dF/dA* = G A arranged like a, and G, from what ``value(a)`` held."""
-        d_c = self.problem.d_c
-        f, u, twice_root = _half_inverse_root(held)
-        g = (self.form.conj().T @ ((u / twice_root) @ u.conj().T).ravel()).reshape(d_c, d_c)
-        return f, (g @ a.reshape(d_c, d_c)).reshape(a.shape), g
-
-    def gap(self, a: np.ndarray, grad: np.ndarray, g: np.ndarray) -> float:
-        """lambda_max(G) - tr(G xi): no xi, and so no channel, scores above F + gap."""
-        return float(np.linalg.eigvalsh(g)[-1]) - _inner(a, grad)
-
-    def isometry(self, a: np.ndarray) -> np.ndarray:
-        """The channel of xi = A A^dag as an isometry arranged like the problem's v.
-
-        Its overlap with psi (x) A is tr(V T) for T[b,(b'c'e)] = sum_{c,r}
-        psi[b,c,r] psi*[b',c',r] A*[c,e], which V = Q P^dag maximises over
-        isometries for T = P S Q^dag (Uhlmann). Its d_C Kraus operators fill
-        the first d_C environment columns, the rest are zero.
-        """
-        p = self.problem
-        d_b, d_c = p.d_b, p.d_c
-        t = np.einsum("bcr,fgr,ce->bfge", self.psi, self.psi.conj(), a.reshape(d_c, d_c).conj())
-        left, _, right = np.linalg.svd(t.reshape(d_b, -1), full_matrices=False)
-        kraus = (left @ right).conj().T.reshape(p.d_bc, d_c, d_b)
-        v = np.zeros(p.isometry_shape(), dtype=complex)
-        v.reshape(p.d_bc, p.d_env, d_b)[:, :d_c, :] = kraus
-        return v
 
 
 def _project_tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -501,10 +443,10 @@ def _ascend(v0, evaluate, gradient, bound, tolerance: float, max_iterations: int
     The first direction also takes ``widen(v0, dF/dV*, M(g))``, when given,
     the way out of v0's Kraus rank, which no gradient step leaves.
 
-    ``bound(v, dF/dV*, M(g))`` is a gap with no point (channel, or xi_C for
-    ``_UhlmannProgram``) scoring above score + gap, so the least such sum
-    seen bounds the optimum, and the ascent stops certified once that bound
-    less the best score is below ``tolerance``. The gap is first order in
+    ``bound(v, dF/dV*, M(g))`` is a gap with no channel scoring above
+    score + gap, so the least such sum seen bounds the optimum, and the
+    ascent stops certified once that bound less the best score is below
+    ``tolerance``. The gap is first order in
     the distance to the optimum, the score's gain only second order, so
     the score stops rising, within its evaluation noise, while the gap is
     still open; hence the FLAT_TOLERANCE floor, and the best point is kept.
@@ -588,17 +530,43 @@ def _channel_search(
     )
 
 
+def _uhlmann_isometry(problem: _RecoveryProblem, a: np.ndarray) -> np.ndarray:
+    """The channel of xi = A A^dag for a pure target psi, as an isometry arranged like v.
+
+    Its overlap with psi (x) A is tr(V T) for T[b,(b'c'e)] = sum_{c,r}
+    psi[b,c,r] psi*[b',c',r] A*[c,e], which V = Q P^dag maximises over
+    isometries for T = P S Q^dag (Uhlmann). Its d_C Kraus operators fill
+    the first d_C environment columns, the rest are zero.
+    """
+    d_b, d_c = problem.d_b, problem.d_c
+    psi = problem.root_factor[:, 0].reshape(d_b, d_c, problem.d_r)
+    t = np.einsum("bcr,fgr,ce->bfge", psi, psi.conj(), a.reshape(d_c, d_c).conj())
+    left, _, right = np.linalg.svd(t.reshape(d_b, -1), full_matrices=False)
+    kraus = (left @ right).conj().T.reshape(problem.d_bc, d_c, d_b)
+    v = np.zeros(problem.isometry_shape(), dtype=complex)
+    v.reshape(problem.d_bc, problem.d_env, d_b)[:, :d_c, :] = kraus
+    return v
+
+
 def _uhlmann_start(problem: _RecoveryProblem, max_iterations: int) -> tuple[np.ndarray, int]:
     """The isometry of the channel of a pure target's last xi, and the xi evaluations.
 
-    The xi ascent runs to XI_GAP_TOL within ``max_iterations`` steps.
+    The xi program is the recovery problem of rho_CR with a one-dimensional
+    B: its isometry is the unit vector A, its Choi matrix xi = A A^dag,
+    sigma(V) = xi (x) rho_R, M(g) = dF/dxi and its dual gap lambda_max(M)
+    - tr(M xi). It is ascended to XI_GAP_TOL within ``max_iterations``
+    steps from A A^dag = (rho_C + 1/d_C) / 2, full rank: a rank-r A keeps
+    xi at rank r.
     """
-    program = _UhlmannProgram(problem)
+    d_c, d_r = problem.d_c, problem.d_r
+    rho_cr = states.partial_trace(problem.target, ["C", "R"]).matrix
+    xi = _RecoveryProblem(states._derived(rho_cr, (("B", 1), ("C", d_c), ("R", d_r))))
+    rho_c = states.partial_trace(problem.target, ["C"]).matrix
+    a0 = np.linalg.cholesky((rho_c + np.eye(d_c) / d_c) / 2.0).reshape(-1, 1)
     a, *_, evaluations = _ascend(
-        program.start(), program.value, program.value_and_gradient, program.gap,
-        XI_GAP_TOL, max_iterations,
+        a0, xi.fidelity_value, xi.fidelity_and_gradient, xi.dual_gap, XI_GAP_TOL, max_iterations
     )
-    return program.isometry(a), evaluations
+    return _uhlmann_isometry(problem, a), evaluations
 
 
 def optimize_recovery(
@@ -623,7 +591,7 @@ def optimize_recovery(
 
     A fidelity or Renyi-1/2 search on a target of rank 1 starts at the
     channel of xi_C, ascended first and also capped at ``max_iterations``
-    steps (see ``_UhlmannProgram``); every other search starts at the
+    steps (see ``_uhlmann_start``); every other search starts at the
     transpose channel.
     """
     if objective_kind not in OBJECTIVE_KINDS:
@@ -650,7 +618,7 @@ def optimize_recovery(
         if objective_kind == "fidelity":
             return min(score, 1.0)
         if objective_kind == "renyi_half":
-            return math.inf if score <= 0.0 else -2.0 * math.log2(min(score, 1.0))
+            return entropy._renyi_half_bits(score)
         return -score
 
     return OptimizerResult(

@@ -151,6 +151,76 @@ class TestFidelity:
 # --- root-factor formulas against the full-matrix ones -----------------------
 
 
+class TestRawMatrixBoundary:
+    """A raw matrix enters every measure through the state boundary."""
+
+    MEASURES = {
+        "von_neumann": lambda m: entropy.von_neumann(m),
+        "relative_entropy_rho": lambda m: entropy.relative_entropy(m, np.eye(2) / 2),
+        "relative_entropy_sigma": lambda m: entropy.relative_entropy(np.eye(2) / 2, m),
+        "fidelity": lambda m: entropy.fidelity(m, np.eye(2) / 2),
+        "renyi_half": lambda m: entropy.renyi_half(np.eye(2) / 2, m),
+        "measured_re": lambda m: entropy.measured_relative_entropy(m, np.eye(2) / 2),
+        "objective_rho": lambda m: entropy.measured_re_objective_bits(m, np.eye(2) / 2, np.eye(2)),
+        "objective_sigma": lambda m: entropy.measured_re_objective_bits(np.eye(2) / 2, m, np.eye(2)),
+    }
+
+    @pytest.mark.parametrize("measure", sorted(MEASURES))
+    @pytest.mark.parametrize(
+        "matrix, match",
+        [
+            (np.diag([2.0, -1.0]), "eigenvalue"),
+            (np.eye(2), "trace"),
+            (np.diag([0.5, 0.5, 0.5]), "trace"),
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
+            (np.array([[0.5, np.nan], [np.nan, 0.5]]), "non-finite"),
+        ],
+        ids=["negative", "trace-2", "trace-1.5", "non-hermitian", "nan"],
+    )
+    def test_invalid_matrix_is_rejected(self, measure, matrix, match):
+        with pytest.raises(ValueError, match=match):
+            self.MEASURES[measure](matrix)
+
+    @pytest.mark.parametrize("value", [np.array(0.5), np.ones(2) / 2, np.ones((2, 3)) / 6])
+    def test_non_square_is_rejected(self, value):
+        with pytest.raises(ValueError, match="square"):
+            entropy.von_neumann(value)
+
+    def test_a_state_passes_unchanged(self):
+        rho = states.random_mixed((2, 3), states.rng_from_seed(3), ("B", "C"))
+        assert entropy._state(rho) is rho
+        raw = entropy._state(rho.matrix)
+        assert raw.subsystems == (("A", 6),)
+        assert entropy.von_neumann(rho.matrix) == entropy.von_neumann(rho)
+
+    def test_the_witness_is_checked_as_an_operator(self):
+        # any positive-definite witness, of any trace, is accepted
+        rho, sigma = np.diag([0.7, 0.3]), np.eye(2) / 2
+        value = entropy.measured_re_objective_bits(rho, sigma, 3.0 * np.eye(2))
+        expected = (math.log(3.0) + 1.0 - 3.0) / math.log(2.0)
+        assert abs(value - expected) < 1e-12
+        with pytest.raises(ValueError, match="Hermitian"):
+            entropy.measured_re_objective_bits(rho, sigma, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+class TestRenyiHalfBits:
+    """-2 log2 F, the one conversion every fidelity site uses."""
+
+    @pytest.mark.parametrize("f, bits", [(1.0, 0.0), (0.5, 2.0), (0.25, 4.0), (0.0, math.inf)])
+    def test_values(self, f, bits):
+        assert entropy._renyi_half_bits(f) == bits
+
+    def test_matches_renyi_half(self):
+        rho = states.random_mixed((3,), states.rng_from_seed(9), ("A",))
+        sigma = states.random_mixed((3,), states.rng_from_seed(10), ("A",))
+        f = entropy.fidelity(rho, sigma)
+        assert entropy.renyi_half(rho, sigma) == entropy._renyi_half_bits(f) == -2.0 * math.log2(f)
+
+    def test_above_one_is_clipped(self):
+        # an optimizer's score may overshoot 1 by round-off
+        assert entropy._renyi_half_bits(1.0 + 1e-15) == 0.0
+
+
 def fidelity_oracle(rho, sigma):
     """||sqrt(rho) sqrt(sigma)||_1 from the two full matrix roots."""
     return linalg.trace_norm(
@@ -484,6 +554,18 @@ class TestTwoDeterministicStarts:
         sol = entropy.measured_relative_entropy(rho, sigma)
         assert sol.converged
         assert sol.value_bits >= random_start_oracle_bits(rho, sigma) - 1e-9
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_log_ratio_start_solves_a_commuting_pair(self, seed):
+        # ln p - ln q is the optimum of a commuting pair: one Newton step from
+        # the identity start does not reach it, the log-ratio start is there
+        rng = states.sample_rng(5000, seed)
+        p = rng.dirichlet(np.ones(4))
+        q = rng.dirichlet(np.ones(4))
+        kl = float((p * np.log2(p / q)).sum())
+        sol = entropy.measured_relative_entropy(np.diag(p), np.diag(q), max_iterations=1)
+        assert sol.converged
+        assert abs(sol.value_bits - kl) < 1e-9
 
     def test_solver_draws_no_random_numbers(self, monkeypatch):
         rng = states.rng_from_seed(31)

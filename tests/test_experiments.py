@@ -245,6 +245,19 @@ class TestInequalitySuite:
             "[PASS] recovery-certificate (n=1): witness within tolerance on 100.0%, 0 uncertified"
         )
 
+    @pytest.mark.parametrize(
+        "budgets, name",
+        [
+            ({"samples": 0}, "samples"),
+            ({"samples": -3}, "samples"),
+            ({"samples": 3, "certificate_samples": 0}, "certificate_samples"),
+        ],
+        ids=["no-samples", "negative-samples", "no-certificate-samples"],
+    )
+    def test_budget_below_one_is_rejected(self, budgets, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            experiments.inequality_suite(seed=1, **budgets)
+
     def test_mis_scaled_entropy_fails_classical_equality(self, monkeypatch):
         # mutation control: a base-e/base-2 mix must trip the equality check
         true_cmi = cmirecon.entropy.cmi

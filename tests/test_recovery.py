@@ -264,6 +264,52 @@ def _target(kind, dims):
     return states.MultipartiteState(mixed, pure.subsystems)
 
 
+def _pure_psi(rho):
+    """The state vector of a pure (B, C, R) target as a tensor psi[b, c, r], numpy only."""
+    return np.linalg.eigh(rho.matrix)[1][:, -1].reshape(rho.dims)
+
+
+def _pure(dims, key, index):
+    return states.random_pure(dims, states.sample_rng(key, index), ("B", "C", "R"))
+
+
+def _embedded_c_state(seed):
+    """A pure (2,3,2) target whose rho_C has rank 2: a (2,2,2) state, C rotated into dimension 3."""
+    psi = np.zeros((2, 3, 2), dtype=complex)
+    psi[:, :2, :] = _pure_psi(_pure((2, 2, 2), seed, 0))
+    rotation = channels.haar_isometry(3, 3, states.sample_rng(seed, 1))
+    psi = np.einsum("cd,bdr->bcr", rotation, psi).ravel()
+    return states.MultipartiteState(np.outer(psi, psi.conj()), (("B", 2), ("C", 3), ("R", 2)))
+
+
+def _xi_target(rho):
+    """rho_CR of a pure (B, C, R) target as a state on a one-dimensional B, C and R."""
+    d_c, d_r = rho.dim_of("C"), rho.dim_of("R")
+    rho_cr = states.partial_trace(rho, ["C", "R"]).matrix
+    return states.MultipartiteState(rho_cr, (("B", 1), ("C", d_c), ("R", d_r)))
+
+
+_XI_CASES = [
+    pytest.param(_pure((2, 2, 2), 19, 0), id="dc2"),
+    pytest.param(_pure((2, 3, 2), 19, 1), id="dc3"),
+    pytest.param(_embedded_c_state(19), id="singular_rho_c"),
+]
+
+
+def _assert_gradient_matches_central_differences(problem, v, grad, draw):
+    """dF/dV* against central differences of F along three random tangent directions."""
+    h = 1e-5
+    for _ in range(3):
+        z = draw.standard_normal(v.shape) + 1j * draw.standard_normal(v.shape)
+        d = recovery._project_tangent(v, z)
+        d /= np.linalg.norm(d)
+        plus, _ = problem.fidelity_value(recovery._retract(v + h * d))
+        minus, _ = problem.fidelity_value(recovery._retract(v - h * d))
+        central = (plus - minus) / (2.0 * h)
+        analytic = 2.0 * np.real(np.vdot(grad, d))
+        assert abs(analytic - central) <= 1e-6 * abs(central)
+
+
 class TestFidelityGradient:
     """The fidelity and its gradient dF/dV* for targets of every rank."""
 
@@ -283,16 +329,25 @@ class TestFidelityGradient:
         rebuilt = recovery.reconstruct(rho, problem.channel_from(v))
         assert abs(f - entropy.fidelity(rho, rebuilt)) < 1e-12
         _, grad, _ = problem.fidelity_and_gradient(v, held)
-        h = 1e-5
-        for _ in range(3):
-            z = draw.standard_normal(v.shape) + 1j * draw.standard_normal(v.shape)
-            d = recovery._project_tangent(v, z)
-            d /= np.linalg.norm(d)
-            plus, _ = problem.fidelity_value(recovery._retract(v + h * d))
-            minus, _ = problem.fidelity_value(recovery._retract(v - h * d))
-            central = (plus - minus) / (2.0 * h)
-            analytic = 2.0 * np.real(np.vdot(grad, d))
-            assert abs(analytic - central) <= 1e-6 * abs(central)
+        _assert_gradient_matches_central_differences(problem, v, grad, draw)
+
+    @pytest.mark.parametrize("rho", _XI_CASES)
+    def test_xi_problem_gradient_matches_central_differences(self, rho):
+        # d_B = 1: the isometry is A, a unit vector, and the channel prepares xi = A A^dag
+        problem = recovery._RecoveryProblem(_xi_target(rho))
+        d_c = problem.d_c
+        assert problem.isometry_shape() == (d_c * d_c, 1)
+        draw = np.random.default_rng(d_c)
+        a = _random_isometry(problem.isometry_shape(), draw)
+        f, held = problem.fidelity_value(a)
+        # the value is the fidelity of rho_CR with xi (x) rho_R
+        m = a.reshape(d_c, d_c)
+        xi = states.MultipartiteState(m @ m.conj().T, (("C", d_c),))
+        rho_cr = states.partial_trace(rho, ["C", "R"])
+        product = states.tensor(xi, states.partial_trace(rho, ["R"]))
+        assert abs(f - entropy.fidelity(rho_cr, product)) < 1e-12
+        _, grad, _ = problem.fidelity_and_gradient(a, held)
+        _assert_gradient_matches_central_differences(problem, a, grad, draw)
 
 
 class TestRetraction:
@@ -391,6 +446,29 @@ class TestDualBound:
             # tr Y bounds F^2 here and at every other channel, the best found included
             assert gap >= -1e-13
             assert f * f + gap >= best**2 - 1e-13
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2)], ids=["222", "232", "322"])
+    def test_xi_bound_holds_at_random_xi(self, dims):
+        # d_B = 1: M(g) is G = dF/dxi and the gap is lambda_max(G) - tr(G xi)
+        rho = states.random_pure(dims, states.rng_from_seed(41), ("B", "C", "R"))
+        problem = recovery._RecoveryProblem(_xi_target(rho))
+        d_c = dims[1]
+        draw = np.random.default_rng(sum(dims))
+        for _ in range(5):
+            a = _random_isometry((d_c * d_c, 1), draw)
+            f, held = problem.fidelity_value(a)
+            _, grad, g = problem.fidelity_and_gradient(a, held)
+            gap = problem.dual_gap(a, grad, g)
+            m = a.reshape(d_c, d_c)
+            own = np.linalg.eigvalsh(g)[-1] - np.trace(g @ m @ m.conj().T).real
+            assert gap >= -1e-13 and abs(gap - own) < 1e-13
+            for _ in range(10):
+                other = _random_isometry((d_c * d_c, 1), draw)
+                m = other.reshape(d_c, d_c)
+                f_other, _ = problem.fidelity_value(other)
+                # F(xi') <= F(xi)/2 + tr(G xi') <= F(xi) + gap
+                assert f_other <= f / 2.0 + np.trace(g @ m @ m.conj().T).real + 1e-13
+                assert f_other <= f + gap + 1e-13
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2)], ids=["222", "232", "322"])
     def test_channel_form_matches_einsum(self, dims):
@@ -502,11 +580,6 @@ class TestDualBound:
         assert result.best_value >= 0.8581571282
 
 
-def _pure_psi(rho):
-    """The state vector of a pure (B, C, R) target as a tensor psi[b, c, r], numpy only."""
-    return np.linalg.eigh(rho.matrix)[1][:, -1].reshape(rho.dims)
-
-
 def _hooke_jeeves(point, x0, step_tolerance=1e-11):
     """Maximum of ``point`` (x -> (x pulled back, value)) by a shrinking pattern search.
 
@@ -598,19 +671,6 @@ def _product_c_state(dims, seed):
     return states.permute(states.tensor(phi, br), ("B", "C", "R"))
 
 
-def _pure(dims, key, index):
-    return states.random_pure(dims, states.sample_rng(key, index), ("B", "C", "R"))
-
-
-def _embedded_c_state(seed):
-    """A pure (2,3,2) target whose rho_C has rank 2: a (2,2,2) state, C rotated into dimension 3."""
-    psi = np.zeros((2, 3, 2), dtype=complex)
-    psi[:, :2, :] = _pure_psi(_pure((2, 2, 2), seed, 0))
-    rotation = channels.haar_isometry(3, 3, states.sample_rng(seed, 1))
-    psi = np.einsum("cd,bdr->bcr", rotation, psi).ravel()
-    return states.MultipartiteState(np.outer(psi, psi.conj()), (("B", 2), ("C", 3), ("R", 2)))
-
-
 def _count_ascents(monkeypatch):
     """Log (shape of the start, evaluations) for each ``_ascend`` call."""
     runs = []
@@ -680,63 +740,6 @@ class TestUhlmannOracle:
         assert abs(route.best_value - stiefel) < 1e-8
 
 
-class TestUhlmannProgram:
-    """F(rho_CR, xi (x) rho_R), its gradient in A and its bound."""
-
-    @pytest.mark.parametrize(
-        "rho",
-        [
-            pytest.param(_pure((2, 2, 2), 19, 0), id="dc2"),
-            pytest.param(_pure((2, 3, 2), 19, 1), id="dc3"),
-            pytest.param(_embedded_c_state(19), id="singular_rho_c"),
-        ],
-    )
-    def test_gradient_matches_central_differences(self, rho):
-        problem = recovery._RecoveryProblem(rho)
-        program = recovery._UhlmannProgram(problem)
-        d_c = problem.d_c
-        draw = np.random.default_rng(d_c)
-        a = _random_isometry((d_c * d_c, 1), draw)
-        f, held = program.value(a)
-        # the value is the fidelity of rho_CR with xi (x) rho_R
-        m = a.reshape(d_c, d_c)
-        xi = states.MultipartiteState(m @ m.conj().T, (("C", d_c),))
-        rho_cr = states.partial_trace(rho, ["C", "R"])
-        product = states.tensor(xi, states.partial_trace(rho, ["R"]))
-        assert abs(f - entropy.fidelity(rho_cr, product)) < 1e-12
-        _, grad, _ = program.value_and_gradient(a, held)
-        h = 1e-5
-        for _ in range(3):
-            z = draw.standard_normal(a.shape) + 1j * draw.standard_normal(a.shape)
-            d = recovery._project_tangent(a, z)
-            d /= np.linalg.norm(d)
-            plus, _ = program.value(recovery._retract(a + h * d))
-            minus, _ = program.value(recovery._retract(a - h * d))
-            central = (plus - minus) / (2.0 * h)
-            analytic = 2.0 * np.real(np.vdot(grad, d))
-            assert abs(analytic - central) <= 1e-6 * abs(central)
-
-    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2)], ids=["222", "232", "322"])
-    def test_bound_holds_at_random_xi(self, dims):
-        rho = states.random_pure(dims, states.rng_from_seed(41), ("B", "C", "R"))
-        program = recovery._UhlmannProgram(recovery._RecoveryProblem(rho))
-        d_c = dims[1]
-        draw = np.random.default_rng(sum(dims))
-        for _ in range(5):
-            a = _random_isometry((d_c * d_c, 1), draw)
-            f, held = program.value(a)
-            _, grad, g = program.value_and_gradient(a, held)
-            gap = program.gap(a, grad, g)
-            assert gap >= -1e-13
-            for _ in range(10):
-                other = _random_isometry((d_c * d_c, 1), draw)
-                m = other.reshape(d_c, d_c)
-                f_other, _ = program.value(other)
-                # F(xi') <= F(xi)/2 + tr(G xi') <= F(xi) + gap
-                assert f_other <= f / 2.0 + np.trace(g @ m @ m.conj().T).real + 1e-13
-                assert f_other <= f + gap + 1e-13
-
-
 class TestUhlmannRoute:
     """Which searches take the pure-target route, and what they report."""
 
@@ -798,14 +801,23 @@ class TestUhlmannRoute:
         # at cap 2 the channel of the second xi is not certified, and the
         # channel ascent climbs it, with the same cap
         rho = _pure((2, 2, 2), 700, 0)
-        xi_values, values = [], []
-        _count_calls(monkeypatch, recovery._UhlmannProgram, "value", xi_values)
+        values, calls = [], []
         _count_calls(monkeypatch, recovery._RecoveryProblem, "fidelity_value", values)
-        runs = _count_ascents(monkeypatch)
+        ascend = recovery._ascend
+
+        def counted(*args, **kwargs):
+            before = len(values)
+            found = ascend(*args, **kwargs)
+            calls.append((len(values) - before, found[-1]))
+            return found
+
+        monkeypatch.setattr(recovery, "_ascend", counted)
         result = recovery.optimize_recovery(rho, "fidelity", max_iterations=cap)
-        assert [n for _, n in runs] == [len(xi_values), len(values)]
-        assert len(values) > 1 if falls_back else len(values) == 1
-        assert result.evaluations == len(xi_values) + len(values)
+        # the xi ascent, then the channel ascent: each counts its fidelity_value calls
+        (xi_calls, xi_evaluations), (channel_calls, channel_evaluations) = calls
+        assert xi_calls == xi_evaluations > 1 and channel_calls == channel_evaluations
+        assert channel_calls > 1 if falls_back else channel_calls == 1
+        assert result.evaluations == len(values) == xi_calls + channel_calls
         assert result.converged == (not falls_back)
 
     def test_uncertified_uhlmann_channel_is_climbed_from_where_it_stands(self, monkeypatch):
@@ -1025,6 +1037,12 @@ class TestInnerConvergence:
         if inner_budget == 1:
             # one Newton step from each start leaves every inner solve open
             assert result.inner_nonconverged > 0
+
+    def test_budget_covers_every_inner_solve_of_a_pure_target(self):
+        # some inner solves of this search take 21 Newton steps from their better start
+        rho = states.random_pure((3, 2, 2), states.rng_from_seed(0), ("B", "C", "R"))
+        result = recovery.optimize_recovery(rho, "measured_re")
+        assert result.converged and result.inner_nonconverged == 0
 
     def test_fidelity_search_has_no_inner_solves(self):
         rho = states.random_pure((2, 2, 2), states.rng_from_seed(12), ("B", "C", "R"))

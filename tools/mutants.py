@@ -9,7 +9,7 @@ failing test), then a summary line. The exit code is 1 when any mutant
 survived or cannot be applied, else 0.
 
 Run from anywhere; each mutant takes from a few seconds (caught early) to
-a full tier-1 run (survived), about 6 minutes in all on 2 cores:
+a full tier-1 run (survived), about 8 minutes in all on 2 cores:
 
     python3 tools/mutants.py
 """
@@ -110,6 +110,22 @@ MUTANTS = (
         "mre-sigma-unmixed", "src/cmirecon/entropy.py",
         "w_sigma = (1.0 - SIGMA_REGULARIZATION) * np.maximum(w_sigma, 0.0) + SIGMA_REGULARIZATION / d",
         "w_sigma = np.maximum(w_sigma, 0.0)",
+    ),
+    Mutant(
+        # the measured-RE solve climbs from the identity start only
+        "mre-one-start", "src/cmirecon/entropy.py",
+        "for h0 in (np.zeros((d, d), dtype=complex), warm):",
+        "for h0 in (np.zeros((d, d), dtype=complex),):",
+    ),
+    Mutant(
+        # each measured-RE recovery evaluation's inner solve capped at 20 Newton steps
+        "inner-budget", "src/cmirecon/recovery.py",
+        "INNER_MEASURED_RE_ITERATIONS = 200", "INNER_MEASURED_RE_ITERATIONS = 20",
+    ),
+    Mutant(
+        # the search's environment cut from the Choi dimension d_B d_BC to d_BC
+        "d-env-kraus", "src/cmirecon/recovery.py",
+        "self.d_env = self.d_b * self.d_bc", "self.d_env = self.d_bc",
     ),
 )
 
