@@ -44,6 +44,14 @@ def _state(state_or_matrix) -> MultipartiteState:
     return MultipartiteState(m, (("A", len(m) if m.ndim else 1),))
 
 
+def _pair(rho, sigma) -> tuple[MultipartiteState, MultipartiteState]:
+    """rho and sigma through the state boundary, checked to be of one dimension."""
+    rho, sigma = _state(rho), _state(sigma)
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    return rho, sigma
+
+
 def _renyi_half_bits(f: float) -> float:
     """-2 log2 F in bits for a fidelity F in [0, 1]: +inf at F = 0."""
     return math.inf if f <= 0.0 else -2.0 * math.log2(min(f, 1.0))
@@ -58,6 +66,21 @@ def _w_log_w(spec: linalg.Spectrum) -> float:
 def von_neumann(state_or_matrix) -> float:
     """Von Neumann entropy in bits: -sum of w log2 w over the spectrum."""
     return -_w_log_w(_state(state_or_matrix).spectrum) / LN2
+
+
+def _tr_rho_log(rho: MultipartiteState, spec: linalg.Spectrum, k: int) -> float:
+    """tr(rho ln X) in nats from X's ascending eigenpairs (w_j, v_j), the first k its kernel.
+
+    With rho = W W^dag (``Spectrum.root``), the sum over X's support of
+    ln w_j ||v_j^dag W||^2; -inf once rho's weight on the kernel,
+    ||V_k^dag W||_F^2 = tr V_k^dag rho V_k, reaches SUPPORT_LEAK_TOL.
+    """
+    # weight[j] = ||v_j^dag W||^2 = <v_j|rho|v_j> on rho's support
+    overlap = spec.eigenvectors.conj().T @ rho.spectrum.root
+    weight = (np.abs(overlap) ** 2).sum(axis=1)
+    if float(weight[:k].sum()) >= SUPPORT_LEAK_TOL:
+        return -math.inf
+    return float(np.log(spec.eigenvalues[k:]) @ weight[k:])
 
 
 def cmi(state: MultipartiteState) -> float:
@@ -83,24 +106,11 @@ def cmi(state: MultipartiteState) -> float:
 def relative_entropy(rho, sigma) -> float:
     """Quantum relative entropy tr[rho(log rho - log sigma)] in bits.
 
-    Returns ``math.inf`` when the support of rho is not contained in the
-    support of sigma (both supports taken at the spectral cutoff). With
-    rho = W W^dag (``Spectrum.root``) and sigma's eigenpairs (w_j, v_j),
-    tr rho log sigma = sum over sigma's support of ln w_j ||v_j^dag W||^2.
+    ``math.inf`` when rho leaks out of sigma's support, which is taken at
+    the spectral cutoff: sigma's ``kernel`` (see ``_tr_rho_log``).
     """
-    rho, sigma = _state(rho), _state(sigma)
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    # weight[j] = ||v_j^dag W||^2 = <v_j|rho|v_j> on rho's support
-    overlap = sigma.spectrum.eigenvectors.conj().T @ rho.spectrum.root
-    weight = (np.abs(overlap) ** 2).sum(axis=1)
-    w_sigma, k = sigma.spectrum.eigenvalues, sigma.spectrum.kernel
-    # the leak V_k^dag rho V_k onto sigma's kernel (its first k eigenvectors)
-    # is positive semidefinite, so its trace norm is its trace, ||V_k^dag W||_F^2
-    if float(weight[:k].sum()) >= SUPPORT_LEAK_TOL:
-        return math.inf
-    tr_rho_log_sigma = float(np.log(w_sigma[k:]) @ weight[k:])
-    return (_w_log_w(rho.spectrum) - tr_rho_log_sigma) / LN2
+    rho, sigma = _pair(rho, sigma)
+    return (_w_log_w(rho.spectrum) - _tr_rho_log(rho, sigma.spectrum, sigma.spectrum.kernel)) / LN2
 
 
 def fidelity(rho, sigma) -> float:
@@ -112,9 +122,7 @@ def fidelity(rho, sigma) -> float:
     (``Spectrum.root``) that norm is ||W_sigma^dag W_rho||_1, an
     r_sigma x r_rho matrix for the ranks r at the support cutoff.
     """
-    rho, sigma = _state(rho), _state(sigma)
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    rho, sigma = _pair(rho, sigma)
     overlap = sigma.spectrum.root.conj().T @ rho.spectrum.root
     f = linalg._trace_norm(overlap)
     return min(max(f, 0.0), 1.0)
@@ -167,11 +175,17 @@ def measured_re_objective_bits(rho, sigma, witness: np.ndarray) -> float:
     """Variational objective tr(rho ln w) + 1 - tr(sigma w), in bits.
 
     For any positive-definite ``witness`` this is a lower bound on the
-    measured relative entropy of (rho, sigma).
+    measured relative entropy of (rho, sigma). The witness is checked as a
+    square, finite, Hermitian operator of rho's dimension, and tr(rho ln w)
+    is read from its spectrum with the eigenvalues <= 0 as the kernel
+    (``_tr_rho_log``): -inf once rho has weight there.
     """
-    rho, sigma = _state(rho).matrix, _state(sigma).matrix
-    log_w = linalg.matrix_function(witness, np.log, cutoff=0.0)
-    val = float(np.trace(rho @ log_w).real) + 1.0 - float(np.trace(sigma @ witness).real)
+    rho, sigma = _pair(rho, sigma)
+    spec = linalg.eigh(witness)
+    if len(spec.eigenvalues) != rho.dim:
+        raise ValueError(f"witness of dimension {len(spec.eigenvalues)}, not {rho.dim}")
+    tr_rho_log_w = _tr_rho_log(rho, spec, int(np.count_nonzero(spec.eigenvalues <= 0.0)))
+    val = tr_rho_log_w + 1.0 - float(np.trace(sigma.matrix @ witness).real)
     return val / LN2
 
 
@@ -382,9 +396,7 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
     reporting tolerance only while rho lies in sigma's support: on a leak
     D_M is +inf, yet a finite value is returned (a known defect).
     """
-    rho, sigma = _state(rho), _state(sigma)
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    rho, sigma = _pair(rho, sigma)
     rho_spec, sigma_spec = rho.spectrum, sigma.spectrum
     d = sigma.dim
     rho, sigma = rho.matrix, sigma.matrix

@@ -389,7 +389,7 @@ def _check_log_shift_bound(seed, n):
         lam = math.log2(max(ratio, 1e-300))
         lhs = entropy.relative_entropy(rho, pi)
         rhs = entropy.relative_entropy(rho, sigma) - lam
-        return not (math.isinf(lhs) or lhs >= rhs - 1e-7), None
+        return not lhs >= rhs - 1e-7, None
 
     return _run_check("relent-log-shift-bound", seed, n, sample)
 

@@ -27,7 +27,7 @@ class Spectrum:
 
     ``eigenvalues`` is real and ascending; the columns of ``eigenvectors``
     are the matching orthonormal eigenvectors. ``kernel`` and ``root`` hold
-    the split at the default cutoff, each computed once.
+    the split at the support cutoff, each computed once.
     """
 
     eigenvalues: np.ndarray
@@ -51,22 +51,9 @@ class Spectrum:
         root.setflags(write=False)
         return root
 
-    def apply(
-        self, f: Callable[[np.ndarray], np.ndarray], cutoff: float | None = None
-    ) -> np.ndarray:
-        """V diag(f(w)) V^dag, with eigenvalues at or below the cutoff mapped to zero.
-
-        ``cutoff`` is absolute (must be >= 0); ``None`` selects the default
-        relative cutoff, that is the spectrum's ``kernel``.
-        """
-        w = self.eigenvalues
-        if cutoff is None:
-            k = self.kernel
-        elif cutoff < 0:
-            raise ValueError(f"support cutoff must be >= 0, got {cutoff}")
-        else:
-            k = int(np.count_nonzero(w <= cutoff))
-        v = self.eigenvectors
+    def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """V diag(f(w)) V^dag, with the ``kernel``'s eigenvalues mapped to zero."""
+        w, k, v = self.eigenvalues, self.kernel, self.eigenvectors
         fw = np.zeros_like(w)
         fw[k:] = f(w[k:])
         return (v * fw) @ v.conj().T
@@ -127,24 +114,15 @@ def kernel_size(eigenvalues: np.ndarray) -> int:
     return int(np.count_nonzero(eigenvalues <= support_cutoff(eigenvalues)))
 
 
-def matrix_function(
-    h: np.ndarray,
-    f: Callable[[np.ndarray], np.ndarray],
-    cutoff: float | None = None,
-) -> np.ndarray:
+def matrix_function(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
-    Eigenvalues at or below the support cutoff map to zero instead of
-    passing through ``f``. This is the support-restricted convention for
-    log, sqrt and inverse powers of positive semidefinite matrices.
-
-    Args:
-        h: Hermitian matrix.
-        f: vectorized scalar map applied to the retained eigenvalues.
-        cutoff: absolute eigenvalue threshold (must be >= 0); ``None``
-            selects the default relative cutoff from the spectrum.
+    ``f`` is vectorized and sees the eigenvalues above the support cutoff;
+    those at or below it map to zero. This is the support-restricted
+    convention for log, sqrt and inverse powers of positive semidefinite
+    matrices, and the cutoff is the relative one of ``support_cutoff``.
     """
-    return eigh(h).apply(f, cutoff)
+    return eigh(h).apply(f)
 
 
 def trace_norm(a: np.ndarray) -> float:

@@ -9,7 +9,6 @@ and measures the relative-entropy gap of an arbitrary state to one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,7 +175,4 @@ def markov_gap(rho: MultipartiteState, sigma_markov: MultipartiteState) -> float
         raise ValueError(
             f"sigma is not a certified Markov state: its CMI is {sigma_cmi:.3e}"
         )
-    rel = entropy.relative_entropy(rho, sigma_markov)
-    if math.isinf(rel):
-        return math.inf
-    return rel - entropy.cmi(rho)
+    return entropy.relative_entropy(rho, sigma_markov) - entropy.cmi(rho)

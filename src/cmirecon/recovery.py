@@ -15,17 +15,19 @@ and the search is one deterministic ascent from that warm start.
 
 Each objective's score is bounded through its gradient g in sigma. Root
 fidelity is concave and 1/2-homogeneous, so F(rho, sigma') <= F/2 +
-tr(g sigma') with g = dF/dsigma; any witness w > 0 of the measured
-relative entropy gives -D_M(rho || sigma') <= c + tr(g sigma') with
-g = w/ln 2 (Berta-Fawzi-Tomamichel). In both, the constant is the score
-less tr(g sigma(V)), and the channel maximum of tr(g sigma') is a
-semidefinite program whose dual (min tr Y subject to 1_BC (x) Y^T >= M(g))
-has a feasible point built from the gradient at hand. Every search stops
-once that dual gap, in its own score units, is below its objective's
-tolerance, and ``converged`` means certified. The gap is first order in
-the distance to the optimum and the score's gain second order, so near the
-end a search also takes steps that keep the score within its evaluation
-noise, and certifies its best point with the least bound it has seen.
+tr(g sigma') with g = dF/dsigma while W^dag sigma W is nonsingular (else
+F grows like sqrt(t) into its kernel, and the point bounds nothing); any
+witness w > 0 of the measured relative entropy gives -D_M(rho || sigma')
+<= c + tr(g sigma') with g = w/ln 2 (Berta-Fawzi-Tomamichel). In both,
+the constant is the score less tr(g sigma(V)), and the channel maximum of
+tr(g sigma') is a semidefinite program whose dual (min tr Y subject to
+1_BC (x) Y^T >= M(g)) has a feasible point built from the gradient at
+hand. Every search stops once that dual gap, in its own score units, is
+below its objective's tolerance, and ``converged`` means certified. The
+gap is first order in the distance to the optimum and the score's gain
+second order, so near the end a search also takes steps that keep the
+score within its evaluation noise, and certifies its best point with the
+least bound it has seen.
 Every start is a stack of Kraus operators placed in the first environment
 columns of an isometry, the rest zero: the transpose channel's, which
 ``channels._transpose_kraus`` builds, or the Uhlmann channel's below. No
@@ -169,9 +171,9 @@ class _RecoveryProblem:
     Each objective has an evaluate step, ``fidelity_value`` or
     ``measured_re_score``, returning the score at V and what the gradient
     needs, and a gradient step, ``fidelity_and_gradient`` or
-    ``measured_re_score_and_gradient``, turning that into the score, dF/dV*
-    and M(g) for g = dscore/dsigma without evaluating V again. ``dual_gap``
-    turns either into the certificate of the search.
+    ``measured_re_score_and_gradient``, turning that into the score the
+    bound rests on, dF/dV* and M(g) for g = dscore/dsigma without evaluating
+    V again; ``dual_gap`` turns either into the search's certificate.
     ``inner_nonconverged`` counts the inner measured-RE solves that did not
     converge.
     """
@@ -251,17 +253,19 @@ class _RecoveryProblem:
     def fidelity_and_gradient(
         self, v: np.ndarray, held
     ) -> tuple[float, np.ndarray, np.ndarray]:
-        """F(V), its Euclidean Wirtinger gradient dF/dV*, and M(g) for g = dF/dsigma.
+        """The score the bound rests on, dF/dV* (Euclidean Wirtinger) and M(g) for g = dF/dsigma.
 
         ``held`` is what ``fidelity_value(v)`` returned beside F. With
         Z = W u for the eigenvectors u of W^dag sigma W, g = Z diag(1 / (2
         sqrt(lam))) Z^dag over the eigenvalues lam above the support cutoff.
+        That g is a supergradient only while W^dag sigma W has no kernel; the
+        score is F then, and +inf otherwise, so the point bounds nothing.
         """
         lam, root, u = held
         k = linalg.kernel_size(lam)
         z = self.root_factor @ u[:, k:]
         g = (z / (2.0 * root[k:])) @ z.conj().T
-        return (float(root.sum()), *self.isometry_gradient(v, g))
+        return (math.inf if k else float(root.sum()), *self.isometry_gradient(v, g))
 
     def channel_form(self, g: np.ndarray) -> np.ndarray:
         """M(g) = Phi*(g), with tr(g sigma(V)) = tr(M(g) X X^dag) for X = ``kraus_columns(v)``.
@@ -441,16 +445,16 @@ def _ascend(
     which no gradient step leaves.
 
     ``problem.dual_gap`` is a gap with no channel scoring above
-    score + gap, so the least such sum seen bounds the optimum, and the
-    ascent stops certified once that bound less the best score is below
-    ``tolerance``. The gap is first order in
-    the distance to the optimum, the score's gain only second order, so
-    the score stops rising, within its evaluation noise, while the gap is
-    still open; hence the FLAT_TOLERANCE floor, and the best point is kept.
-    The ascent stops unconverged at the cap, when not even the projected
-    gradient rises, or once more than CONVERGENCE_WINDOW steps in a row
-    neither raise the best score by more than FLAT_TOLERANCE nor lower the
-    bound.
+    score + gap, for the score the gradient step returns (+inf at a point
+    that bounds nothing), so the least such sum seen bounds the optimum,
+    and the ascent stops certified once that bound less the best score is
+    below ``tolerance``. The gap is first order in the distance to the
+    optimum, the score's gain only second order, so the score stops rising,
+    within its evaluation noise, while the gap is still open; hence the
+    FLAT_TOLERANCE floor, and the best point is kept. The ascent stops
+    unconverged at the cap, when not even the projected gradient rises, or
+    once more than CONVERGENCE_WINDOW steps in a row neither raise the best
+    score by more than FLAT_TOLERANCE nor lower the bound.
 
     Returns (v, f, trace, converged, gap, evaluations) at the best point:
     ``trace`` holds the best score after each step that raised it, so it
@@ -478,8 +482,8 @@ def _ascend(
     last_step = last_g = None
     steps = idle = 0
     while True:
-        _, grad, form = gradient(v, held)
-        here = f + problem.dual_gap(v, grad, form)
+        score, grad, form = gradient(v, held)
+        here = score + problem.dual_gap(v, grad, form)
         if here < upper:
             upper, idle = here, 0
         gap = upper - best_f

@@ -203,6 +203,45 @@ class TestRawMatrixBoundary:
             entropy.measured_re_objective_bits(rho, sigma, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+class TestWitnessObjective:
+    """tr(rho ln w) read from the witness's spectrum, by relative_entropy's leak rule."""
+
+    def test_rho_on_a_non_positive_eigenvalue_gives_minus_infinity(self):
+        # a matrix log that maps -5 to log 0 scored this witness at 4.379 bits
+        rho, sigma = np.diag([0.7, 0.3]), np.eye(2) / 2
+        assert entropy.measured_re_objective_bits(rho, sigma, np.diag([1.4, -5.0])) == -math.inf
+
+    def test_a_zero_eigenvalue_off_the_support_of_rho_is_not_read(self):
+        # tr(rho ln w) = ln 2, tr(sigma w) = 1: one bit
+        rho, sigma = np.diag([1.0, 0.0]), np.eye(2) / 2
+        value = entropy.measured_re_objective_bits(rho, sigma, np.diag([2.0, 0.0]))
+        assert abs(value - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_log_ratio_witness_of_a_commuting_pair_gives_the_relative_entropy(self, seed):
+        # w = rho sigma^-1 attains S(rho || sigma) when rho and sigma commute
+        rng = states.sample_rng(4300, seed)
+        d = 2 + seed
+        u = channels.haar_isometry(d, d, rng)
+        p, q = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+        rho, sigma, witness = ((u * x) @ u.conj().T for x in (p, q, p / q))
+        value = entropy.measured_re_objective_bits(rho, sigma, witness)
+        assert abs(value - entropy.relative_entropy(rho, sigma)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "rho, sigma, witness, match",
+        [
+            (np.eye(2) / 2, np.eye(3) / 3, np.eye(2), "mismatch"),
+            (np.eye(3) / 3, np.eye(2) / 2, np.eye(3), "mismatch"),
+            (np.eye(2) / 2, np.eye(2) / 2, np.eye(3), "witness"),
+        ],
+        ids=["sigma", "rho", "witness"],
+    )
+    def test_dimensions_are_checked(self, rho, sigma, witness, match):
+        with pytest.raises(ValueError, match=match):
+            entropy.measured_re_objective_bits(rho, sigma, witness)
+
+
 class TestRenyiHalfBits:
     """-2 log2 F, the one conversion every fidelity site uses."""
 

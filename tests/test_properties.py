@@ -107,19 +107,41 @@ def test_measured_re_invariant_under_unitaries(d, seed):
     assert abs(rotated.value_bits - plain.value_bits) < 1e-8
 
 
+def channel_isometry(problem, kind, rng):
+    """The isometry of a random channel: "haar" draws a Haar isometry of the
+    full environment; 1 or 2 a Haar channel of that Kraus rank; and
+    "replacement" the channel that prepares a random BC state of rank 1 or
+    2 from any input. The last three leave zero Kraus columns."""
+    d_bc, d_b = problem.d_bc, problem.d_b
+    if kind == "haar":
+        return channels.haar_isometry(*problem.isometry_shape(), rng)
+    if kind == "replacement":
+        r = int(rng.integers(1, 3))
+        t = rng.standard_normal((d_bc, r)) + 1j * rng.standard_normal((d_bc, r))
+        t /= np.linalg.norm(t)
+        # Kraus operator (j, b') is t_j <b'|, so sum_e K_e^dag K_e = ||t||_F^2 1_B
+        kraus = np.einsum("oj,bc->objc", t, np.eye(d_b)).reshape(d_bc, d_b, r * d_b)
+    else:
+        v = channels.haar_isometry(d_bc * kind, d_b, rng)
+        kraus = v.reshape(d_bc, kind, d_b).transpose(0, 2, 1)
+    return problem.isometry(kraus)
+
+
 @settings(PROPERTY, max_examples=24)
 @given(recovery_dims, seeds, recovery_ranks)
 def test_fidelity_bound_holds_at_random_channels(dims, seed, rank):
-    # F(V) + dual_gap(V) bounds the fidelity of every channel, the best found included
+    # score(V) + dual_gap(V) bounds the fidelity of every channel, the best
+    # found included; at a low Kraus rank W^dag sigma W can be singular, and
+    # there the bound holds because the score is +inf
     rho = tripartite_state(dims, seed, rank or math.prod(dims))
     best = recovery.optimize_recovery(rho, "fidelity").best_value
     problem = recovery._RecoveryProblem(rho)
     rng = states.sample_rng(seed, 1)
-    for _ in range(5):
-        v = channels.haar_isometry(*problem.isometry_shape(), rng)
-        f, held = problem.fidelity_value(v)
-        _, grad, m = problem.fidelity_and_gradient(v, held)
-        assert f + problem.dual_gap(v, grad, m) >= best - 1e-12
+    for kind in ("haar", "replacement", 1, 2):
+        for _ in range(5):
+            v = channel_isometry(problem, kind, rng)
+            score, grad, m = problem.fidelity_and_gradient(v, problem.fidelity_value(v)[1])
+            assert score + problem.dual_gap(v, grad, m) >= best - 1e-12
 
 
 def confine_b(rho, rng):

@@ -310,6 +310,18 @@ def _assert_gradient_matches_central_differences(problem, v, grad, draw):
         assert abs(analytic - central) <= 1e-6 * abs(central)
 
 
+def _fixed_output_point():
+    """rho = (|000><000| + |111><111|) / 2 on (B, C, R), and the isometry of
+    the channel that prepares |00>_BC from any input: a point where
+    W^dag sigma W is singular, though the transpose channel reaches F = 1."""
+    m = np.zeros((8, 8))
+    m[0, 0] = m[7, 7] = 0.5
+    problem = recovery._RecoveryProblem(states.MultipartiteState(m, (("B", 2), ("C", 2), ("R", 2))))
+    v = np.zeros(problem.isometry_shape(), dtype=complex)
+    v.reshape(problem.d_bc, problem.d_env, problem.d_b)[0, [0, 1], [0, 1]] = 1.0
+    return problem, v
+
+
 class TestFidelityGradient:
     """The fidelity and its gradient dF/dV* for targets of every rank."""
 
@@ -350,15 +362,9 @@ class TestFidelityGradient:
         _assert_gradient_matches_central_differences(problem, a, grad, draw)
 
     def test_gradient_reads_only_the_support_of_w_sigma_w(self):
-        # rho = (|000><000| + |111><111|) / 2 and the channel that prepares
-        # |00>_BC from any input: sigma = |00><00| (x) rho_R misses |111>, so
-        # W^dag sigma W has eigenvalues 0 and 1/4, and g = dF/dsigma on its
-        # support is |000><000| / 2
-        m = np.zeros((8, 8))
-        m[0, 0] = m[7, 7] = 0.5
-        problem = recovery._RecoveryProblem(states.MultipartiteState(m, (("B", 2), ("C", 2), ("R", 2))))
-        v = np.zeros(problem.isometry_shape(), dtype=complex)
-        v.reshape(problem.d_bc, problem.d_env, problem.d_b)[0, [0, 1], [0, 1]] = 1.0
+        # sigma = |00><00| (x) rho_R misses |111>, so W^dag sigma W has
+        # eigenvalues 0 and 1/4, and g = dF/dsigma on its support is |000><000| / 2
+        problem, v = _fixed_output_point()
         f, held = problem.fidelity_value(v)
         assert abs(f - 0.5) < 1e-15
         _, grad, form = problem.fidelity_and_gradient(v, held)
@@ -474,6 +480,23 @@ class TestDualBound:
             # tr Y bounds F^2 here and at every other channel, the best found included
             assert gap >= -1e-13
             assert f * f + gap >= best**2 - 1e-13
+
+    def test_a_singular_w_sigma_w_bounds_nothing(self):
+        # F grows like sqrt(t) into the kernel of W^dag sigma W, so the
+        # support gradient's gap of 0 there is no certificate
+        problem, v = _fixed_output_point()
+        f, held = problem.fidelity_value(v)
+        score, grad, m = problem.fidelity_and_gradient(v, held)
+        assert abs(f - 0.5) < 1e-15 and score == math.inf
+        assert problem.dual_gap(v, grad, m) < 1e-15
+        _, best, _, converged, gap, _ = recovery._ascend(problem, v, "fidelity", recovery.DUAL_GAP_TOL, 0)
+        assert best == f and not converged and gap == math.inf
+
+    def test_the_ascent_leaves_a_singular_w_sigma_w_certified(self):
+        problem, v = _fixed_output_point()
+        _, best, _, converged, gap, _ = recovery._ascend(problem, v, "fidelity", recovery.DUAL_GAP_TOL, 2000)
+        assert converged and gap < recovery.DUAL_GAP_TOL
+        assert best > 1.0 - 1e-9
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2)], ids=["222", "232", "322"])
     def test_xi_bound_holds_at_random_xi(self, dims):
