@@ -159,10 +159,10 @@ class MeasuredReSolution:
     ``witness`` is the positive-definite operator achieving ``value_bits``
     in the variational objective; evaluating the objective at the witness
     reproduces the value, and any witness certifies a valid lower bound.
-    ``trace_bits`` holds the accepted objective values of the better of
-    the two starts. ``converged`` says that a start's Newton decrement fell
-    below tolerance; the value is at least that start's, so it lies within
-    about that tolerance of the supremum.
+    ``trace_bits`` holds the accepted objective values of the start whose
+    value is returned. ``converged`` says that a start's Newton decrement
+    fell below tolerance; the value is at least that start's, so it lies
+    within about that tolerance of the supremum.
     """
 
     value_bits: float
@@ -378,11 +378,16 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
 
     Maximizes tr(rho ln w) + 1 - tr(sigma w) over positive-definite w
     (Berta-Fawzi-Tomamichel), parametrized as w = exp(H) and climbed by
-    damped Newton steps from two deterministic starts, the identity and
-    the log-ratio ln(rho + 1e-12) - ln(sigma), which is the optimum when
-    rho and sigma commute; the better of the two is kept. Every local
-    maximum in H is global, since exp maps onto the positive-definite w
-    and the program is concave in w, so no further start can do better.
+    damped Newton steps from up to two deterministic starts, the identity
+    and the log-ratio ln(rho + 1e-12) - ln(sigma), which is the optimum
+    when rho and sigma commute. Every local maximum in H is global, since
+    exp maps onto the positive-definite w and the program is concave in w,
+    so no further start can do better. When rho has no ``kernel`` the
+    program is strictly concave with its maximum at a finite w, so an
+    identity start that converged has reached it and is returned alone;
+    the log-ratio start runs only when it did not. A rho with a kernel has
+    its supremum at infinity in H, which the two starts approach along
+    different paths, so both are climbed and the better is kept.
     The returned value is a certified lower bound on the measurement
     supremum and is bounded above by S(rho||sigma); ``converged`` says
     that a start's Newton decrement fell below MRE_DECREMENT_TOLERANCE,
@@ -420,6 +425,8 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
         converged = converged or start_converged
         if best is None or f > best[0]:
             best = (f, eigenpairs, trace)
+        if start_converged and not rho_spec.kernel:
+            break
 
     f, (w, u), trace = best
     witness = _from_eigenpairs(np.exp(w), u)

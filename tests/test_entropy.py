@@ -621,6 +621,57 @@ class TestTwoDeterministicStarts:
         assert np.array_equal(first.witness, second.witness)
 
 
+def starts_climbed(monkeypatch, rho, sigma, **kwargs):
+    """How many starts one measured-RE solve climbs, counted at ``_ascend_measured_re``."""
+    calls = []
+    ascend = entropy._ascend_measured_re
+
+    def counted(*args):
+        calls.append(args)
+        return ascend(*args)
+
+    monkeypatch.setattr(entropy, "_ascend_measured_re", counted)
+    entropy.measured_relative_entropy(rho, sigma, **kwargs)
+    return len(calls)
+
+
+class TestStartsClimbed:
+    # a full-rank rho makes the program strictly concave with a finite
+    # maximiser, so an identity start that converged has reached it; a rho
+    # with a kernel has its supremum at infinity in H
+    def test_a_converged_identity_start_on_a_full_rank_rho_is_alone(self, monkeypatch):
+        rng = states.rng_from_seed(10)
+        rho = states.random_mixed((4,), rng, ("A",))
+        sigma = states.random_mixed((4,), rng, ("A",))
+        assert rho.spectrum.kernel == 0
+        assert starts_climbed(monkeypatch, rho, sigma) == 1
+
+    def test_a_rank_one_rho_climbs_both_starts(self, monkeypatch):
+        rho = states.random_pure((2, 2, 2), states.sample_rng(4100, 0), ("B", "C", "R"))
+        rho, sigma = transpose_rebuild_pair(rho)
+        assert rho.spectrum.kernel == 7
+        assert starts_climbed(monkeypatch, rho, sigma) == 2
+
+    def test_an_unconverged_identity_start_hands_over_to_the_log_ratio(self, monkeypatch):
+        rng = states.rng_from_seed(10)
+        rho = states.random_mixed((4,), rng, ("A",))
+        sigma = states.random_mixed((4,), rng, ("A",))
+        assert not np.allclose(rho.matrix @ sigma.matrix, sigma.matrix @ rho.matrix)
+        assert starts_climbed(monkeypatch, rho, sigma, max_iterations=1) == 2
+
+    @pytest.mark.parametrize("pair", [p for p in oracle_pairs() if p.id.startswith("full-rank")])
+    def test_the_log_ratio_start_adds_nothing_on_a_full_rank_rho(self, pair):
+        rho, sigma = pair
+        assert rho.spectrum.kernel == 0 and sigma.spectrum.kernel == 0
+        sol = entropy.measured_relative_entropy(rho, sigma)
+        r, s = rho.spectrum, sigma.spectrum
+        warm = entropy._from_eigenpairs(
+            np.log(r.eigenvalues + entropy.SIGMA_REGULARIZATION), r.eigenvectors
+        ) - entropy._from_eigenpairs(np.log(s.eigenvalues), s.eigenvectors)
+        f = entropy._ascend_measured_re(rho.matrix, sigma.matrix, warm, 600)[0]
+        assert f / entropy.LN2 <= sol.value_bits + 1e-10
+
+
 class TestKeptSpectra:
     def test_state_and_matrix_give_identical_values(self):
         rng = states.rng_from_seed(23)

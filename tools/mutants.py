@@ -138,6 +138,19 @@ MUTANTS = (
         "tests/test_entropy.py::TestTwoDeterministicStarts::test_log_ratio_start_solves_a_commuting_pair[0]",
     ),
     Mutant(
+        # the measured-RE solve climbs the log-ratio start after a converged
+        # identity start on a full-rank rho too
+        "mre-no-early-exit", "src/cmirecon/entropy.py",
+        "        if start_converged and not rho_spec.kernel:\n            break\n", "",
+        "tests/test_entropy.py::TestStartsClimbed::test_a_converged_identity_start_on_a_full_rank_rho_is_alone",
+    ),
+    Mutant(
+        # the measured-RE solve stops at a converged identity start on a rho with a kernel too
+        "mre-early-exit-any-rank", "src/cmirecon/entropy.py",
+        "if start_converged and not rho_spec.kernel:", "if start_converged:",
+        "tests/test_entropy.py::TestStartsClimbed::test_a_rank_one_rho_climbs_both_starts",
+    ),
+    Mutant(
         # each measured-RE recovery evaluation's inner solve capped at 20 Newton steps
         "inner-budget", "src/cmirecon/recovery.py",
         "INNER_MEASURED_RE_ITERATIONS = 200", "INNER_MEASURED_RE_ITERATIONS = 20",
