@@ -24,12 +24,13 @@ from .states import MultipartiteState
 LN2 = math.log(2.0)
 SQRT2 = math.sqrt(2.0)
 
-# Support-containment threshold: S(rho||sigma) is +inf when the trace norm
-# of rho compressed outside sigma's support reaches this.
+# Support-containment threshold: S(rho||sigma) and D_M(rho||sigma) are +inf
+# when the trace norm of rho compressed outside sigma's support reaches this.
 SUPPORT_LEAK_TOL = 1e-9
 
-# Mixing weight used to make sigma full rank for the measured-RE program.
-SIGMA_REGULARIZATION = 1e-12
+# Shift of rho's eigenvalues under the log of the measured-RE log-ratio
+# start, ln(rho + shift) - ln(sigma), which keeps it finite on rho's kernel.
+RHO_LOG_SHIFT = 1e-12
 
 
 def _state(state_or_matrix) -> MultipartiteState:
@@ -68,17 +69,27 @@ def von_neumann(state_or_matrix) -> float:
     return -_w_log_w(_state(state_or_matrix).spectrum) / LN2
 
 
+def _overlap(rho: MultipartiteState, spec: linalg.Spectrum, k: int):
+    """V^dag W for X's ascending eigenvectors V, the first k its kernel, and rho = W W^dag.
+
+    Also returns rho's weight ||v_j^dag W||^2 = <v_j|rho|v_j> on each v_j
+    (on rho's support, ``Spectrum.root``), and whether the weight on the
+    kernel, ||V_k^dag W||_F^2 = tr V_k^dag rho V_k, reaches SUPPORT_LEAK_TOL:
+    the one leak rule of every relative entropy.
+    """
+    overlap = spec.eigenvectors.conj().T @ rho.spectrum.root
+    weight = (np.abs(overlap) ** 2).sum(axis=1)
+    return overlap, weight, float(weight[:k].sum()) >= SUPPORT_LEAK_TOL
+
+
 def _tr_rho_log(rho: MultipartiteState, spec: linalg.Spectrum, k: int) -> float:
     """tr(rho ln X) in nats from X's ascending eigenpairs (w_j, v_j), the first k its kernel.
 
-    With rho = W W^dag (``Spectrum.root``), the sum over X's support of
-    ln w_j ||v_j^dag W||^2; -inf once rho's weight on the kernel,
-    ||V_k^dag W||_F^2 = tr V_k^dag rho V_k, reaches SUPPORT_LEAK_TOL.
+    The sum over X's support of ln w_j <v_j|rho|v_j>; -inf once rho leaks
+    onto the kernel (``_overlap``).
     """
-    # weight[j] = ||v_j^dag W||^2 = <v_j|rho|v_j> on rho's support
-    overlap = spec.eigenvectors.conj().T @ rho.spectrum.root
-    weight = (np.abs(overlap) ** 2).sum(axis=1)
-    if float(weight[:k].sum()) >= SUPPORT_LEAK_TOL:
+    _, weight, leaks = _overlap(rho, spec, k)
+    if leaks:
         return -math.inf
     return float(np.log(spec.eigenvalues[k:]) @ weight[k:])
 
@@ -156,13 +167,16 @@ MRE_ARMIJO = 1e-4
 class MeasuredReSolution:
     """Certified lower bound on the measured relative entropy.
 
-    ``witness`` is the positive-definite operator achieving ``value_bits``
-    in the variational objective; evaluating the objective at the witness
-    reproduces the value, and any witness certifies a valid lower bound.
-    ``trace_bits`` holds the accepted objective values of the start whose
-    value is returned. ``converged`` says that a start's Newton decrement
-    fell below tolerance; the value is at least that start's, so it lies
-    within about that tolerance of the supremum.
+    ``witness`` is the positive-semidefinite operator achieving
+    ``value_bits`` in the variational objective: positive definite on
+    sigma's support and zero on sigma's kernel. Evaluating the objective at
+    the witness reproduces the value, and any witness certifies a valid
+    lower bound. ``trace_bits`` holds the accepted objective values of the
+    start whose value is returned. ``converged`` says that a start's Newton
+    decrement fell below tolerance; the value is at least that start's, so
+    it lies within about that tolerance of the supremum. When rho leaks out
+    of sigma's support, the value is +inf, no start is climbed, the trace
+    is empty and the witness is zero: it certifies nothing.
     """
 
     value_bits: float
@@ -373,16 +387,46 @@ def _ascend_measured_re(rho, sigma, h0, max_iterations: int):
     return f, (w, u), trace, converged
 
 
+def _climb_measured_re(rho, rho_spec, sigma, sigma_spec, max_iterations: int):
+    """Climb the measured-RE program of the matrices rho and sigma > 0 from its starts.
+
+    The starts read the spectra ``rho_spec`` and ``sigma_spec``, and the
+    early exit reads rho's ``kernel`` (see ``measured_relative_entropy``).
+    Returns the better start's value (nats), the eigenpairs (w, u) of its
+    final H and its accepted values, and whether any start converged.
+    """
+    d = len(sigma)
+    # clipped spectra keep the ascent from milking unbounded objective out
+    # of round-off-negative directions; a matrix is rebuilt only if changed
+    v_rho = rho_spec.eigenvectors
+    w_rho = np.maximum(rho_spec.eigenvalues, 0.0)
+    if rho_spec.eigenvalues[0] < 0.0:
+        rho = _from_eigenpairs(w_rho, v_rho)
+    warm = _from_eigenpairs(np.log(w_rho + RHO_LOG_SHIFT), v_rho) - _from_eigenpairs(
+        np.log(sigma_spec.eigenvalues), sigma_spec.eigenvectors
+    )
+    best = None
+    converged = False
+    for h0 in (np.zeros((d, d), dtype=complex), warm):
+        f, eigenpairs, trace, start_converged = _ascend_measured_re(rho, sigma, h0, max_iterations)
+        converged = converged or start_converged
+        if best is None or f > best[0]:
+            best = (f, eigenpairs, trace)
+        if start_converged and not rho_spec.kernel:
+            break
+    return (*best, converged)
+
+
 def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> MeasuredReSolution:
     """Measured relative entropy via its concave variational program.
 
     Maximizes tr(rho ln w) + 1 - tr(sigma w) over positive-definite w
     (Berta-Fawzi-Tomamichel), parametrized as w = exp(H) and climbed by
     damped Newton steps from up to two deterministic starts, the identity
-    and the log-ratio ln(rho + 1e-12) - ln(sigma), which is the optimum
-    when rho and sigma commute. Every local maximum in H is global, since
-    exp maps onto the positive-definite w and the program is concave in w,
-    so no further start can do better. When rho has no ``kernel`` the
+    and the log-ratio ln(rho + RHO_LOG_SHIFT) - ln(sigma), which is the
+    optimum when rho and sigma commute. Every local maximum in H is global,
+    since exp maps onto the positive-definite w and the program is concave
+    in w, so no further start can do better. When rho has no ``kernel`` the
     program is strictly concave with its maximum at a finite w, so an
     identity start that converged has reached it and is returned alone;
     the log-ratio start runs only when it did not. A rho with a kernel has
@@ -394,41 +438,40 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
     which puts the value within about that much of the supremum.
     ``max_iterations`` caps the accepted Newton steps per start.
 
-    Both starts and the regularization read the spectra the inputs keep, so
-    a solve on states whose spectra were read decomposes nothing. A sigma
-    with a ``kernel`` is mixed with 1e-12 of the maximally mixed state,
-    which keeps the objective finite. That shifts the result far below
-    reporting tolerance only while rho lies in sigma's support: on a leak
-    D_M is +inf, yet a finite value is returned (a known defect).
+    A sigma with a ``kernel`` is handled on its support S. D_M is a
+    supremum over measurements, and a POVM compresses to S and extends back
+    from it, so a rho inside S has the D_M of the pair compressed to S:
+    rho_S = V_S^dag W W^dag V_S, for rho's root factor W, against the
+    diagonal of sigma's support eigenvalues, climbed as above with the
+    early exit reading rho_S's kernel, with the witness V_S w V_S^dag. A
+    rho that leaks onto the kernel by the rule of ``relative_entropy``
+    (``_overlap``) has D_M = +inf, returned converged without a Newton
+    step. Both starts read the spectra the inputs keep, so a full-rank
+    solve on states whose spectra were read decomposes nothing, and one
+    inside a singular sigma decomposes rho_S.
     """
     rho, sigma = _pair(rho, sigma)
     rho_spec, sigma_spec = rho.spectrum, sigma.spectrum
-    d = sigma.dim
-    rho, sigma = rho.matrix, sigma.matrix
-    # clipped spectra keep the ascent from milking unbounded objective out
-    # of round-off-negative directions; a matrix is rebuilt only if changed
-    v_rho, v_sigma = rho_spec.eigenvectors, sigma_spec.eigenvectors
-    w_rho = np.maximum(rho_spec.eigenvalues, 0.0)
-    if rho_spec.eigenvalues[0] < 0.0:
-        rho = _from_eigenpairs(w_rho, v_rho)
-    w_sigma = sigma_spec.eigenvalues
-    if sigma_spec.kernel:
-        w_sigma = (1.0 - SIGMA_REGULARIZATION) * np.maximum(w_sigma, 0.0) + SIGMA_REGULARIZATION / d
-        sigma = _from_eigenpairs(w_sigma, v_sigma)
-    warm = _from_eigenpairs(np.log(w_rho + SIGMA_REGULARIZATION), v_rho) - _from_eigenpairs(
-        np.log(w_sigma), v_sigma
-    )
-    best = None
-    converged = False
-    for h0 in (np.zeros((d, d), dtype=complex), warm):
-        f, eigenpairs, trace, start_converged = _ascend_measured_re(rho, sigma, h0, max_iterations)
-        converged = converged or start_converged
-        if best is None or f > best[0]:
-            best = (f, eigenpairs, trace)
-        if start_converged and not rho_spec.kernel:
-            break
-
-    f, (w, u), trace = best
+    k = sigma_spec.kernel
+    if not k:
+        f, (w, u), trace, converged = _climb_measured_re(
+            rho.matrix, rho_spec, sigma.matrix, sigma_spec, max_iterations
+        )
+    else:
+        overlap, _, leaks = _overlap(rho, sigma_spec, k)
+        if leaks:
+            return MeasuredReSolution(math.inf, np.zeros((rho.dim, rho.dim), dtype=complex), [], True)
+        root_s = overlap[k:]
+        rho_s = root_s @ root_s.conj().T
+        w_s = sigma_spec.eigenvalues[k:]
+        f, (w, u), trace, converged = _climb_measured_re(
+            rho_s,
+            linalg._spectrum(rho_s),
+            np.diag(w_s).astype(complex),
+            linalg.Spectrum(w_s, np.eye(len(w_s))),
+            max_iterations,
+        )
+        u = sigma_spec.eigenvectors[:, k:] @ u
     witness = _from_eigenpairs(np.exp(w), u)
     witness = (witness + witness.conj().T) / 2.0
     return MeasuredReSolution(

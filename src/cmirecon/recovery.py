@@ -18,7 +18,9 @@ fidelity is concave and 1/2-homogeneous, so F(rho, sigma') <= F/2 +
 tr(g sigma') with g = dF/dsigma while W^dag sigma W is nonsingular (else
 F grows like sqrt(t) into its kernel, and the point bounds nothing); any
 witness w > 0 of the measured relative entropy gives -D_M(rho || sigma')
-<= c + tr(g sigma') with g = w/ln 2 (Berta-Fawzi-Tomamichel). In both,
+<= c + tr(g sigma') with g = w/ln 2 (Berta-Fawzi-Tomamichel), and a
+witness zero on sigma's kernel does so as its limit (a point where rho
+leaks out of sigma's support has D_M = +inf and bounds nothing). In both,
 the constant is the score less tr(g sigma(V)), and the channel maximum of
 tr(g sigma') is a semidefinite program whose dual (min tr Y subject to
 1_BC (x) Y^T >= M(g)) has a feasible point built from the gradient at
@@ -30,7 +32,9 @@ score within its evaluation noise, and certifies its best point with the
 least bound it has seen.
 Every start is a stack of Kraus operators placed in the first environment
 columns of an isometry, the rest zero: the transpose channel's, which
-``channels._transpose_kraus`` builds, or the Uhlmann channel's below. No
+``channels._transpose_kraus`` builds, its mixture with a replacement
+channel where its output leaks (measured RE), or the Uhlmann channel's
+below. No
 gradient step moves a zero Kraus column, so the ascent's first step also
 sets them along the leading eigenvectors of the dual slack
 M(g) - 1_BC (x) Y0^T off the other columns.
@@ -107,6 +111,11 @@ CONVERGENCE_WINDOW = 10
 
 # Measured-RE objective: budget of the inner solve behind every evaluation.
 INNER_MEASURED_RE_ITERATIONS = 200
+# Weight of the replacement channel pi -> tr(pi) rho_BC in the measured-RE
+# start where the transpose channel's output leaks (see _covering_isometry).
+# On the pure (2,2,3) targets rng_from_seed(7) and (300..303), 1e-6, 1e-3,
+# 0.1 and 0.5 all leave the searches uncertified; 0.1 ended lowest on most.
+COVERING_WEIGHT = 0.1
 
 # Norm of each Kraus column the first step adds (see _RecoveryProblem.widening).
 WIDENING_SCALE = 5e-4
@@ -335,12 +344,15 @@ class _RecoveryProblem:
     def measured_re_score_and_gradient(
         self, v: np.ndarray, sol: entropy.MeasuredReSolution
     ) -> tuple[float, np.ndarray, np.ndarray]:
-        """The score, its envelope gradient d/dV* and M(g), from the inner solve at V.
+        """The score the bound rests on, the envelope gradient d/dV* and M(g), from the inner solve at V.
 
         D_M ln 2 = max_w tr(rho ln w) + 1 - tr(sigma w), so by Danskin's
         theorem the score's gradient in sigma is g = w*/ln 2 at the witness w*.
+        Where rho leaks out of sigma's support, D_M = +inf and no witness
+        exists: the score is +inf then, so the point bounds nothing.
         """
-        return (-sol.value_bits, *self.isometry_gradient(v, sol.witness / entropy.LN2))
+        score = math.inf if sol.value_bits == math.inf else -sol.value_bits
+        return (score, *self.isometry_gradient(v, sol.witness / entropy.LN2))
 
     def channel_from(self, v: np.ndarray) -> Channel:
         return channels.stinespring_to_channel(
@@ -368,6 +380,25 @@ def _retract(v: np.ndarray) -> np.ndarray:
 def _warm_start_isometry(problem: _RecoveryProblem) -> np.ndarray:
     """The transpose channel's Stinespring isometry, from its Kraus stack; later columns are zero."""
     return problem.isometry(channels._transpose_kraus(states.partial_trace(problem.target, ["B", "C"])))
+
+
+def _covering_isometry(problem: _RecoveryProblem, v: np.ndarray) -> np.ndarray:
+    """The isometry of (1 - COVERING_WEIGHT) R + COVERING_WEIGHT (pi -> tr(pi) rho_BC), R the channel of v.
+
+    Its reconstruction holds COVERING_WEIGHT rho_BC (x) rho_R, whose support
+    holds rho's, so D_M(rho || sigma) is finite there. The replacement
+    channel's Kraus operators are |w_j><b| for the columns w_j of rho_BC's
+    root and the basis vectors b of B; the Kraus columns of the mixture are
+    factored down to d_env by an SVD, which keeps their Choi matrix X X^dag.
+    """
+    rho_bc = states.partial_trace(problem.target, ["B", "C"])
+    replace = np.einsum("oj,bm->objm", rho_bc.spectrum.root, np.eye(problem.d_b))
+    x = np.hstack([
+        math.sqrt(1.0 - COVERING_WEIGHT) * problem.kraus_columns(v),
+        math.sqrt(COVERING_WEIGHT) * replace.reshape(problem.d_bc * problem.d_b, -1),
+    ])
+    left, singular, _ = np.linalg.svd(x, full_matrices=False)
+    return problem.isometry((left * singular).reshape(problem.d_bc, problem.d_b, -1))
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -577,7 +608,10 @@ def optimize_recovery(
     A fidelity or Renyi-1/2 search on a target of rank 1 starts at the
     channel of xi_C, ascended first and also capped at ``max_iterations``
     steps (see ``_uhlmann_start``); every other search starts at the
-    transpose channel.
+    transpose channel. Where rho leaks out of the support of the transpose
+    channel's reconstruction, D_M is +inf there and gives no gradient, so a
+    measured-RE search starts at its mixture with the replacement channel
+    pi -> tr(pi) rho_BC instead (see ``_covering_isometry``).
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective {objective_kind!r}; pick from {OBJECTIVE_KINDS}")
@@ -595,6 +629,10 @@ def optimize_recovery(
         v0, evaluations = _uhlmann_start(problem, max_iterations)
     else:
         v0, evaluations = _warm_start_isometry(problem), 0
+        if measured_re:
+            sigma = states._derived(problem.sigma_tensor(v0), problem.target.subsystems)
+            if entropy.relative_entropy(problem.target, sigma) == math.inf:
+                v0 = _covering_isometry(problem, v0)
     tolerance = MEASURED_RE_GAP_TOL if measured_re else DUAL_GAP_TOL
     v, f, trace, converged, gap, channel_evaluations = _ascend(
         problem, v0, objective_kind, tolerance, max_iterations

@@ -45,6 +45,36 @@ class TestFigure1Command:
         # the flag is counted, not written: the CSV keeps its columns
         assert csv_path.read_text().splitlines()[0].endswith("strict,measured_re_transpose_bits")
 
+    def test_measured_re_is_infinite_where_the_relative_entropy_is(self, tmp_path, capsys):
+        # at d_R > d_C the transpose channel's reconstruction of a pure state
+        # misses part of rho's support, and the measured RE sees it as S does
+        csv_path = tmp_path / "r.csv"
+        json_path = tmp_path / "r.json"
+        code, _, _ = run_cli(
+            capsys, "figure1", "--dims", "2,2,3", "--samples", "20", "--seed", "42", "--measured-re",
+            "--out-csv", str(csv_path), "--out-json", str(json_path),
+        )
+        assert code == 0
+        rows = csv_path.read_text().splitlines()
+        header = rows[0].split(",")
+        rel, ms = header.index("relent_transpose_bits"), header.index("measured_re_transpose_bits")
+        cells = [row.split(",") for row in rows[1:]]
+        assert len(cells) == 20
+        assert [c[ms] == "inf" for c in cells] == [c[rel] == "inf" for c in cells]
+        assert any(c[ms] == "inf" for c in cells)
+        summary = json.loads(json_path.read_text())
+        assert summary["n_infinite_relent"] == sum(c[ms] == "inf" for c in cells)
+        assert summary["n_measured_re_nonconverged"] == 0
+        # one of those states through recover's JSON writer
+        path = tmp_path / "state.json"
+        states.save_state(states.random_pure((2, 2, 3), states.rng_from_seed(7), ("B", "C", "R")), path)
+        code, out, _ = run_cli(capsys, "recover", str(path), "--measured-re")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["measured_re_transpose_bits"] is None and doc["measured_re_transpose_bits_is_infinite"]
+        assert doc["relent_transpose_bits"] is None and doc["relent_transpose_bits_is_infinite"]
+        assert doc["measured_re_converged"] is True
+
     def test_worker_flag_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -409,11 +409,16 @@ class TestMeasuredRelativeEntropy:
         assert np.all(diffs >= -1e-10)
         assert sol.converged
 
-    def test_rank_deficient_sigma_regularized(self):
+    def test_rank_deficient_sigma_regularized(self, monkeypatch):
+        # rho leaks onto sigma's kernel: the measurement {P_ker, 1 - P_ker}
+        # sees weight 1/2 where sigma has none, so D_M = +inf, as S is
         rho = np.eye(2) / 2
         sigma = np.diag([1.0, 0.0]).astype(complex)
+        assert starts_climbed(monkeypatch, rho, sigma) == 0
         sol = entropy.measured_relative_entropy(rho, sigma)
-        assert math.isfinite(sol.value_bits)
+        assert sol.value_bits == math.inf == entropy.relative_entropy(rho, sigma)
+        assert sol.converged and sol.trace_bits == []
+        assert not sol.witness.any()
 
     def test_round_off_negative_rho_is_clipped(self):
         # the boundary accepts eigenvalues down to -1e-9; unclipped, the
@@ -550,19 +555,17 @@ def random_start_oracle_bits(rho, sigma, n_starts=5):
     """Best value of n_starts ascents from random Hermitian starts, in bits.
 
     Each ascends the pair as the solver does: round-off-negative
-    eigenvalues clipped, and a singular sigma mixed with the regularization.
+    eigenvalues of rho clipped, and a singular sigma's pair compressed to
+    sigma's support, V_S^dag rho V_S against diag(w_S).
     """
-
-    def clipped(state):
-        w, v = state.spectrum.eigenvalues, state.spectrum.eigenvectors
-        return state.matrix if w[0] >= 0.0 else (v * np.maximum(w, 0.0)) @ v.conj().T
-
-    rho_m, sigma_m = clipped(rho), clipped(sigma)
-    w = sigma.spectrum.eigenvalues
-    d = len(w)
-    if w[0] <= linalg.support_cutoff(w):
-        delta = entropy.SIGMA_REGULARIZATION
-        sigma_m = (1.0 - delta) * sigma_m + delta * np.eye(d) / d
+    w, v = rho.spectrum.eigenvalues, rho.spectrum.eigenvectors
+    rho_m = rho.matrix if w[0] >= 0.0 else (v * np.maximum(w, 0.0)) @ v.conj().T
+    w, v = sigma.spectrum.eigenvalues, sigma.spectrum.eigenvectors
+    sigma_m, support = sigma.matrix, w > linalg.support_cutoff(w)
+    if not support.all():
+        rho_m = v[:, support].conj().T @ rho_m @ v[:, support]
+        sigma_m = np.diag(w[support]).astype(complex)
+    d = len(sigma_m)
     best = -math.inf
     for k in range(n_starts):
         rng = states.sample_rng(99, k)
@@ -666,7 +669,7 @@ class TestStartsClimbed:
         sol = entropy.measured_relative_entropy(rho, sigma)
         r, s = rho.spectrum, sigma.spectrum
         warm = entropy._from_eigenpairs(
-            np.log(r.eigenvalues + entropy.SIGMA_REGULARIZATION), r.eigenvectors
+            np.log(r.eigenvalues + entropy.RHO_LOG_SHIFT), r.eigenvectors
         ) - entropy._from_eigenpairs(np.log(s.eigenvalues), s.eigenvectors)
         f = entropy._ascend_measured_re(rho.matrix, sigma.matrix, warm, 600)[0]
         assert f / entropy.LN2 <= sol.value_bits + 1e-10
@@ -689,7 +692,8 @@ class TestKeptSpectra:
 
     @pytest.mark.parametrize("sigma_ancilla", [None, 1], ids=["full-rank", "singular"])
     def test_solve_on_read_spectra_decomposes_nothing(self, decompositions, sigma_ancilla):
-        # the regularization and both starts come from the kept spectra
+        # both starts come from the kept spectra; a full-rank rho leaks onto
+        # a singular sigma's kernel, which the kept spectra show as well
         rng = states.rng_from_seed(24)
         rho = states.random_mixed((3,), rng, ("A",))
         sigma = states.random_mixed((3,), rng, ("A",), ancilla_dim=sigma_ancilla)
@@ -698,6 +702,15 @@ class TestKeptSpectra:
         read = decompositions()
         entropy.measured_relative_entropy(rho, sigma)
         assert decompositions() == read
+
+    def test_solve_inside_a_singular_sigma_decomposes_only_the_compressed_rho(self, decompositions):
+        rho, sigma = transpose_rebuild_pair(
+            states.random_pure((2, 2, 2), states.sample_rng(4100, 0), ("B", "C", "R"))
+        )
+        assert sigma.spectrum.kernel == 4 and rho.spectrum.kernel == 7
+        read = decompositions()
+        entropy.measured_relative_entropy(rho, sigma)
+        assert decompositions() == read + 1
 
 
 class TestContinuityBound:

@@ -107,6 +107,44 @@ def test_measured_re_invariant_under_unitaries(d, seed):
     assert abs(rotated.value_bits - plain.value_bits) < 1e-8
 
 
+def singular_pair(d, rank, inside, seed):
+    """sigma of rank < d, and rho of full rank on sigma's support (``inside``) or on all of C^d."""
+    rng = states.sample_rng(seed, 0)
+    u = haar_unitary(d, rng)
+    w = np.zeros(d)
+    w[d - rank :] = rng.dirichlet(np.ones(rank))
+    sigma = states.MultipartiteState((u * w) @ u.conj().T, (("A", d),))
+    if not inside:
+        return states.random_mixed((d,), rng, ("A",)), sigma
+    support = u[:, d - rank :]
+    a = states.random_mixed((rank,), rng, ("A",)).matrix
+    return states.MultipartiteState(support @ a @ support.conj().T, (("A", d),)), sigma
+
+
+@PROPERTY
+@given(st.integers(2, 5), st.integers(1, 4), st.booleans(), seeds)
+def test_measured_re_on_a_singular_sigma(d, rank, inside, seed):
+    # D_M is +inf exactly when S is, by one leak rule; a rho inside sigma's
+    # support has the D_M of the pair compressed to that support
+    rho, sigma = singular_pair(d, min(rank, d - 1), inside, seed)
+    sol = entropy.measured_relative_entropy(rho, sigma)
+    rel = entropy.relative_entropy(rho, sigma)
+    assert sol.converged
+    assert (sol.value_bits == math.inf) == (rel == math.inf) == (not inside)
+    if inside:
+        spec = sigma.spectrum
+        support = spec.eigenvectors[:, spec.kernel :]
+        compressed = entropy.measured_relative_entropy(
+            support.conj().T @ rho.matrix @ support, np.diag(spec.eigenvalues[spec.kernel :])
+        )
+        assert abs(sol.value_bits - compressed.value_bits) < 1e-9
+        assert entropy.renyi_half(rho, sigma) - 1e-6 <= sol.value_bits <= rel + 1e-7
+        # the witness is positive semidefinite and zero on sigma's kernel
+        kernel = spec.eigenvectors[:, : spec.kernel]
+        assert np.abs(kernel.conj().T @ sol.witness).max() < 1e-12 * np.abs(sol.witness).max()
+        assert np.linalg.eigvalsh(sol.witness)[0] > -1e-12 * np.abs(sol.witness).max()
+
+
 def channel_isometry(problem, kind, rng):
     """The isometry of a random channel: "haar" draws a Haar isometry of the
     full environment; 1 or 2 a Haar channel of that Kraus rank; and

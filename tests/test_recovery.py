@@ -1120,3 +1120,50 @@ class TestInnerConvergence:
         result = recovery.optimize_recovery(rho, "fidelity", max_iterations=SMALL_BUDGET)
         assert result.inner_nonconverged is None
         assert recovery.result_to_json_dict(result)["inner_nonconverged"] is None
+
+
+class TestLeakingTransposeStart:
+    # on pure (2,2,3) targets rho leaks out of the support of the transpose
+    # channel's reconstruction, so D_M is +inf there and gives no gradient;
+    # a point of D_M = +inf that bounded the search would certify it with
+    # gap -inf wherever it stood
+    @staticmethod
+    def search(monkeypatch, seed, start):
+        rho = states.random_pure((2, 2, 3), states.rng_from_seed(seed), ("B", "C", "R"))
+        if start == "transpose":
+            monkeypatch.setattr(recovery, "_covering_isometry", lambda problem, v: v)
+        scored = []
+        score_and_gradient = recovery._RecoveryProblem.measured_re_score_and_gradient
+
+        def logged(self, v, sol):
+            out = score_and_gradient(self, v, sol)
+            scored.append((sol.value_bits, out[0]))
+            return out
+
+        monkeypatch.setattr(recovery._RecoveryProblem, "measured_re_score_and_gradient", logged)
+        return rho, recovery.optimize_recovery(rho, "measured_re"), scored
+
+    @pytest.mark.parametrize("seed", [7, 300, 301, 302, 303])
+    def test_the_transpose_channel_leaks(self, seed):
+        rho = states.random_pure((2, 2, 3), states.rng_from_seed(seed), ("B", "C", "R"))
+        problem = recovery._RecoveryProblem(rho)
+        v = recovery._warm_start_isometry(problem)
+        score, sol = problem.measured_re_score(v)
+        assert score == -math.inf and sol.value_bits == math.inf and sol.converged
+        assert problem.measured_re_score_and_gradient(v, sol)[0] == math.inf
+        assert math.isfinite(problem.measured_re_score(recovery._covering_isometry(problem, v))[0])
+
+    @pytest.mark.parametrize(
+        "seed, start",
+        [(7, "covering"), (300, "covering"), (301, "covering"), (302, "covering"), (303, "covering"),
+         (7, "transpose")],
+    )
+    def test_search_stays_under_the_cmi(self, monkeypatch, seed, start):
+        rho, result, scored = self.search(monkeypatch, seed, start)
+        assert result.best_value <= entropy.cmi(rho) + experiments.CERTIFICATE_TOL_BITS
+        # it certifies only with a finite gap
+        assert not result.converged or 0.0 <= result.dual_gap < recovery.MEASURED_RE_GAP_TOL
+        assert math.isfinite(result.dual_gap) and math.isfinite(result.best_value)
+        # a point of D_M = +inf never lowers the bound: its score is +inf
+        assert all(score == math.inf for value, score in scored if value == math.inf)
+        assert any(value == math.inf for value, _ in scored) == (start == "transpose")

@@ -124,11 +124,11 @@ MUTANTS = (
         "tests/test_entropy.py::TestMeasuredRelativeEntropy::test_round_off_negative_rho_is_clipped",
     ),
     Mutant(
-        # the measured-RE solve no longer mixes a singular sigma
-        "mre-sigma-unmixed", "src/cmirecon/entropy.py",
-        "w_sigma = (1.0 - SIGMA_REGULARIZATION) * np.maximum(w_sigma, 0.0) + SIGMA_REGULARIZATION / d",
-        "w_sigma = np.maximum(w_sigma, 0.0)",
-        "tests/test_cli.py::TestFigure1Command::test_measured_re_nonconvergence_counted_in_summary",
+        # a rho that leaks onto sigma's kernel is solved on sigma's support,
+        # with a finite value, instead of D_M = +inf
+        "mre-leak-finite", "src/cmirecon/entropy.py",
+        "        if leaks:\n            return MeasuredReSolution(", "        if False:\n            return MeasuredReSolution(",
+        "tests/test_entropy.py::TestMeasuredRelativeEntropy::test_rank_deficient_sigma_regularized",
     ),
     Mutant(
         # the measured-RE solve climbs from the identity start only
@@ -185,6 +185,13 @@ MUTANTS = (
         "witness-kernel-unread", "src/cmirecon/entropy.py",
         "int(np.count_nonzero(spec.eigenvalues <= 0.0))", "0",
         "tests/test_entropy.py::TestWitnessObjective::test_rho_on_a_non_positive_eigenvalue_gives_minus_infinity",
+    ),
+    Mutant(
+        # a point where rho leaks out of sigma's support, D_M = +inf, bounds
+        # the measured-RE search again, at score -inf
+        "mre-infinite-point-bounds", "src/cmirecon/recovery.py",
+        "score = math.inf if sol.value_bits == math.inf else -sol.value_bits", "score = -sol.value_bits",
+        "tests/test_recovery.py::TestLeakingTransposeStart::test_search_stays_under_the_cmi[7-transpose]",
     ),
     Mutant(
         # a point where W^dag sigma W is singular bounds the fidelity again
