@@ -387,56 +387,28 @@ def _ascend_measured_re(rho, sigma, h0, max_iterations: int):
     return f, (w, u), trace, converged
 
 
-def _climb_measured_re(rho, rho_spec, sigma, sigma_spec, max_iterations: int):
-    """Climb the measured-RE program of the matrices rho and sigma > 0 from its starts.
-
-    The starts read the spectra ``rho_spec`` and ``sigma_spec``, and the
-    early exit reads rho's ``kernel`` (see ``measured_relative_entropy``).
-    Returns the better start's value (nats), the eigenpairs (w, u) of its
-    final H and its accepted values, and whether any start converged.
-    """
-    d = len(sigma)
-    # clipped spectra keep the ascent from milking unbounded objective out
-    # of round-off-negative directions; a matrix is rebuilt only if changed
-    v_rho = rho_spec.eigenvectors
-    w_rho = np.maximum(rho_spec.eigenvalues, 0.0)
-    if rho_spec.eigenvalues[0] < 0.0:
-        rho = _from_eigenpairs(w_rho, v_rho)
-    warm = _from_eigenpairs(np.log(w_rho + RHO_LOG_SHIFT), v_rho) - _from_eigenpairs(
-        np.log(sigma_spec.eigenvalues), sigma_spec.eigenvectors
-    )
-    best = None
-    converged = False
-    for h0 in (np.zeros((d, d), dtype=complex), warm):
-        f, eigenpairs, trace, start_converged = _ascend_measured_re(rho, sigma, h0, max_iterations)
-        converged = converged or start_converged
-        if best is None or f > best[0]:
-            best = (f, eigenpairs, trace)
-        if start_converged and not rho_spec.kernel:
-            break
-    return (*best, converged)
-
-
 def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> MeasuredReSolution:
     """Measured relative entropy via its concave variational program.
 
     Maximizes tr(rho ln w) + 1 - tr(sigma w) over positive-definite w
     (Berta-Fawzi-Tomamichel), parametrized as w = exp(H) and climbed by
-    damped Newton steps from up to two deterministic starts, the identity
-    and the log-ratio ln(rho + RHO_LOG_SHIFT) - ln(sigma), which is the
-    optimum when rho and sigma commute. Every local maximum in H is global,
-    since exp maps onto the positive-definite w and the program is concave
-    in w, so no further start can do better. When rho has no ``kernel`` the
-    program is strictly concave with its maximum at a finite w, so an
-    identity start that converged has reached it and is returned alone;
-    the log-ratio start runs only when it did not. A rho with a kernel has
-    its supremum at infinity in H, which the two starts approach along
-    different paths, so both are climbed and the better is kept.
+    damped Newton steps from up to two deterministic starts, in sequence:
+    the identity, then the log-ratio ln(rho + RHO_LOG_SHIFT) - ln(sigma),
+    which is the optimum when rho and sigma commute and is built only when
+    it runs. Every local maximum in H is global, since exp maps onto the
+    positive-definite w and the program is concave in w, so no further
+    start can do better. When rho has no ``kernel`` the program is strictly
+    concave with its maximum at a finite w, so an identity start that
+    converged has reached it and is returned alone; the log-ratio start
+    runs only when it did not. A rho with a kernel has its supremum at
+    infinity in H, which the two starts approach along different paths, so
+    both are climbed and the better is kept.
     The returned value is a certified lower bound on the measurement
     supremum and is bounded above by S(rho||sigma); ``converged`` says
     that a start's Newton decrement fell below MRE_DECREMENT_TOLERANCE,
     which puts the value within about that much of the supremum.
-    ``max_iterations`` caps the accepted Newton steps per start.
+    ``max_iterations`` caps the accepted Newton steps per start; a
+    negative cap raises ``ValueError``.
 
     A sigma with a ``kernel`` is handled on its support S. D_M is a
     supremum over measurements, and a POVM compresses to S and extends back
@@ -450,27 +422,44 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
     solve on states whose spectra were read decomposes nothing, and one
     inside a singular sigma decomposes rho_S.
     """
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
     rho, sigma = _pair(rho, sigma)
-    rho_spec, sigma_spec = rho.spectrum, sigma.spectrum
+    sigma_spec = sigma.spectrum
     k = sigma_spec.kernel
+    w_sigma = sigma_spec.eigenvalues[k:]
     if not k:
-        f, (w, u), trace, converged = _climb_measured_re(
-            rho.matrix, rho_spec, sigma.matrix, sigma_spec, max_iterations
-        )
+        rho_m, sigma_m, rho_spec = rho.matrix, sigma.matrix, rho.spectrum
     else:
         overlap, _, leaks = _overlap(rho, sigma_spec, k)
         if leaks:
             return MeasuredReSolution(math.inf, np.zeros((rho.dim, rho.dim), dtype=complex), [], True)
         root_s = overlap[k:]
-        rho_s = root_s @ root_s.conj().T
-        w_s = sigma_spec.eigenvalues[k:]
-        f, (w, u), trace, converged = _climb_measured_re(
-            rho_s,
-            linalg._spectrum(rho_s),
-            np.diag(w_s).astype(complex),
-            linalg.Spectrum(w_s, np.eye(len(w_s))),
-            max_iterations,
+        rho_m = root_s @ root_s.conj().T
+        sigma_m = np.diag(w_sigma).astype(complex)
+        rho_spec = linalg._spectrum(rho_m)
+    # a clipped spectrum keeps the ascent from milking unbounded objective
+    # out of round-off-negative directions; rho is rebuilt only if changed
+    v_rho = rho_spec.eigenvectors
+    w_rho = np.maximum(rho_spec.eigenvalues, 0.0)
+    if rho_spec.eigenvalues[0] < 0.0:
+        rho_m = _from_eigenpairs(w_rho, v_rho)
+    d = len(sigma_m)
+    f, (w, u), trace, converged = _ascend_measured_re(
+        rho_m, sigma_m, np.zeros((d, d), dtype=complex), max_iterations
+    )
+    if rho_spec.kernel or not converged:
+        # the compressed sigma_m is diagonal, and so is its log
+        v_sigma = sigma_spec.eigenvectors
+        ln_sigma = np.diag(np.log(w_sigma)) if k else _from_eigenpairs(np.log(w_sigma), v_sigma)
+        warm = _from_eigenpairs(np.log(w_rho + RHO_LOG_SHIFT), v_rho) - ln_sigma
+        f_warm, eigenpairs, trace_warm, converged_warm = _ascend_measured_re(
+            rho_m, sigma_m, warm, max_iterations
         )
+        converged = converged or converged_warm
+        if f_warm > f:
+            f, (w, u), trace = f_warm, eigenpairs, trace_warm
+    if k:
         u = sigma_spec.eigenvectors[:, k:] @ u
     witness = _from_eigenpairs(np.exp(w), u)
     witness = (witness + witness.conj().T) / 2.0
@@ -489,7 +478,7 @@ def relative_entropy_continuity_bound(dim: int, trace_distance: float, min_eigen
     of sigma. The bound is T log2 d + min(-T log2 T, 1/(e ln 2))
     - (T log2 beta)/2, with the T = 0 limit equal to 0.
     """
-    if min_eigenvalue <= 0.0 or min_eigenvalue > 1.0:
+    if not 0.0 < min_eigenvalue <= 1.0:
         raise ValueError(f"min eigenvalue must lie in (0, 1], got {min_eigenvalue}")
     if not 0.0 <= trace_distance <= 2.0 + 1e-12:
         raise ValueError(f"trace distance must lie in [0, 2], got {trace_distance}")

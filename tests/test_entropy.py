@@ -409,7 +409,7 @@ class TestMeasuredRelativeEntropy:
         assert np.all(diffs >= -1e-10)
         assert sol.converged
 
-    def test_rank_deficient_sigma_regularized(self, monkeypatch):
+    def test_leak_onto_sigmas_kernel_is_infinite(self, monkeypatch):
         # rho leaks onto sigma's kernel: the measurement {P_ker, 1 - P_ker}
         # sees weight 1/2 where sigma has none, so D_M = +inf, as S is
         rho = np.eye(2) / 2
@@ -487,6 +487,13 @@ class TestMeasuredReNewtonStep:
         assert not capped.converged
         full = entropy.measured_relative_entropy(rho, sigma)
         assert full.converged and full.value_bits > capped.value_bits
+
+    def test_a_negative_cap_is_rejected(self):
+        rng = states.rng_from_seed(10)
+        rho = states.random_mixed((4,), rng, ("A",))
+        sigma = states.random_mixed((4,), rng, ("A",))
+        with pytest.raises(ValueError, match="max_iterations"):
+            entropy.measured_relative_entropy(rho, sigma, max_iterations=-3)
 
     def test_accepted_steps_respect_the_cap(self):
         # pure rho: the supremum lies at infinity in H, so the first Newton
@@ -649,6 +656,22 @@ class TestStartsClimbed:
         assert rho.spectrum.kernel == 0
         assert starts_climbed(monkeypatch, rho, sigma) == 1
 
+    def test_the_log_ratio_start_is_built_only_when_it_runs(self, monkeypatch):
+        # the converged identity start leaves one V diag(w) V^dag: the witness
+        rng = states.rng_from_seed(10)
+        rho = states.random_mixed((4,), rng, ("A",))
+        sigma = states.random_mixed((4,), rng, ("A",))
+        calls = []
+        build = entropy._from_eigenpairs
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(entropy, "_from_eigenpairs", counted)
+        assert entropy.measured_relative_entropy(rho, sigma).converged
+        assert len(calls) == 1
+
     def test_a_rank_one_rho_climbs_both_starts(self, monkeypatch):
         rho = states.random_pure((2, 2, 2), states.sample_rng(4100, 0), ("B", "C", "R"))
         rho, sigma = transpose_rebuild_pair(rho)
@@ -733,6 +756,10 @@ class TestContinuityBound:
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError, match="min eigenvalue"):
             entropy.relative_entropy_continuity_bound(4, 0.1, 0.0)
+
+    def test_rejects_nan_beta(self):
+        with pytest.raises(ValueError, match="min eigenvalue"):
+            entropy.relative_entropy_continuity_bound(4, 0.1, float("nan"))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_dominates_relative_entropy(self, seed):

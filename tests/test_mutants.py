@@ -21,6 +21,9 @@ def test_every_mutant_applies_to_exactly_one_place():
     tool = _load_tool()
     assert tool.unapplicable() == {}
     assert len({m.name for m in tool.MUTANTS}) == len(tool.MUTANTS)
+    # mutants may share an old text, but each must change it, and differently
+    assert all(m.new != m.old for m in tool.MUTANTS)
+    assert len({(m.file, m.old, m.new) for m in tool.MUTANTS}) == len(tool.MUTANTS)
 
 
 def test_a_missing_old_text_is_reported(tmp_path):
