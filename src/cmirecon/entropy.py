@@ -22,7 +22,6 @@ from . import linalg, states
 from .states import MultipartiteState
 
 LN2 = math.log(2.0)
-SQRT2 = math.sqrt(2.0)
 
 # Support-containment threshold: S(rho||sigma) and D_M(rho||sigma) are +inf
 # when the trace norm of rho compressed outside sigma's support reaches this.
@@ -146,15 +145,16 @@ def renyi_half(rho, sigma) -> float:
 
 # --- measured relative entropy ----------------------------------------------
 
-# Measured-RE ascent: a damped Newton step in H = ln w. A start has converged
-# once half its squared Newton decrement, the gain its quadratic model
-# predicts, is at most MRE_DECREMENT_TOLERANCE nats. Each step's spectral
-# norm is capped at MRE_MAX_STEP, since on a rank-deficient rho the supremum
-# lies at infinity in H. Backtracking halves the step until it gains
-# MRE_ARMIJO of the predicted first-order gain, and gives up below
-# MRE_MIN_STEP. A start whose decrement has not halved over MRE_STALL_STEPS
-# accepted steps is given up unconverged. MRE_HESSIAN_SHIFT keeps the Newton
-# system definite along directions where neither rho nor sigma has weight.
+# Measured-RE ascent: a damped Newton step X in H = ln w, solved on X's
+# complex entries in H's eigenbasis. A start has converged once half its
+# decrement Re tr(G X), the gain its quadratic model predicts, is at most
+# MRE_DECREMENT_TOLERANCE nats. Each step's spectral norm is capped at
+# MRE_MAX_STEP, since on a rank-deficient rho the supremum lies at infinity
+# in H. Backtracking halves the step until it gains MRE_ARMIJO of the
+# predicted first-order gain, and gives up below MRE_MIN_STEP. A start whose
+# decrement has not halved over MRE_STALL_STEPS accepted steps is given up
+# unconverged. MRE_HESSIAN_SHIFT, on the Newton matrix's diagonal, keeps it
+# definite along directions where neither rho nor sigma has weight.
 MRE_DECREMENT_TOLERANCE = 1e-12
 MRE_MAX_STEP = 4.0
 MRE_MIN_STEP = 1e-14
@@ -243,74 +243,33 @@ def _exp_divided_differences(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _hermitian_coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices of the diagonal, the strict upper and the strict lower triangle.
+def _hessian_slots(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat slots of each index triple (b, a, r) < d in the d^2 x d^2 Newton matrix.
 
-    The real coordinates of a d x d Hermitian matrix are its diagonal, then
-    sqrt2 Re and sqrt2 Im of its upper triangle: an orthonormal basis for
-    the inner product Re tr(A B).
+    The two Daleckii-Krein terms of L(X)_ba read X_ra and X_br: row b d + a,
+    columns r d + a and b d + r. Neither array repeats a slot.
     """
-    iu, ju = np.triu_indices(d, 1)
-    return _read_only(np.arange(d) * (d + 1), iu * d + ju, ju * d + iu)
+    b, a, r = (x.ravel() for x in np.indices((d, d, d)))
+    row = (b * d + a) * d * d
+    return _read_only(row + r * d + a, row + b * d + r)
 
 
-def _to_coordinates(x: np.ndarray) -> np.ndarray:
-    diag, upper, _ = _hermitian_coordinates(x.shape[0])
-    flat = x.ravel()
-    return np.concatenate([flat[diag].real, SQRT2 * flat[upper].real, SQRT2 * flat[upper].imag])
+def _newton_matrix(phi2: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Hessian of H -> tr(M e^H) in H's eigenbasis, as a map on the entries of X.
 
-
-def _from_coordinates(y: np.ndarray, d: int) -> np.ndarray:
-    diag, upper, lower = _hermitian_coordinates(d)
-    n = len(upper)
-    flat = np.zeros(d * d, dtype=complex)
-    flat[diag] = y[:d]
-    flat[upper] = (y[d : d + n] + 1j * y[d + n :]) / SQRT2
-    flat[lower] = flat[upper].conj()
-    return flat.reshape(d, d)
-
-
-@functools.lru_cache(maxsize=None)
-def _hessian_scatter(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where each term of the second-derivative form lands in the coordinate Hessian.
-
-    Entry (i, k) of a Hermitian X is a combination of at most two real
-    coordinates: y_i on the diagonal, (y_sym +- i y_anti)/sqrt2 off it.
-    For every index triple (i, k, j) and every pair of coordinates (a, b)
-    of the entries (i, k) and (k, j), returns the flat target a * d^2 + b
-    and the product of the two coefficients, as (d^3, 4) arrays.
-    """
-    n = d * d
-    diag, upper, lower = _hermitian_coordinates(d)
-    n_upper = len(upper)
-    coord = np.zeros((n, 2), dtype=np.intp)
-    coef = np.zeros((n, 2), dtype=complex)
-    coord[diag, 0] = np.arange(d)
-    coef[diag, 0] = 1.0
-    sym = d + np.arange(n_upper)
-    coord[upper] = coord[lower] = np.stack([sym, sym + n_upper], axis=1)
-    coef[upper] = np.array([1.0, 1j]) / SQRT2
-    coef[lower] = np.array([1.0, -1j]) / SQRT2
-    i, k, j = (a.ravel() for a in np.indices((d, d, d)))
-    left, right = i * d + k, k * d + j
-    target = coord[left][:, :, None] * n + coord[right][:, None, :]
-    weight = coef[left][:, :, None] * coef[right][:, None, :]
-    return _read_only(target.reshape(-1, 4), weight.reshape(-1, 4))
-
-
-def _newton_hessian(phi2: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Hessian of H -> tr(M e^H) in the real coordinates of H's eigenbasis.
-
-    Daleckii-Krein: the second derivative along X is
-    sum_ikj 2 phi2[i, k, j] M_ji X_ik X_kj, one term per index triple;
-    each term is scattered onto the coordinates of X_ik and X_kj.
+    Daleckii-Krein: the second derivative along X is Re tr(X L(X)) for
+    L(X)_ba = sum_r phi2[b, a, r] (M_br X_ra + M_ra X_br), complex-linear in
+    X and Hermitian for Hermitian X and M. Returns L as a d^2 x d^2 matrix
+    on the row-major entries, with MRE_HESSIAN_SHIFT on its diagonal.
     """
     d = len(m)
-    target, weight = _hessian_scatter(d)
-    terms = (2.0 * phi2 * m.T[:, None, :]).reshape(-1, 1)
-    k = np.bincount(target.ravel(), (weight * terms).real.ravel(), minlength=d**4)
+    first, second = _hessian_slots(d)
+    k = np.zeros(d**4, dtype=complex)
+    k[first] = (phi2 * m[:, None, :]).ravel()
+    k[second] += (phi2 * m.T[None, :, :]).ravel()
     k = k.reshape(d * d, d * d)
-    return (k + k.T) / 2.0
+    k.flat[:: d * d + 1] += MRE_HESSIAN_SHIFT
+    return k
 
 
 def _from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -321,13 +280,15 @@ def _from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _ascend_measured_re(rho, sigma, h0, max_iterations: int):
     """Damped Newton ascent of f(H) = tr(rho H) + 1 - tr(sigma e^H).
 
-    Works in the eigenbasis of the current H, where the gradient is
-    rho - phi1 o sigma and the Hessian comes from the second divided
-    differences of exp. tr(sigma e^H) is not convex in H, so the Newton
-    system takes the curvature of tr(A+ ln w) at w = e^H in place of
-    sigma's whenever A = D exp_H[sigma] has a negative eigenvalue (A+ its
-    positive part): that form is convex, since ln is operator concave, and
-    equals sigma's where A >= 0, which holds near the optimum.
+    Works in the eigenbasis u of the current H: with S = u^dag sigma u,
+    each step solves L(X) = G for the gradient G = u^dag rho u - phi1 o S
+    and the complex-linear Hessian L of tr(M e^H) (``_newton_matrix``),
+    symmetrises X once against round-off, and takes Re tr(G X) as the
+    decrement and ||X||_F against the step cap. tr(sigma e^H) is not
+    convex in H, so M is S unless A = phi1 o S has a negative eigenvalue;
+    then M = A+ / phi1 (A+ its positive part), the curvature of
+    tr(A+ ln w) at w = e^H: convex, since ln is operator concave, and
+    equal to sigma's where A >= 0, which holds near the optimum.
 
     Returns the final value (nats), the eigenpairs (w, u) of the final H,
     the accepted values and whether the Newton decrement fell below
@@ -351,13 +312,12 @@ def _ascend_measured_re(rho, sigma, h0, max_iterations: int):
     while True:
         phi1, phi2 = _exp_divided_differences(w)
         a = phi1 * s
-        g = _to_coordinates(u.conj().T @ rho @ u - a)
+        g = u.conj().T @ rho @ u - a
         lam, vec = np.linalg.eigh(a)
         m = s if lam[0] >= 0.0 else ((vec * np.maximum(lam, 0.0)) @ vec.conj().T) / phi1
-        hess = _newton_hessian(phi2, m)
-        hess.flat[:: d * d + 1] += MRE_HESSIAN_SHIFT
-        y = np.linalg.solve(hess, g)
-        decrement = float(g @ y)
+        x = np.linalg.solve(_newton_matrix(phi2, m), g.ravel()).reshape(d, d)
+        x = (x + x.conj().T) / 2.0
+        decrement = float(np.vdot(g, x).real)
         if decrement / 2.0 <= MRE_DECREMENT_TOLERANCE:
             converged = True
             break
@@ -365,11 +325,9 @@ def _ascend_measured_re(rho, sigma, h0, max_iterations: int):
         stalled = len(decrements) > MRE_STALL_STEPS and 2.0 * decrement > decrements[-1 - MRE_STALL_STEPS]
         if len(trace) > max_iterations or stalled:
             break
-        x = _from_coordinates(y, d)
-        # the coordinates are orthonormal, so ||y|| = ||X||_F >= ||X||_2: a
-        # step no longer than the cap in y needs no spectral norm
+        # ||X||_F >= ||X||_2, so a step within the cap in ||X||_F needs no eigvalsh
         scale = 1.0
-        if math.sqrt(y @ y) > MRE_MAX_STEP:
+        if np.linalg.norm(x) > MRE_MAX_STEP:
             scale = min(1.0, MRE_MAX_STEP / float(np.abs(np.linalg.eigvalsh(x)).max()))
         x = (scale * u) @ x @ u.conj().T
         step = 1.0

@@ -351,12 +351,15 @@ def _check_ordering_panel(seed, n):
     def sample(rng, i):
         d = int(rng.integers(2, 9))
         rho, sigma = _random_pair(rng, d)
-        ms = entropy.measured_relative_entropy(rho, sigma).value_bits
+        sol = entropy.measured_relative_entropy(rho, sigma)
         rel = entropy.relative_entropy(rho, sigma)
         shalf = entropy.renyi_half(rho, sigma)
-        return not (ms <= rel + 1e-7 and ms >= shalf - 1e-6), None
+        return not (shalf - 1e-6 <= sol.value_bits <= rel + 1e-7), not sol.converged
 
-    return _run_check("measured-re-ordering", seed, n, sample)
+    def summarize(unconverged, failures):
+        return not failures, f"{sum(unconverged)} unconverged"
+
+    return _run_check("measured-re-ordering", seed, n, sample, summarize)
 
 
 def _check_data_processing(seed, n):

@@ -456,6 +456,11 @@ def mre_objective_nats(rho, sigma, h):
     return float(np.trace(rho @ h).real) + 1.0 - float(np.trace(sigma @ (u * np.exp(w)) @ u.conj().T).real)
 
 
+def random_hermitian(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (g + g.conj().T) / 2.0
+
+
 class TestMeasuredReNewtonStep:
     @pytest.mark.parametrize("sample", range(4))
     def test_pure_state_against_its_transpose_rebuild(self, sample):
@@ -534,28 +539,53 @@ class TestMeasuredReNewtonStep:
         assert phi2[0, 1, 2] == pytest.approx(math.exp(a) * series, rel=1e-10)
         assert phi2[2, 0, 1] == phi2[0, 1, 2]
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_gradient_and_hessian_match_finite_differences(self, seed):
-        rng = states.sample_rng(4200, seed)
-        d = 3
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_gradient_and_hessian_match_finite_differences(self, d):
+        # f(H + tX) = f + t Re tr(G X) - t^2/2 Re tr(X L(X)) + O(t^3) for
+        # Hermitian X in H's eigenbasis
+        rng = states.sample_rng(4200, d)
         rho = states.random_mixed((d,), rng, ("A",)).matrix
         sigma = states.random_mixed((d,), rng, ("A",)).matrix
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = (g + g.conj().T) / 2.0
+        h = random_hermitian(rng, d)
         w, u = np.linalg.eigh(h)
         s = u.conj().T @ sigma @ u
         phi1, phi2 = entropy._exp_divided_differences(w)
-        grad = entropy._to_coordinates(u.conj().T @ rho @ u - phi1 * s)
-        hess = entropy._newton_hessian(phi2, s)
+        grad = u.conj().T @ rho @ u - phi1 * s
+        hess = entropy._newton_matrix(phi2, s)
         step = 1e-4
         for _ in range(3):
-            y = rng.standard_normal(d * d)
-            x = u @ entropy._from_coordinates(y, d) @ u.conj().T
-            plus = mre_objective_nats(rho, sigma, h + step * x)
-            minus = mre_objective_nats(rho, sigma, h - step * x)
+            x = random_hermitian(rng, d)
+            lx = (hess @ x.ravel()).reshape(d, d)
+            dh = step * u @ x @ u.conj().T
+            plus = mre_objective_nats(rho, sigma, h + dh)
+            minus = mre_objective_nats(rho, sigma, h - dh)
             centre = mre_objective_nats(rho, sigma, h)
-            assert (plus - minus) / (2 * step) == pytest.approx(grad @ y, rel=1e-6)
-            assert (plus - 2 * centre + minus) / step**2 == pytest.approx(-(y @ hess @ y), rel=1e-4)
+            assert (plus - minus) / (2 * step) == pytest.approx(np.vdot(grad, x).real, rel=1e-6)
+            assert (plus - 2 * centre + minus) / step**2 == pytest.approx(-np.vdot(x, lx).real, rel=1e-4)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_convexified_system_is_positive_semidefinite(self, d):
+        # H spread over several nats makes A = phi1 o S indefinite, so the
+        # step takes the curvature of M = A+ / phi1, which must be convex
+        rng = states.sample_rng(4210, d)
+        rho = states.random_mixed((d,), rng, ("A",)).matrix
+        sigma = states.random_mixed((d,), rng, ("A",)).matrix
+        w, u = np.linalg.eigh(4.0 * random_hermitian(rng, d))
+        s = u.conj().T @ sigma @ u
+        phi1, phi2 = entropy._exp_divided_differences(w)
+        a = phi1 * s
+        lam, vec = np.linalg.eigh(a)
+        assert lam[0] < 0.0
+        m = ((vec * np.maximum(lam, 0.0)) @ vec.conj().T) / phi1
+        hess = entropy._newton_matrix(phi2, m)
+        for _ in range(5):
+            x = random_hermitian(rng, d)
+            lx = (hess @ x.ravel()).reshape(d, d)
+            assert np.allclose(lx, lx.conj().T, rtol=0.0, atol=1e-12 * np.abs(lx).max())
+            assert np.vdot(x, lx).real >= -1e-12 * np.vdot(x, x).real
+        g = u.conj().T @ rho @ u - a
+        step = np.linalg.solve(hess, g.ravel()).reshape(d, d)
+        assert np.allclose(step, step.conj().T, rtol=0.0, atol=1e-12 * np.abs(step).max())
 
 
 def random_start_oracle_bits(rho, sigma, n_starts=5):
@@ -575,9 +605,8 @@ def random_start_oracle_bits(rho, sigma, n_starts=5):
     d = len(sigma_m)
     best = -math.inf
     for k in range(n_starts):
-        rng = states.sample_rng(99, k)
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        f, _, _, _ = entropy._ascend_measured_re(rho_m, sigma_m, (g + g.conj().T) / 2.0, 600)
+        h0 = random_hermitian(states.sample_rng(99, k), d)
+        f, _, _, _ = entropy._ascend_measured_re(rho_m, sigma_m, h0, 600)
         best = max(best, f)
     return best / entropy.LN2
 

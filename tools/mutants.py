@@ -150,6 +150,18 @@ MUTANTS = (
         "tests/test_entropy.py::TestStartsClimbed::test_a_rank_one_rho_climbs_both_starts",
     ),
     Mutant(
+        # the measured-RE Newton matrix drops the second Daleckii-Krein term
+        "mre-hessian-one-term", "src/cmirecon/entropy.py",
+        "    k[second] += (phi2 * m.T[None, :, :]).ravel()\n", "",
+        "tests/test_entropy.py::TestMeasuredReNewtonStep::test_gradient_and_hessian_match_finite_differences[3]",
+    ),
+    Mutant(
+        # the first Daleckii-Krein term reads M transposed, M_rb for M_br
+        "mre-hessian-transposed", "src/cmirecon/entropy.py",
+        "k[first] = (phi2 * m[:, None, :]).ravel()", "k[first] = (phi2 * m.T[:, None, :]).ravel()",
+        "tests/test_entropy.py::TestMeasuredReNewtonStep::test_gradient_and_hessian_match_finite_differences[3]",
+    ),
+    Mutant(
         # each measured-RE recovery evaluation's inner solve capped at 20 Newton steps
         "inner-budget", "src/cmirecon/recovery.py",
         "INNER_MEASURED_RE_ITERATIONS = 200", "INNER_MEASURED_RE_ITERATIONS = 20",
