@@ -368,16 +368,18 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
     ``max_iterations`` caps the accepted Newton steps per start; a
     negative cap raises ``ValueError``.
 
-    A sigma with a ``kernel`` is handled on its support S. D_M is a
-    supremum over measurements, and a POVM compresses to S and extends back
-    from it, so a rho inside S has the D_M of the pair compressed to S:
-    rho_S = V_S^dag W W^dag V_S, for rho's root factor W, against the
-    diagonal of sigma's support eigenvalues, climbed as above with the
-    early exit reading rho_S's kernel, with the witness V_S w V_S^dag. A
-    rho that leaks onto the kernel by the rule of ``relative_entropy``
+    Every solve runs in sigma's eigenbasis V_S on its support S, which is
+    the whole space when sigma has full rank. D_M is a supremum over
+    measurements, and a POVM compresses to S and extends back from it, so
+    a rho inside S has the D_M of the pair compressed to S: rho_S =
+    V_S^dag W W^dag V_S, for rho's root factor W, against the diagonal of
+    sigma's support eigenvalues, climbed as above with the early exit
+    reading rho_S's kernel, with the witness V_S w V_S^dag. A rho that
+    leaks onto sigma's ``kernel`` by the rule of ``relative_entropy``
     (``_overlap``) has D_M = +inf, returned converged without a Newton
-    step. Both starts read the spectra the inputs keep, so a full-rank
-    solve on states whose spectra were read decomposes nothing, and one
+    step. Both starts read the spectra the inputs keep: a unitary V_S
+    rotates rho's spectrum to rho_S's, so a solve against a full-rank
+    sigma on states whose spectra were read decomposes nothing, and one
     inside a singular sigma decomposes rho_S.
     """
     if max_iterations < 0:
@@ -385,17 +387,16 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
     rho, sigma = _pair(rho, sigma)
     sigma_spec = sigma.spectrum
     k = sigma_spec.kernel
-    w_sigma = sigma_spec.eigenvalues[k:]
-    if not k:
-        rho_m, sigma_m, rho_spec = rho.matrix, sigma.matrix, rho.spectrum
-    else:
-        overlap, _, leaks = _overlap(rho, sigma_spec, k)
-        if leaks:
-            return MeasuredReSolution(math.inf, np.zeros((rho.dim, rho.dim), dtype=complex), [], True)
-        root_s = overlap[k:]
-        rho_m = root_s @ root_s.conj().T
-        sigma_m = np.diag(w_sigma).astype(complex)
-        rho_spec = linalg._spectrum(rho_m)
+    overlap, _, leaks = _overlap(rho, sigma_spec, k)
+    if leaks:
+        return MeasuredReSolution(math.inf, np.zeros((rho.dim, rho.dim), dtype=complex), [], True)
+    v_s, w_sigma = sigma_spec.eigenvectors[:, k:], sigma_spec.eigenvalues[k:]
+    root_s = overlap[k:]
+    rho_m = root_s @ root_s.conj().T
+    sigma_m = np.diag(w_sigma).astype(complex)
+    # a unitary V_S rotates rho's kept spectrum; a compressed rho_S is decomposed
+    kept = rho.spectrum
+    rho_spec = linalg._spectrum(rho_m) if k else linalg.Spectrum(kept.eigenvalues, v_s.conj().T @ kept.eigenvectors)
     # a clipped spectrum keeps the ascent from milking unbounded objective
     # out of round-off-negative directions; rho is rebuilt only if changed
     v_rho = rho_spec.eigenvectors
@@ -407,19 +408,14 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
         rho_m, sigma_m, np.zeros((d, d), dtype=complex), max_iterations
     )
     if rho_spec.kernel or not converged:
-        # the compressed sigma_m is diagonal, and so is its log
-        v_sigma = sigma_spec.eigenvectors
-        ln_sigma = np.diag(np.log(w_sigma)) if k else _from_eigenpairs(np.log(w_sigma), v_sigma)
-        warm = _from_eigenpairs(np.log(w_rho + RHO_LOG_SHIFT), v_rho) - ln_sigma
+        warm = _from_eigenpairs(np.log(w_rho + RHO_LOG_SHIFT), v_rho) - np.diag(np.log(w_sigma))
         f_warm, eigenpairs, trace_warm, converged_warm = _ascend_measured_re(
             rho_m, sigma_m, warm, max_iterations
         )
         converged = converged or converged_warm
         if f_warm > f:
             f, (w, u), trace = f_warm, eigenpairs, trace_warm
-    if k:
-        u = sigma_spec.eigenvectors[:, k:] @ u
-    witness = _from_eigenpairs(np.exp(w), u)
+    witness = _from_eigenpairs(np.exp(w), v_s @ u)
     witness = (witness + witness.conj().T) / 2.0
     return MeasuredReSolution(
         value_bits=f / LN2,

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -57,3 +58,54 @@ def test_metrics_past_their_bound_are_flagged():
     marked = {(w, name) for w, metrics in summary.items() for name, m in metrics.items()
               if m.get("past_bound")}
     assert marked == flagged
+
+
+def test_abba_rounds_balance_the_sides():
+    tool = _load_tool()
+    assert tool.abba(0) == ("parent", "change", "change", "parent")
+    assert tool.abba(1) == ("change", "parent", "parent", "change")
+    assert tool.abba(2) == tool.abba(0)
+
+
+def _quartets(ratio, rounds=8, units=40, noise=0.02, seed=0):
+    # units from 1 to 40 ms, each run off by up to +-noise of its time
+    rng = random.Random(seed)
+    return [[{"parent": [0.001 * (u + 1) * (1 + rng.uniform(-noise, noise)) for _ in range(2)],
+              "change": [ratio * 0.001 * (u + 1) * (1 + rng.uniform(-noise, noise)) for _ in range(2)]}
+             for u in range(units)] for _ in range(rounds)]
+
+
+def test_interleaved_summary_reads_a_known_ratio():
+    reading = _load_tool().interleaved_summary(_quartets(1.05))
+    lo, hi = reading["interval"]
+    assert abs(reading["ratio"] - 1.05) < 0.005
+    assert lo <= 1.05 <= hi and lo > 1.0
+    assert (reading["rounds"], reading["units"]) == (8, 40)
+
+
+def test_interleaved_summary_of_like_trees_contains_one():
+    reading = _load_tool().interleaved_summary(_quartets(1.0, seed=1))
+    lo, hi = reading["interval"]
+    assert abs(reading["ratio"] - 1.0) < 0.005
+    assert lo <= 1.0 <= hi
+
+
+def test_a_units_ratio_is_the_median_of_its_rounds():
+    # one round of a unit disturbed tenfold moves neither that unit nor the reading
+    quartets = [[{"parent": [1.0, 1.0], "change": [1.0, 1.0]} for _ in range(5)] for _ in range(3)]
+    quartets[1][0] = {"parent": [1.0, 1.0], "change": [10.0, 10.0]}
+    reading = _load_tool().interleaved_summary(quartets)
+    assert reading["ratio"] == 1.0 and reading["interval"] == [1.0, 1.0]
+
+
+def test_a_round_biased_as_a_whole_widens_the_interval():
+    # each round ran in its own pair of processes: a bias shared by all the
+    # units of one round is resampled with the rounds, not averaged away
+    quartets = _quartets(1.0, rounds=6, noise=0.001, seed=2)
+    lo, hi = _load_tool().interleaved_summary(quartets)["interval"]
+    for units, bias in zip(quartets, (1.03, 0.97, 1.02, 0.98, 1.01, 0.99)):
+        for q in units:
+            q["change"] = [bias * s for s in q["change"]]
+    biased_lo, biased_hi = _load_tool().interleaved_summary(quartets)["interval"]
+    assert biased_hi - biased_lo > 5 * (hi - lo)
+    assert biased_lo <= 1.0 <= biased_hi

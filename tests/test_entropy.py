@@ -617,6 +617,14 @@ def oracle_pairs():
         d = int(rng.integers(2, 9))
         pair = (states.random_mixed((d,), rng, ("A",)), states.random_mixed((d,), rng, ("A",)))
         yield pytest.param(pair, id=f"full-rank-d{d}-{k}")
+    # a rank-deficient rho against a full-rank sigma: the log-ratio start
+    # reads rho's kept spectrum rotated into sigma's eigenbasis
+    for k in range(6):
+        rng = states.sample_rng(4500, k)
+        d = int(rng.integers(3, 7))
+        r = int(rng.integers(1, d))
+        pair = (states.random_mixed((d,), rng, ("A",), ancilla_dim=r), states.random_mixed((d,), rng, ("A",)))
+        yield pytest.param(pair, id=f"rank{r}-rho-d{d}-{k}")
     for k in range(6):
         rho = states.random_pure((2, 2, 2), states.sample_rng(4400, k), ("B", "C", "R"))
         yield pytest.param(transpose_rebuild_pair(rho), id=f"pure-222-{k}")

@@ -26,16 +26,39 @@ Each run prints its items/s, ``peak_rss_mb``, its timed pass count (parsed
 from the ``# items_per_s ... N pass(es)`` line; ``peak_rss_mb`` grows with
 it) and ``correct``, and the file keeps the count as the run's ``passes``;
 the exit status is 1 when any run the file holds is not ``correct``.
+
+``--interleaved ROUNDS`` instead times the workload's panel units in
+process CPU time, with BLAS at one thread:
+
+    python3 tools/bench_pairs.py --parent P --change C --workload mre-panel \\
+        --interleaved 10 --out BENCH_31.json
+
+Each round starts one long-lived worker process per tree. A worker imports
+its tree's ``perfbench/workloads.py``, builds the fixed panel, warms up and
+runs one untimed, checked pass. Then, unit by unit, the panel runs ABBA
+(parent, change, change, parent; BAAB on odd rounds), each run timed and
+checked in its worker. A unit's ratio is the median over rounds of its
+change time over its parent time, summed over the quartet, and the reading
+is the median of the units' ratios. Two workers of one tree read up to 3%
+apart, either way round from one pair to the next, so each round gets a
+fresh pair and the 95% bootstrap interval resamples rounds as well as
+units. The reading is stored under ``interleaved`` in the output
+file, by workload, with every quartet's times; the exit status is 1 when a
+check failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import random
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 SECONDS = 20
@@ -44,6 +67,9 @@ BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 TRACE_PREFIXES = ("recovery.", "entropy.", "linalg.", "states.", "channels.", "experiments.", "trace.")
 # the value perfbench reports for an end-to-end metric a workload does not have
 NOT_APPLICABLE = -1.0
+# resamples of the interleaved mode's bootstrap interval, and their seed
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -140,17 +166,136 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
     return summary
 
 
+def abba(round_index: int) -> tuple[str, ...]:
+    """The order of one unit's four runs in an interleaved round: ABBA, BAAB on odd rounds."""
+    return ("parent", "change", "change", "parent") if round_index % 2 == 0 else (
+        "change", "parent", "parent", "change")
+
+
+def interleaved_summary(quartets: list[list[dict]]) -> dict:
+    """The median per-unit change/parent ratio with its bootstrap interval.
+
+    ``quartets[r][u]`` is unit u's quartet in round r, ``{"parent": [s, s],
+    "change": [s, s]}`` in seconds. A unit's ratio is the median over
+    rounds of sum(change) / sum(parent), and the reading is the median of
+    the units' ratios. Each round ran in its own pair of processes, so the
+    interval resamples both: the 2.5% and 97.5% quantiles of the reading
+    over BOOTSTRAP_RESAMPLES draws of rounds and of units with replacement.
+    """
+    ratios = [[sum(q["change"]) / sum(q["parent"]) for q in units] for units in quartets]
+    rounds, units = range(len(ratios)), range(len(ratios[0]))
+
+    def reading(rs, us) -> float:
+        return statistics.median(statistics.median(ratios[r][u] for r in rs) for u in us)
+
+    rng = random.Random(BOOTSTRAP_SEED)
+    draws = sorted(reading(rng.choices(rounds, k=len(rounds)), rng.choices(units, k=len(units)))
+                   for _ in range(BOOTSTRAP_RESAMPLES))
+    return {"ratio": reading(rounds, units),
+            "interval": [draws[int(0.025 * BOOTSTRAP_RESAMPLES)], draws[int(0.975 * BOOTSTRAP_RESAMPLES) - 1]],
+            "rounds": len(rounds), "units": len(units)}
+
+
+def worker(tree: str, workload: str) -> int:
+    """Serve one tree's panel units: read a unit index per line, answer "cpu_seconds failed".
+
+    Imports cmirecon from the tree's src/ and the workload from its
+    perfbench/, then warms up and runs one untimed, checked pass.
+    """
+    reply = os.fdopen(os.dup(sys.stdout.fileno()), "w")
+    sys.stdout = sys.stderr  # the program's own prints stay off the reply channel
+    sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "perfbench")]
+    import cmirecon
+    import workloads
+
+    if Path(cmirecon.__file__).resolve().parents[1] != (Path(tree) / "src").resolve():
+        raise SystemExit(f"imported cmirecon from {cmirecon.__file__}, not from {tree}")
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as workdir:
+        wl = workloads.WORKLOADS[workload](Path(workdir))
+        panel = wl.inputs(workloads.PANEL_KEY, wl.panel_units)
+        wl.warm_up()
+        failed = sum(wl.check(wl.run(unit))[0] for unit in panel)
+        print(len(panel), failed, file=reply, flush=True)
+        for line in sys.stdin:
+            unit = panel[int(line)]
+            t0 = time.process_time()
+            output = wl.run(unit)
+            seconds = time.process_time() - t0
+            print(seconds, wl.check(output)[0], file=reply, flush=True)
+    return 0
+
+
+def _answer(worker: subprocess.Popen, side: str) -> tuple[float, int]:
+    """A worker's next reply, two numbers; RuntimeError once the worker has stopped."""
+    fields = worker.stdout.readline().split()
+    if len(fields) != 2:
+        raise RuntimeError(f"the {side} worker stopped; see its error above")
+    return float(fields[0]), int(fields[1])
+
+
+def interleaved_round(trees: dict[str, Path], workload: str, round_index: int) -> tuple[list[dict], int]:
+    """One round: a fresh worker per tree, each panel unit's ABBA quartet, and the failed checks."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    workers = {side: subprocess.Popen([sys.executable, __file__, "--worker", str(tree), workload],
+                                      cwd=tree, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+               for side, tree in trees.items()}
+    try:
+        ready = [_answer(w, side) for side, w in workers.items()]
+        sizes = {int(size) for size, _ in ready}
+        if len(sizes) != 1:
+            raise RuntimeError(f"the trees' {workload} panels differ in size: {sorted(sizes)}")
+        failed = sum(f for _, f in ready)
+        quartets = []
+        for u in range(sizes.pop()):
+            times: dict = {"parent": [], "change": []}
+            for side in abba(round_index):
+                workers[side].stdin.write(f"{u}\n")
+                workers[side].stdin.flush()
+                seconds, unit_failed = _answer(workers[side], side)
+                times[side].append(seconds)
+                failed += unit_failed
+            quartets.append(times)
+        return quartets, failed
+    finally:
+        for w in workers.values():
+            w.stdin.close()
+            w.wait()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="source tree of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="source tree of the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=parse_seeds, required=True)
+    parser.add_argument("--seeds", type=parse_seeds)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--trace", action="store_true", help="one --trace 1 run per side")
+    parser.add_argument("--interleaved", type=int, metavar="ROUNDS",
+                        help="time the panel units ABBA, a fresh worker per tree in each of ROUNDS rounds")
     args = parser.parse_args(argv)
+    if args.interleaved is None and args.seeds is None:
+        parser.error("--seeds is required, except with --interleaved")
+    if args.interleaved is not None and args.interleaved < 1:
+        parser.error(f"--interleaved takes at least 1 round, got {args.interleaved}")
+    for tree in (args.parent, args.change):
+        if not (tree / "perfbench").is_dir():
+            parser.error(f"{tree} holds no perfbench/: not a source tree")
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    trees = {"parent": args.parent, "change": args.change}
+    if args.interleaved is not None:
+        rounds = [interleaved_round(trees, args.workload, r) for r in range(args.interleaved)]
+        quartets = [q for q, _ in rounds]
+        failed = sum(f for _, f in rounds)
+        reading = interleaved_summary(quartets)
+        doc.setdefault("interleaved", {})[args.workload] = {**reading, "failed": failed, "quartets": quartets}
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        lo, hi = reading["interval"]
+        print(f"{args.workload} interleaved: change/parent CPU time per unit, median {reading['ratio']:.4f} "
+              f"[{lo:.4f}, {hi:.4f}] over {reading['units']} units, {args.interleaved} ABBA round(s), "
+              f"{failed} failed check(s)")
+        return int(failed > 0)
+
     doc.setdefault("command", f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS}"
                               " (--trace 1 for the per-layer runs)")
     doc.setdefault("runs", [])
@@ -163,7 +308,6 @@ def main(argv=None) -> int:
         doc["summary"] = summarize(doc["runs"], better, bounds)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
-    trees = {"parent": args.parent, "change": args.change}
     if args.trace:
         seed = args.seeds[0]
         for side, tree in trees.items():
@@ -200,4 +344,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(worker(*sys.argv[2:]) if sys.argv[1:2] == ["--worker"] else main())

@@ -127,8 +127,15 @@ MUTANTS = (
         # a rho that leaks onto sigma's kernel is solved on sigma's support,
         # with a finite value, instead of D_M = +inf
         "mre-leak-finite", "src/cmirecon/entropy.py",
-        "        if leaks:\n            return MeasuredReSolution(", "        if False:\n            return MeasuredReSolution(",
+        "    if leaks:\n        return MeasuredReSolution(", "    if False:\n        return MeasuredReSolution(",
         "tests/test_entropy.py::TestMeasuredRelativeEntropy::test_leak_onto_sigmas_kernel_is_infinite",
+    ),
+    Mutant(
+        # against a full-rank sigma, the log-ratio start reads rho's kept
+        # eigenvectors in the computational basis, not in sigma's eigenbasis
+        "mre-spectrum-unrotated", "src/cmirecon/entropy.py",
+        "v_s.conj().T @ kept.eigenvectors", "kept.eigenvectors",
+        "tests/test_entropy.py::TestTwoDeterministicStarts::test_matches_the_best_of_random_starts[rank1-rho-d5-1]",
     ),
     Mutant(
         # the measured-RE solve climbs from the identity start only
