@@ -7,11 +7,14 @@ The search space is Stinespring isometries V: B -> (BC) (x) E with
 d_E = d_B^2 d_C, the dimension of a channel's Choi matrix, so it holds
 every channel B -> BC. This complex Stiefel manifold is ascended from
 the transpose channel by Riemannian L-BFGS: curvature pairs carried
-between tangent spaces by projection, a backtracking line search that
-accepts only steps that rise (up to the score's evaluation noise), and a
-QR retraction. Root fidelity is jointly concave and the channel enters
-linearly, so the fidelity of recovery is a concave program over channels,
-and the search is one deterministic ascent from that warm start.
+between tangent spaces by projection, a two-loop recursion run on the
+coefficients of the step from one Gram matrix of those pairs and the
+gradient, a backtracking line search that accepts only steps that rise
+(up to the score's evaluation noise), and a retraction by Gram-Schmidt
+applied twice (the Q factor of a QR decomposition). Root fidelity is
+jointly concave and the channel enters linearly, so the fidelity of
+recovery is a concave program over channels, and the search is one
+deterministic ascent from that warm start.
 
 Each objective's score is bounded through its gradient g in sigma. Root
 fidelity is concave and 1/2-homogeneous, so F(rho, sigma') <= F/2 +
@@ -119,6 +122,11 @@ COVERING_WEIGHT = 0.1
 
 # Norm of each Kraus column the first step adds (see _RecoveryProblem.widening).
 WIDENING_SCALE = 5e-4
+
+# A column that Gram-Schmidt leaves with no more than this fraction of its
+# norm has lost half the working digits to cancellation, and the retraction
+# takes Householder QR instead (see _retract).
+GRAM_SCHMIDT_COLLAPSE = 1e-8
 
 
 @dataclass
@@ -370,11 +378,33 @@ def _project_tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _retract(v: np.ndarray) -> np.ndarray:
-    """The isometry Q of v = QR with R's diagonal positive (Householder QR)."""
-    q, r = np.linalg.qr(v)
-    d = np.diag(r)
-    safe = np.where(np.abs(d) > 0, d, 1.0)
-    return q * (safe / np.abs(safe))
+    """The isometry Q of v = QR with R's diagonal positive.
+
+    Classical Gram-Schmidt applied twice to each column in turn: the second
+    pass takes out what round-off left of the earlier columns, so Q stays
+    orthonormal to working precision, and a single column is only
+    normalised. A column that projection leaves with no more than
+    GRAM_SCHMIDT_COLLAPSE of its norm (none does on the ascent, where v is
+    an isometry plus a tangent step) is numerically dependent on the
+    earlier ones; Householder QR then gives the same Q, and an isometry
+    even for a rank-deficient v.
+    """
+    q = np.empty_like(v)
+    for j in range(v.shape[1]):
+        col = z = v[:, j]
+        if j:
+            basis = q[:, :j]
+            basis_h = basis.conj().T
+            for _ in range(2):
+                col = col - basis @ (basis_h @ col)
+        norm = math.sqrt(np.vdot(col, col).real)
+        if not norm > GRAM_SCHMIDT_COLLAPSE * (math.sqrt(np.vdot(z, z).real) if j else norm):
+            q, r = np.linalg.qr(v)
+            d = np.diag(r)
+            safe = np.where(np.abs(d) > 0, d, 1.0)
+            return q * (safe / np.abs(safe))
+        q[:, j] = col / norm
+    return q
 
 
 def _warm_start_isometry(problem: _RecoveryProblem) -> np.ndarray:
@@ -406,36 +436,60 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def _lbfgs_direction(g: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     """H g for the L-BFGS inverse-Hessian estimate H of the curvature pairs.
 
-    ``pairs[i]`` stacks (s_i, y_i), oldest first, with <s_i, y_i> > 0
-    (two-loop recursion).
+    ``pairs`` is what ``_transport`` returns: the stack of (s_i, y_i),
+    oldest first, with <s_i, y_i> > 0, and the Gram matrix of s_1, y_1,
+    ..., s_m, y_m, g. The two-loop recursion runs on the coefficients of
+    H g in those vectors, in the textbook order, and reads every inner
+    product from the Gram matrix: q = g - sum alpha_i y_i, newest pair
+    first, then r = gamma q + sum (alpha_i - beta_i) s_i, oldest first,
+    with gamma = <s_m, y_m> / <y_m, y_m>. H g is one product of those
+    coefficients with the stack.
     """
-    rho = [1.0 / _inner(s, y) for s, y in pairs]
-    alphas = [0.0] * len(pairs)
-    q = g
-    for i in reversed(range(len(pairs))):
-        alphas[i] = rho[i] * _inner(pairs[i, 0], q)
-        q = q - alphas[i] * pairs[i, 1]
-    s, y = pairs[-1]
-    r = (_inner(s, y) / _inner(y, y)) * q
-    for i, (s, y) in enumerate(pairs):
-        r = r + (alphas[i] - rho[i] * _inner(y, r)) * s
-    return r
+    stack, gram = pairs
+    m = len(stack)
+    rows = gram.tolist()  # rows 2i and 2i + 1 are s_i and y_i, the last is g
+    rho = [1.0 / rows[2 * i][2 * i + 1] for i in range(m)]
+    alphas = [0.0] * m
+    for i in reversed(range(m)):
+        s_row = rows[2 * i]  # <s_i, q> for q = g - sum_{j > i} alpha_j y_j
+        s_q = s_row[-1] - sum(alphas[j] * s_row[2 * j + 1] for j in range(i + 1, m))
+        alphas[i] = rho[i] * s_q
+    gamma = rows[-3][-2] / rows[-2][-2]  # <s_m, y_m> / <y_m, y_m>
+    betas = [0.0] * m  # r's coefficient on s_i
+    for i in range(m):
+        y_row = rows[2 * i + 1]  # <y_i, r> for r = gamma q + sum_{j < i} betas_j s_j
+        y_q = y_row[-1] - sum(a * y_row[2 * j + 1] for j, a in enumerate(alphas))
+        y_r = gamma * y_q + sum(betas[j] * y_row[2 * j] for j in range(i))
+        betas[i] = alphas[i] - rho[i] * y_r
+    coefficients = np.array([c for b, a in zip(betas, alphas) for c in (b, -gamma * a)])
+    return (coefficients @ stack.reshape(2 * m, -1)).reshape(g.shape) + gamma * g
 
 
-def _transport(v: np.ndarray, pairs, s: np.ndarray, y: np.ndarray):
+def _transport(v: np.ndarray, pairs, s: np.ndarray, y: np.ndarray, g: np.ndarray):
     """The newest LBFGS_MEMORY curvature pairs, (s, y) last, moved to the tangent space at v.
 
-    Pairs that projection leaves with <s, y> <= 0 are dropped; returns None
-    when none is left.
+    ``pairs`` is the previous return value, or None. Returns the stack of
+    projected pairs, oldest first, and the Gram matrix of their vectors and
+    the projected gradient g at v, s_1, y_1, ..., s_m, y_m, g, under the
+    real inner product Re tr(a^dag b). Pairs that projection leaves with
+    <s, y> <= 0 are dropped, from both; returns None when none is left.
     """
     new = np.stack([s, y])[None]
-    pairs = new if pairs is None else np.concatenate([pairs, new])[-LBFGS_MEMORY:]
-    pairs = _project_tangent(v, pairs)
-    keep = np.einsum("mij,mij->m", pairs[:, 0].conj(), pairs[:, 1]).real > 0.0
-    return pairs[keep] if keep.any() else None
+    stack = new if pairs is None else np.concatenate([pairs[0], new])[-LBFGS_MEMORY:]
+    stack = _project_tangent(v, stack)
+    m = len(stack)
+    flat = np.concatenate([stack.reshape(2 * m, -1), g.reshape(1, -1)]).view(float)
+    gram = flat @ flat.T
+    keep = gram.diagonal(1)[: 2 * m : 2] > 0.0
+    if keep.all():
+        return stack, gram
+    if not keep.any():
+        return None
+    kept = np.append(np.repeat(keep, 2), True)
+    return stack[keep], gram[np.ix_(kept, kept)]
 
 
 def _line_search(v, floor, direction, step, evaluate):
@@ -525,7 +579,7 @@ def _ascend(
             break
         g = _project_tangent(v, grad)
         if last_step is not None:
-            pairs = _transport(v, pairs, last_step, last_g - g)
+            pairs = _transport(v, pairs, last_step, last_g - g, g)
         direction = g if pairs is None else _lbfgs_direction(g, pairs)
         if _inner(direction, g) <= 0.0:
             pairs, direction = None, g

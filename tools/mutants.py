@@ -217,6 +217,25 @@ MUTANTS = (
         "math.inf if k else float(root.sum())", "float(root.sum())",
         "tests/test_recovery.py::TestDualBound::test_a_singular_w_sigma_w_bounds_nothing",
     ),
+    Mutant(
+        # the L-BFGS initial scaling gamma read from the oldest curvature pair, not the newest
+        "lbfgs-gamma-oldest", "src/cmirecon/recovery.py",
+        "gamma = rows[-3][-2] / rows[-2][-2]", "gamma = rows[0][1] / rows[1][1]",
+        "tests/test_recovery.py::TestLbfgsDirection::test_matches_the_textbook_two_loop[32x2]",
+    ),
+    Mutant(
+        # curvature pairs that projection leaves with <s, y> <= 0 are kept
+        "lbfgs-keep-all", "src/cmirecon/recovery.py",
+        "keep = gram.diagonal(1)[: 2 * m : 2] > 0.0", "keep = np.ones(m, dtype=bool)",
+        "tests/test_recovery.py::TestLbfgsDirection::test_matches_the_textbook_two_loop[32x2]",
+    ),
+    Mutant(
+        # the retraction's Gram-Schmidt projects each column once, not twice
+        "gram-schmidt-one-pass", "src/cmirecon/recovery.py",
+        "            for _ in range(2):\n                col = col - basis @ (basis_h @ col)",
+        "            for _ in range(1):\n                col = col - basis @ (basis_h @ col)",
+        "tests/test_recovery.py::TestRetraction::test_nearly_parallel_columns_stay_orthonormal[cond-1e7]",
+    ),
 )
 
 # what a test run leaves behind, not copied into the mutant's tree
