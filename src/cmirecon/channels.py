@@ -1,9 +1,10 @@
 """Quantum channels in Choi form.
 
 Application to labeled states, CPTP validation, the transpose recovery
-channel built from a bipartite state with its Kraus operators, and random
-channels through Stinespring isometries. Both derived constructors build
-their Choi matrix from a Kraus stack (``_choi``).
+channel built from a bipartite state with its Kraus operators (and the
+universal recovery map's), and random channels through Stinespring
+isometries. Both derived constructors build their Choi matrix from a Kraus
+stack (``_choi``).
 
 Validation happens at the input boundary: ``Channel(...)`` and the JSON
 loader check the CPTP invariants, ``stinespring_to_channel`` its isometry
@@ -236,6 +237,32 @@ def _transpose_kraus(rho_bc: MultipartiteState) -> np.ndarray:
     w, k = rho_bc.spectrum.root, spec_b.eigenvectors[:, : spec_b.kernel]
     completion = np.einsum("oj,im->oijm", w, k.conj()).reshape(d_b * d_c, d_b, -1)
     return np.concatenate([kt, completion], axis=2)
+
+
+def _universal_kraus(rho_bc: MultipartiteState) -> np.ndarray:
+    """The universal recovery map's Kraus stack k[o, i, e], like ``_transpose_kraus``.
+
+    R = int beta0(t) R^t dt, beta0(t) = (pi/2) / (cosh(pi t) + 1), averages
+    the transpose channels rotated to R^t(pi) = rho_BC^{(1+it)/2}
+    (rho_B^{-(1+it)/2} pi rho_B^{-(1-it)/2} (x) I_C) rho_BC^{(1-it)/2}, with
+    T's completion, and D_M(rho || R(rho_BR)) <= I(C:R|B)
+    (Sutter-Berta-Tomamichel). In the eigenbases of rho_B (input, mu) and
+    rho_BC (output, lambda), R^t multiplies T's Choi entry [(a,c),(b,d)] by
+    e^{iwt}, w = x_ac - x_bd for x_ac = (ln lambda_c - ln mu_a) / 2, each log
+    0 on its kernel; beta0's characteristic function is w / sinh w. So R's
+    Choi matrix is T's times w / sinh w in that basis, and its root factor's
+    columns are R's at most d_B d_BC Kraus operators.
+    """
+    (b_label, d_b), _ = rho_bc.subsystems
+    spec_bc, spec_b = rho_bc.spectrum, states.partial_trace(rho_bc, [b_label]).spectrum
+    ln_bc, ln_b = (np.log(np.r_[np.ones(s.kernel), s.eigenvalues[s.kernel :]]) for s in (spec_bc, spec_b))
+    x = (ln_bc[None, :] - ln_b[:, None]).ravel() / 2.0
+    w = x[:, None] - x[None, :]
+    weight = np.divide(w, np.sinh(w), out=np.ones_like(w), where=w != 0.0)
+    basis = np.kron(spec_b.eigenvectors.conj(), spec_bc.eigenvectors)
+    rotated = basis.conj().T @ _choi(_transpose_kraus(rho_bc)) @ basis
+    root = linalg._spectrum(basis @ (rotated * weight) @ basis.conj().T).root
+    return root.reshape(d_b, rho_bc.dim, -1).transpose(1, 0, 2)
 
 
 def _choi(kraus: np.ndarray) -> np.ndarray:

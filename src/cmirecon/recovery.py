@@ -35,12 +35,12 @@ score within its evaluation noise, and certifies its best point with the
 least bound it has seen.
 Every start is a stack of Kraus operators placed in the first environment
 columns of an isometry, the rest zero: the transpose channel's, which
-``channels._transpose_kraus`` builds, its mixture with a replacement
-channel where its output leaks (measured RE), or the Uhlmann channel's
-below. No
-gradient step moves a zero Kraus column, so the ascent's first step also
-sets them along the leading eigenvectors of the dual slack
-M(g) - 1_BC (x) Y0^T off the other columns.
+``channels._transpose_kraus`` builds, the universal recovery map's
+(``channels._universal_kraus``, in closed form) for a measured-RE search
+whose transpose start leaks, or the Uhlmann channel's below. No gradient
+step moves a zero Kraus column, so the ascent's first step also sets them
+along the leading eigenvectors of the dual slack M(g) - 1_BC (x) Y0^T off
+the other columns.
 
 Supported figures of merit: fidelity (maximized, analytic gradient), the
 order-1/2 Renyi divergence (same ascent, transformed at the end), and the
@@ -114,11 +114,6 @@ CONVERGENCE_WINDOW = 10
 
 # Measured-RE objective: budget of the inner solve behind every evaluation.
 INNER_MEASURED_RE_ITERATIONS = 200
-# Weight of the replacement channel pi -> tr(pi) rho_BC in the measured-RE
-# start where the transpose channel's output leaks (see _covering_isometry).
-# On the pure (2,2,3) targets rng_from_seed(7) and (300..303), 1e-6, 1e-3,
-# 0.1 and 0.5 all leave the searches uncertified; 0.1 ended lowest on most.
-COVERING_WEIGHT = 0.1
 
 # Norm of each Kraus column the first step adds (see _RecoveryProblem.widening).
 WIDENING_SCALE = 5e-4
@@ -412,30 +407,6 @@ def _warm_start_isometry(problem: _RecoveryProblem) -> np.ndarray:
     return problem.isometry(channels._transpose_kraus(states.partial_trace(problem.target, ["B", "C"])))
 
 
-def _covering_isometry(problem: _RecoveryProblem, v: np.ndarray) -> np.ndarray:
-    """The isometry of (1 - COVERING_WEIGHT) R + COVERING_WEIGHT (pi -> tr(pi) rho_BC), R the channel of v.
-
-    Its reconstruction holds COVERING_WEIGHT rho_BC (x) rho_R, whose support
-    holds rho's, so D_M(rho || sigma) is finite there. The replacement
-    channel's Kraus operators are |w_j><b| for the columns w_j of rho_BC's
-    root and the basis vectors b of B; the Kraus columns of the mixture are
-    factored down to d_env by an SVD, which keeps their Choi matrix X X^dag.
-    """
-    rho_bc = states.partial_trace(problem.target, ["B", "C"])
-    replace = np.einsum("oj,bm->objm", rho_bc.spectrum.root, np.eye(problem.d_b))
-    x = np.hstack([
-        math.sqrt(1.0 - COVERING_WEIGHT) * problem.kraus_columns(v),
-        math.sqrt(COVERING_WEIGHT) * replace.reshape(problem.d_bc * problem.d_b, -1),
-    ])
-    left, singular, _ = np.linalg.svd(x, full_matrices=False)
-    return problem.isometry((left * singular).reshape(problem.d_bc, problem.d_b, -1))
-
-
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Real inner product Re tr(a^dag b) of tangent vectors."""
-    return float(np.vdot(a, b).real)
-
-
 def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     """H g for the L-BFGS inverse-Hessian estimate H of the curvature pairs.
 
@@ -581,7 +552,7 @@ def _ascend(
         if last_step is not None:
             pairs = _transport(v, pairs, last_step, last_g - g, g)
         direction = g if pairs is None else _lbfgs_direction(g, pairs)
-        if _inner(direction, g) <= 0.0:
+        if np.vdot(direction, g).real <= 0.0:
             pairs, direction = None, g
         if steps == 0:
             direction = direction + problem.widening(v, grad, form)
@@ -664,8 +635,8 @@ def optimize_recovery(
     steps (see ``_uhlmann_start``); every other search starts at the
     transpose channel. Where rho leaks out of the support of the transpose
     channel's reconstruction, D_M is +inf there and gives no gradient, so a
-    measured-RE search starts at its mixture with the replacement channel
-    pi -> tr(pi) rho_BC instead (see ``_covering_isometry``).
+    measured-RE search starts at the universal recovery map R instead, whose
+    D_M(rho || R(rho_BR)) <= I(C:R|B) (see ``channels._universal_kraus``).
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective {objective_kind!r}; pick from {OBJECTIVE_KINDS}")
@@ -686,7 +657,8 @@ def optimize_recovery(
         if measured_re:
             sigma = states._derived(problem.sigma_tensor(v0), problem.target.subsystems)
             if entropy.relative_entropy(problem.target, sigma) == math.inf:
-                v0 = _covering_isometry(problem, v0)
+                rho_bc = states.partial_trace(problem.target, ["B", "C"])
+                v0 = problem.isometry(channels._universal_kraus(rho_bc))
     tolerance = MEASURED_RE_GAP_TOL if measured_re else DUAL_GAP_TOL
     v, f, trace, converged, gap, channel_evaluations = _ascend(
         problem, v0, objective_kind, tolerance, max_iterations

@@ -162,6 +162,37 @@ def test_measured_re_grid_oracle():
     )
 
 
+def test_universal_recovery_map_bound():
+    # the paper's bound I(C:R|B) >= min over channels of D_M, met by one
+    # explicit map: D_M(rho || R(rho_BR)) <= I(C:R|B) for the universal
+    # recovery map R (Sutter-Berta-Tomamichel); the smallest margin on the
+    # 24 states of the measured-RE recovery survey is 0.044 bits
+    failures, worst, i = [], math.inf, 0
+    for dims in [(2, 2, 2), (2, 2, 3), (3, 2, 2)]:
+        for rank in (1, 2):
+            for _ in range(8):
+                rng = states.sample_rng(FIG1_SEED + 7, i)
+                if rank == 1:
+                    rho = states.random_pure(dims, rng, ("B", "C", "R"))
+                else:
+                    rho = states.random_mixed(dims, rng, ("B", "C", "R"), ancilla_dim=rank)
+                rho_bc = states.partial_trace(rho, ["B", "C"])
+                choi = channels._choi(channels._universal_kraus(rho_bc))
+                universal = channels.Channel(choi, rho_bc.subsystems[:1], rho_bc.subsystems)
+                sol = entropy.measured_relative_entropy(rho, recovery.reconstruct(rho, universal))
+                margin = entropy.cmi(rho) - sol.value_bits
+                worst = min(worst, margin)
+                if not (sol.converged and margin >= 0.0):
+                    failures.append((dims, rank, i))
+                i += 1
+    report(
+        "universal-recovery-bound",
+        not failures,
+        f"{i} states (pure and rank 2): D_M(rho || R(rho_BR)) <= I(C:R|B), every solve "
+        f"converged; smallest margin {worst:.4f} bits; exceptions {failures}",
+    )
+
+
 def test_classical_example_gap():
     d, eps = 16, 0.1
     rep = classical_example_experiment(d, eps)

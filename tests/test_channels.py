@@ -374,6 +374,113 @@ class TestKrausOperators:
         assert np.abs(_kraus_apply(kraus, k @ k.conj().T) - rho_bc.matrix).max() < 1e-13
 
 
+def _singular_b_state():
+    """A full-rank (2,2,2) state with B embedded in dimension 4: rho_B has rank 2.
+
+    The same state as ``_singular_b_state`` in test_recovery.py.
+    """
+    rho = states.random_mixed((2, 2, 2), states.rng_from_seed(5), ("B", "C", "R"))
+    big = np.zeros((4, 4, 4, 4), dtype=complex)
+    big[:2, :, :2, :] = rho.matrix.reshape(2, 4, 2, 4)
+    return states.MultipartiteState(big.reshape(16, 16), (("B", 4), ("C", 2), ("R", 2)))
+
+
+_UNIVERSAL_CASES = [
+    pytest.param(
+        lambda: states.random_pure((2, 2, 3), states.rng_from_seed(301), ("B", "C", "R")),
+        id="pure-223",
+    ),
+    pytest.param(
+        lambda: states.random_mixed(
+            (3, 2, 2), states.rng_from_seed(201), ("B", "C", "R"), ancilla_dim=2
+        ),
+        id="rank2-322",
+    ),
+    pytest.param(_singular_b_state, id="singular-b-422"),
+]
+
+
+def _bc(draw):
+    return states.partial_trace(draw(), ["B", "C"])
+
+
+def _power(m, z):
+    """m^z on m's support, 0 on its kernel, for a complex exponent z."""
+    w, v = np.linalg.eigh(m)
+    k = linalg.kernel_size(w)
+    f = np.zeros(len(w), dtype=complex)
+    f[k:] = w[k:] ** z
+    return (v * f) @ v.conj().T
+
+
+def _rotated_choi(rho_bc, t):
+    """The Choi matrix of R^t(pi) = rho_BC^{(1+it)/2} (rho_B^{-(1+it)/2} pi
+    rho_B^{-(1-it)/2} (x) I_C) rho_BC^{(1-it)/2}, with the transpose channel's
+    completion on rho_B's kernel."""
+    (_, d_b), (_, d_c) = rho_bc.subsystems
+    rho_b = states.partial_trace(rho_bc, ["B"]).matrix
+    z = (1.0 + 1j * t) / 2.0
+    left = _power(rho_bc.matrix, z) @ np.kron(_power(rho_b, -z), np.eye(d_c))
+    completion = channels._transpose_kraus(rho_bc)[:, :, d_c:]
+    return channels._choi(np.concatenate([left.reshape(d_b * d_c, d_b, d_c), completion], axis=2))
+
+
+def _quadrature_choi(rho_bc):
+    """sum_k h beta0(t_k) Choi(R^{t_k}) over 641 points on |t| <= 10, beta0(t) = (pi/2) / (cosh(pi t) + 1).
+
+    beta0 holds about 2e-14 of its mass beyond |t| = 10, and the integrand
+    is analytic in the strip |Im t| < 1, so the equal-weight rule is exact
+    to round-off.
+    """
+    ts, h = np.linspace(-10.0, 10.0, 641, retstep=True)
+    beta = (math.pi / 2.0) / (np.cosh(math.pi * ts) + 1.0)
+    return sum(h * b * _rotated_choi(rho_bc, t) for b, t in zip(beta, ts))
+
+
+class TestUniversalRecoveryMap:
+    """The universal recovery map R = int beta0(t) R^t dt in closed form (``_universal_kraus``)."""
+
+    @pytest.mark.parametrize("draw", _UNIVERSAL_CASES)
+    def test_matches_the_quadrature_oracle(self, draw):
+        rho_bc = _bc(draw)
+        # the oracle's R^0 is the transpose channel
+        transpose = channels._choi(channels._transpose_kraus(rho_bc))
+        assert np.abs(_rotated_choi(rho_bc, 0.0) - transpose).max() < 1e-14
+        choi = channels._choi(channels._universal_kraus(rho_bc))
+        assert np.abs(choi - _quadrature_choi(rho_bc)).max() < 1e-12
+        # and R is not T: the rotations move the Choi matrix
+        assert np.abs(choi - transpose).max() > 1e-3
+
+    @pytest.mark.parametrize("draw", _UNIVERSAL_CASES)
+    def test_is_a_channel(self, draw):
+        rho_bc = _bc(draw)
+        d_b, d_bc = rho_bc.dims[0], rho_bc.dim
+        kraus = channels._universal_kraus(rho_bc)
+        assert kraus.shape[:2] == (d_bc, d_b) and kraus.shape[2] <= d_b * d_bc
+        choi = channels._choi(kraus)
+        marginal = np.trace(choi.reshape(d_b, d_bc, d_b, d_bc), axis1=1, axis2=3)
+        assert np.abs(marginal - np.eye(d_b)).max() <= channels.TRACE_PRESERVING_ATOL
+        assert np.linalg.eigvalsh(choi)[0] >= -1e-14
+        channels.Channel(choi, (rho_bc.subsystems[0],), rho_bc.subsystems)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flat_spectra_give_the_transpose_channel(self, seed):
+        # rho_B = 1/2 and rho_BC a maximally entangled pure state turned by a
+        # local unitary: every log ratio w is 0, so R = T
+        rng = states.sample_rng(402, seed)
+        u = np.kron(channels.haar_isometry(2, 2, rng), channels.haar_isometry(2, 2, rng))
+        phi = u @ np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+        rho_bc = states.MultipartiteState(np.outer(phi, phi.conj()), (("B", 2), ("C", 2)))
+        universal = channels._choi(channels._universal_kraus(rho_bc))
+        assert np.abs(universal - channels._choi(channels._transpose_kraus(rho_bc))).max() < 1e-15
+
+    def test_a_diagonal_flat_state_gives_the_transpose_channel_bit_for_bit(self):
+        # every eigenbasis is the computational one, so nothing rotates
+        rho_bc = states.MultipartiteState(np.diag([0.5, 0.0, 0.0, 0.5]), (("B", 2), ("C", 2)))
+        universal = channels._choi(channels._universal_kraus(rho_bc))
+        assert np.array_equal(universal, channels._choi(channels._transpose_kraus(rho_bc)))
+
+
 class TestChannelJson:
     def test_round_trip(self):
         ch = channels.random_channel(2, 4, states.rng_from_seed(19), (("B", 2),), (("B", 2), ("C", 2)))

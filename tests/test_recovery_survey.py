@@ -2,7 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from cmirecon import recovery
+from cmirecon import recovery, states
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "recovery_survey.py"
 
@@ -25,3 +25,9 @@ def test_one_group_prints_one_summary_line(capsys):
     assert group["evaluations"] >= 2
     assert 0.0 <= group["max_dual_gap"] < recovery.DUAL_GAP_TOL
     assert group["seconds"] >= 0.0
+    # one value and one gap per search, in draw order: state i of key 11
+    assert len(group["values"]) == len(group["gaps"]) == 2
+    assert group["max_dual_gap"] == max(group["gaps"])
+    for i, value in enumerate(group["values"]):
+        rho = states.random_pure((2, 2, 2), states.sample_rng(11, i), ("B", "C", "R"))
+        assert value == recovery.optimize_recovery(rho, "fidelity").best_value

@@ -236,6 +236,19 @@ MUTANTS = (
         "            for _ in range(1):\n                col = col - basis @ (basis_h @ col)",
         "tests/test_recovery.py::TestRetraction::test_nearly_parallel_columns_stay_orthonormal[cond-1e7]",
     ),
+    Mutant(
+        # the universal recovery map's weight w / sinh w taken as 1, which makes R = T
+        "universal-weight-one", "src/cmirecon/channels.py",
+        "weight = np.divide(w, np.sinh(w), out=np.ones_like(w), where=w != 0.0)",
+        "weight = np.ones_like(w)",
+        "tests/test_channels.py::TestUniversalRecoveryMap::test_matches_the_quadrature_oracle[pure-223]",
+    ),
+    Mutant(
+        # the universal recovery map rotates by rho_B^{+it/2} where it should by rho_B^{-it/2}
+        "universal-rho-b-log-flipped", "src/cmirecon/channels.py",
+        "x = (ln_bc[None, :] - ln_b[:, None])", "x = (ln_bc[None, :] + ln_b[:, None])",
+        "tests/test_channels.py::TestUniversalRecoveryMap::test_matches_the_quadrature_oracle[rank2-322]",
+    ),
 )
 
 # what a test run leaves behind, not copied into the mutant's tree

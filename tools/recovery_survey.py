@@ -5,17 +5,26 @@ from ``states.sample_rng(k, i)`` as a pure state, a rank-2 mixed state or
 a full-rank mixed state, for every key and i < ``--count``, and searched with
 ``optimize_recovery(rho, objective)`` at its default cap. Each group prints
 one JSON line: the group, ``n`` searches, how many ``certified``, the total
-``evaluations``, the largest ``max_dual_gap`` and the search ``seconds``.
+``evaluations``, the largest ``max_dual_gap``, the search ``seconds``, and
+each search's best ``values`` and ``gaps`` in draw order (key by key, i
+rising), so that two trees' lines can be diffed state by state.
 Run from anywhere; it imports cmirecon from this checkout's src/:
 
     python3 tools/recovery_survey.py --dims 2,2,2 --ranks pure \\
         --objectives fidelity --keys 11,12 --count 1000
     python3 tools/recovery_survey.py --dims 3,2,2 2,3,2 2,2,3 4,2,2 3,3,2 \\
         --ranks pure --objectives fidelity renyi_half --keys 99 --count 40
+    python3 tools/recovery_survey.py --dims 2,2,2 2,2,3 3,2,2 --ranks pure \\
+        --objectives measured_re --keys 300,301,302,303 --count 1
+    python3 tools/recovery_survey.py --dims 2,2,2 2,2,3 3,2,2 --ranks rank2 \\
+        --objectives measured_re --keys 200,201,202,203 --count 1
 
 The first is the (2,2,2) pure-target survey of the Uhlmann start, the
-second its d > 2 half. The defaults survey the d_B > 2 table: dims (3,2,2),
-(2,3,2), (2,2,3) and (4,2,2), every rank, under fidelity, 10 states each.
+second its d > 2 half. The last two together are the 24-search
+measured-RE survey: pure targets at keys 300-303 and rank-2 targets at
+keys 200-203, one state each, at dims (2,2,2), (2,2,3) and (3,2,2). The
+defaults survey the d_B > 2 table: dims (3,2,2), (2,3,2), (2,2,3) and
+(4,2,2), every rank, under fidelity, 10 states each.
 """
 
 from __future__ import annotations
@@ -45,7 +54,8 @@ def survey_group(
 ) -> dict:
     """One group's summary line."""
     n = certified = evaluations = 0
-    max_gap = seconds = 0.0
+    seconds = 0.0
+    values, gaps = [], []
     for key in keys:
         for i in range(count):
             rho = draw(dims, rank, states.sample_rng(key, i))
@@ -55,7 +65,8 @@ def survey_group(
             n += 1
             certified += result.converged
             evaluations += result.evaluations
-            max_gap = max(max_gap, result.dual_gap)
+            values.append(result.best_value)
+            gaps.append(result.dual_gap)
     return {
         "dims": list(dims),
         "rank": rank,
@@ -64,8 +75,10 @@ def survey_group(
         "n": n,
         "certified": certified,
         "evaluations": evaluations,
-        "max_dual_gap": max_gap,
+        "max_dual_gap": max(gaps, default=0.0),
         "seconds": round(seconds, 3),
+        "values": values,
+        "gaps": gaps,
     }
 
 
