@@ -46,3 +46,14 @@ def test_every_catcher_is_a_test_of_the_suite():
     )
     assert out.returncode == 0, out.stdout + out.stderr
     assert catchers <= set(out.stdout.splitlines())
+
+
+def test_an_unknown_mutant_name_runs_nothing(monkeypatch, capsys):
+    tool = _load_tool()
+
+    def no_run(mutant):
+        raise AssertionError(f"ran {mutant.name}")
+
+    monkeypatch.setattr(tool, "run_mutant", no_run)
+    assert tool.main(["strict-tol", "no-such-mutant"]) == 2
+    assert "no-such-mutant" in capsys.readouterr().err

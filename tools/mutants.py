@@ -14,6 +14,11 @@ Run from anywhere; a mutant its catcher catches takes a few seconds, a
 survivor a full tier-1 run:
 
     python3 tools/mutants.py
+
+Mutant names as arguments run only those mutants; a name that is not in
+the list exits with status 2 before any mutant runs:
+
+    python3 tools/mutants.py mre-step-cap-frobenius mre-phi2-fallback-halved
 """
 
 from __future__ import annotations
@@ -249,6 +254,24 @@ MUTANTS = (
         "x = (ln_bc[None, :] - ln_b[:, None])", "x = (ln_bc[None, :] + ln_b[:, None])",
         "tests/test_channels.py::TestUniversalRecoveryMap::test_matches_the_quadrature_oracle[rank2-322]",
     ),
+    Mutant(
+        # the near-degenerate second divided difference of exp takes e^mean, not e^mean / 2
+        "mre-phi2-fallback-halved", "src/cmirecon/entropy.py",
+        "np.exp((a + b + c) / 3.0) / 2.0)", "np.exp((a + b + c) / 3.0))",
+        "tests/test_entropy.py::TestMeasuredReNewtonStep::test_second_differences_across_the_series_switch[1e-09]",
+    ),
+    Mutant(
+        # a trial point's tr(sigma e^H) weights e^w by sigma's own diagonal, not by S = U^dag sigma U's
+        "mre-value-unrotated-sigma", "src/cmirecon/entropy.py",
+        "np.diag(s_try).real", "np.diag(sigma).real",
+        "tests/test_entropy.py::TestMeasuredReNewtonStep::test_converged_means_the_decrement_is_small",
+    ),
+    Mutant(
+        # the step cap scales a long step by its Frobenius norm, not its spectral norm
+        "mre-step-cap-frobenius", "src/cmirecon/entropy.py",
+        "float(np.abs(np.linalg.eigvalsh(x)).max())", "float(np.linalg.norm(x))",
+        "tests/test_entropy.py::TestMeasuredReNewtonStep::test_accepted_steps_respect_the_cap",
+    ),
 )
 
 # what a test run leaves behind, not copied into the mutant's tree
@@ -300,12 +323,17 @@ def run_mutant(mutant: Mutant) -> tuple[bool, float, str]:
     return out.returncode != 0, seconds, failed.group(1) if failed else ""
 
 
-def main() -> int:
-    problems = unapplicable()
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {m.name for m in MUTANTS})
+    if unknown:
+        print(f"no mutant named {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    problems = {name: why for name, why in unapplicable().items() if not names or name in names}
     for name, why in problems.items():
         print(f"cannot apply {name}: {why}")
     caught = survived = 0
-    for m in MUTANTS:
+    for m in chosen:
         if m.name in problems:
             continue
         was_caught, seconds, first = run_mutant(m)
@@ -318,4 +346,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
