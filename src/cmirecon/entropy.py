@@ -211,34 +211,33 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _triple_order(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smallest, middle and largest of each index triple (i, k, j) < d."""
+def _triple_order(d: int) -> tuple[np.ndarray, ...]:
+    """Smallest, middle, largest of each index triple (i, k, j) < d, and the flat slots (mid, hi), (lo, mid)."""
     i, k, j = np.indices((d, d, d))
     lo = np.minimum(np.minimum(i, k), j)
     hi = np.maximum(np.maximum(i, k), j)
-    return _read_only(lo, i + k + j - lo - hi, hi)
+    mid = i + k + j - lo - hi
+    return _read_only(lo, mid, hi, mid * d + hi, lo * d + mid)
 
 
 def _exp_divided_differences(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second divided differences of exp at the ascending values w.
 
     Returns phi1[i, j] = exp[w_i, w_j] and phi2[i, k, j] = exp[w_i, w_k, w_j]
-    (Daleckii-Krein). phi1 takes the midpoint form e^((a+b)/2) sinh(t)/t,
-    t = (a-b)/2, near the diagonal. phi2 divides across the widest pair of
-    its triple, which loses about 2e-16 / span relative, or takes e^mean / 2,
-    off by about span^2 / 72, when the triple spans at most 2e-5.
+    (Daleckii-Krein). phi1 is e^max(a, b) expm1(-t) / -t for t = |a - b|,
+    and e^a at a tie: a few ulps relative at every gap, since expm1 loses
+    nothing as t -> 0. phi2 divides across the widest pair of its triple,
+    which loses about 2e-16 / span relative, or takes e^mean / 2, off by
+    about span^2 / 72, when the triple spans at most 2e-5.
     """
     ew = np.exp(w)
-    dw = w[:, None] - w[None, :]
-    t = dw / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinhc = np.where(t == 0.0, 1.0, np.sinh(t) / t)
-        midpoint = np.exp((w[:, None] + w[None, :]) / 2.0) * sinhc
-        phi1 = np.where(np.abs(t) < 0.5, midpoint, (ew[:, None] - ew[None, :]) / dw)
-        lo, mid, hi = _triple_order(len(w))
-        a, b, c = w[lo], w[mid], w[hi]
-        span = c - a
-        phi2 = np.where(span > 2e-5, (phi1[mid, hi] - phi1[lo, mid]) / span, np.exp((a + b + c) / 3.0) / 2.0)
+    gap = -np.abs(np.subtract.outer(w, w))
+    phi1 = np.maximum.outer(ew, ew) * np.divide(np.expm1(gap), gap, out=np.ones_like(gap), where=gap < 0.0)
+    lo, mid, hi, mid_hi, lo_mid = _triple_order(len(w))
+    a, b, c = w[lo], w[mid], w[hi]
+    span = c - a
+    fallback = np.exp((a + b + c) / 3.0) / 2.0
+    phi2 = np.divide(phi1.take(mid_hi) - phi1.take(lo_mid), span, out=fallback, where=span > 2e-5)
     return phi1, phi2
 
 
@@ -277,18 +276,20 @@ def _from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def _ascend_measured_re(rho, sigma, h0, max_iterations: int):
-    """Damped Newton ascent of f(H) = tr(rho H) + 1 - tr(sigma e^H).
+def _ascend_measured_re(rho, w_sigma, h0, max_iterations: int):
+    """Damped Newton ascent of f(H) = tr(rho H) + 1 - tr(sigma e^H) in sigma's eigenbasis.
 
-    Works in the eigenbasis u of the current H: with S = u^dag sigma u,
-    each step solves L(X) = G for the gradient G = u^dag rho u - phi1 o S
-    and the complex-linear Hessian L of tr(M e^H) (``_newton_matrix``),
-    symmetrises X once against round-off, and takes Re tr(G X) as the
-    decrement and ||X||_F against the step cap. tr(sigma e^H) is not
-    convex in H, so M is S unless A = phi1 o S has a negative eigenvalue;
-    then M = A+ / phi1 (A+ its positive part), the curvature of
-    tr(A+ ln w) at w = e^H: convex, since ln is operator concave, and
-    equal to sigma's where A >= 0, which holds near the optimum.
+    There sigma = diag(w_sigma) and rho is Hermitian, so tr(rho H) is
+    <rho, H>. Works in the eigenbasis u of the current H: with
+    S = u^dag sigma u, tr(sigma e^H) is diag(S) . e^w, and each step solves
+    L(X) = G for the gradient G = u^dag rho u - phi1 o S and the
+    complex-linear Hessian L of tr(M e^H) (``_newton_matrix``), symmetrises
+    X once against round-off, and takes Re tr(G X) as the decrement and
+    ||X||_F against the step cap. tr(sigma e^H) is not convex in H, so M is
+    S unless A = phi1 o S has a negative eigenvalue; then M = A+ / phi1
+    (A+ its positive part), the curvature of tr(A+ ln w) at w = e^H:
+    convex, since ln is operator concave, and equal to sigma's where
+    A >= 0, which holds near the optimum.
 
     Returns the final value (nats), the eigenpairs (w, u) of the final H,
     the accepted values and whether the Newton decrement fell below
@@ -301,18 +302,19 @@ def _ascend_measured_re(rho, sigma, h0, max_iterations: int):
         w_try, u_try = np.linalg.eigh(h_try)
         if w_try[-1] > 700.0:  # exp overflow guard; the line search rejects the step
             return -math.inf, None
-        s_try = u_try.conj().T @ sigma @ u_try
-        tr_sigma_w = float((np.diag(s_try).real * np.exp(w_try)).sum())
-        return float(np.trace(rho @ h_try).real) + 1.0 - tr_sigma_w, (w_try, u_try, s_try)
+        u_dag = u_try.conj().T
+        s_try = (u_dag * w_sigma) @ u_try
+        tr_sigma_w = s_try.diagonal().real @ np.exp(w_try)
+        return float(np.vdot(rho, h_try).real + 1.0 - tr_sigma_w), (w_try, u_try, u_dag, s_try)
 
-    f, (w, u, s) = evaluate(h)
+    f, (w, u, u_dag, s) = evaluate(h)
     trace = [f]
     decrements = []
     converged = False
     while True:
         phi1, phi2 = _exp_divided_differences(w)
         a = phi1 * s
-        g = u.conj().T @ rho @ u - a
+        g = u_dag @ rho @ u - a
         lam, vec = np.linalg.eigh(a)
         m = s if lam[0] >= 0.0 else ((vec * np.maximum(lam, 0.0)) @ vec.conj().T) / phi1
         x = np.linalg.solve(_newton_matrix(phi2, m), g.ravel()).reshape(d, d)
@@ -327,16 +329,16 @@ def _ascend_measured_re(rho, sigma, h0, max_iterations: int):
             break
         # ||X||_F >= ||X||_2, so a step within the cap in ||X||_F needs no eigvalsh
         scale = 1.0
-        if np.linalg.norm(x) > MRE_MAX_STEP:
+        if np.vdot(x, x).real > MRE_MAX_STEP**2:
             scale = min(1.0, MRE_MAX_STEP / float(np.abs(np.linalg.eigvalsh(x)).max()))
-        x = (scale * u) @ x @ u.conj().T
+        x = (scale * u) @ x @ u_dag
         step = 1.0
         while step >= MRE_MIN_STEP:
             h_try = h + step * x
             f_try, decomposed = evaluate(h_try)
             if f_try > f + MRE_ARMIJO * step * scale * decrement:
                 h, f = h_try, f_try
-                w, u, s = decomposed
+                w, u, u_dag, s = decomposed
                 trace.append(f)
                 break
             step *= 0.5
@@ -393,7 +395,6 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
     v_s, w_sigma = sigma_spec.eigenvectors[:, k:], sigma_spec.eigenvalues[k:]
     root_s = overlap[k:]
     rho_m = root_s @ root_s.conj().T
-    sigma_m = np.diag(w_sigma).astype(complex)
     # a unitary V_S rotates rho's kept spectrum; a compressed rho_S is decomposed
     kept = rho.spectrum
     rho_spec = linalg._spectrum(rho_m) if k else linalg.Spectrum(kept.eigenvalues, v_s.conj().T @ kept.eigenvectors)
@@ -403,15 +404,11 @@ def measured_relative_entropy(rho, sigma, max_iterations: int = 600) -> Measured
     w_rho = np.maximum(rho_spec.eigenvalues, 0.0)
     if rho_spec.eigenvalues[0] < 0.0:
         rho_m = _from_eigenpairs(w_rho, v_rho)
-    d = len(sigma_m)
-    f, (w, u), trace, converged = _ascend_measured_re(
-        rho_m, sigma_m, np.zeros((d, d), dtype=complex), max_iterations
-    )
+    d = len(w_sigma)
+    f, (w, u), trace, converged = _ascend_measured_re(rho_m, w_sigma, np.zeros((d, d), complex), max_iterations)
     if rho_spec.kernel or not converged:
         warm = _from_eigenpairs(np.log(w_rho + RHO_LOG_SHIFT), v_rho) - np.diag(np.log(w_sigma))
-        f_warm, eigenpairs, trace_warm, converged_warm = _ascend_measured_re(
-            rho_m, sigma_m, warm, max_iterations
-        )
+        f_warm, eigenpairs, trace_warm, converged_warm = _ascend_measured_re(rho_m, w_sigma, warm, max_iterations)
         converged = converged or converged_warm
         if f_warm > f:
             f, (w, u), trace = f_warm, eigenpairs, trace_warm

@@ -451,6 +451,13 @@ def transpose_rebuild_pair(rho):
     return rho, states.permute(sigma, rho.labels)
 
 
+def in_sigma_frame(rho_m, sigma):
+    """rho_m and sigma as the solver ascends them: V_S^dag rho_m V_S and w_S on sigma's support."""
+    spec = sigma.spectrum
+    v_s = spec.eigenvectors[:, spec.kernel :]
+    return v_s.conj().T @ rho_m @ v_s, spec.eigenvalues[spec.kernel :]
+
+
 def mre_objective_nats(rho, sigma, h):
     w, u = np.linalg.eigh(h)
     return float(np.trace(rho @ h).real) + 1.0 - float(np.trace(sigma @ (u * np.exp(w)) @ u.conj().T).real)
@@ -505,12 +512,13 @@ class TestMeasuredReNewtonStep:
         # step overshoots and the cap binds. The ascent is deterministic, so
         # capping it at k steps returns the k-th accepted H.
         rho = states.random_pure((2, 2, 2), states.sample_rng(4100, 0), ("B", "C", "R"))
-        rho, sigma = (m.matrix for m in transpose_rebuild_pair(rho))
+        rho, sigma = transpose_rebuild_pair(rho)
+        rho, w_sigma = in_sigma_frame(rho.matrix, sigma)
         h0 = np.zeros_like(rho)
-        trace = entropy._ascend_measured_re(rho, sigma, h0, 600)[2]
+        trace = entropy._ascend_measured_re(rho, w_sigma, h0, 600)[2]
         iterates = []
         for k in range(len(trace)):
-            _, (w, u), _, _ = entropy._ascend_measured_re(rho, sigma, h0, k)
+            _, (w, u), _, _ = entropy._ascend_measured_re(rho, w_sigma, h0, k)
             iterates.append((u * w) @ u.conj().T)
         norms = [np.abs(np.linalg.eigvalsh(b - a)).max() for a, b in zip(iterates, iterates[1:])]
         assert len(norms) == len(trace) - 1 >= 2
@@ -592,21 +600,17 @@ def random_start_oracle_bits(rho, sigma, n_starts=5):
     """Best value of n_starts ascents from random Hermitian starts, in bits.
 
     Each ascends the pair as the solver does: round-off-negative
-    eigenvalues of rho clipped, and a singular sigma's pair compressed to
-    sigma's support, V_S^dag rho V_S against diag(w_S).
+    eigenvalues of rho clipped, and the pair in sigma's eigenbasis on its
+    support, V_S^dag rho V_S against diag(w_S).
     """
     w, v = rho.spectrum.eigenvalues, rho.spectrum.eigenvectors
     rho_m = rho.matrix if w[0] >= 0.0 else (v * np.maximum(w, 0.0)) @ v.conj().T
-    w, v = sigma.spectrum.eigenvalues, sigma.spectrum.eigenvectors
-    sigma_m, support = sigma.matrix, w > linalg.support_cutoff(w)
-    if not support.all():
-        rho_m = v[:, support].conj().T @ rho_m @ v[:, support]
-        sigma_m = np.diag(w[support]).astype(complex)
-    d = len(sigma_m)
+    rho_m, w_sigma = in_sigma_frame(rho_m, sigma)
+    d = len(w_sigma)
     best = -math.inf
     for k in range(n_starts):
         h0 = random_hermitian(states.sample_rng(99, k), d)
-        f, _, _, _ = entropy._ascend_measured_re(rho_m, sigma_m, h0, 600)
+        f, _, _, _ = entropy._ascend_measured_re(rho_m, w_sigma, h0, 600)
         best = max(best, f)
     return best / entropy.LN2
 
@@ -731,7 +735,9 @@ class TestStartsClimbed:
         warm = entropy._from_eigenpairs(
             np.log(r.eigenvalues + entropy.RHO_LOG_SHIFT), r.eigenvectors
         ) - entropy._from_eigenpairs(np.log(s.eigenvalues), s.eigenvectors)
-        f = entropy._ascend_measured_re(rho.matrix, sigma.matrix, warm, 600)[0]
+        warm, w_sigma = in_sigma_frame(warm, sigma)
+        rho_m, _ = in_sigma_frame(rho.matrix, sigma)
+        f = entropy._ascend_measured_re(rho_m, w_sigma, warm, 600)[0]
         assert f / entropy.LN2 <= sol.value_bits + 1e-10
 
 

@@ -145,6 +145,59 @@ def test_measured_re_on_a_singular_sigma(d, rank, inside, seed):
         assert np.linalg.eigvalsh(sol.witness)[0] > -1e-12 * np.abs(sol.witness).max()
 
 
+
+@st.composite
+def clustered_spectra(draw):
+    """Ascending values in [-40, 40], d = 2..8, whose gaps straddle the divided differences' switches.
+
+    A gap is 0, 1e-9, about 2e-5 (phi2's series switch), about 1 (where
+    phi1 once switched form) or anything up to 10.
+    """
+    d = draw(st.integers(2, 8))
+    gap = st.one_of(
+        st.sampled_from([0.0, 1e-9]),
+        st.floats(1.5e-5, 2.5e-5),
+        st.floats(0.9, 1.1),
+        st.floats(0.0, 10.0),
+    )
+    gaps = draw(st.lists(gap, min_size=d - 1, max_size=d - 1))
+    start = draw(st.floats(-40.0, 40.0 - sum(gaps)))
+    return start + np.concatenate(([0.0], np.cumsum(gaps)))
+
+
+def second_difference_series(a, b, c):
+    """exp[a, b, c] for a <= b <= c as e^a sum_n h_n(0, b - a, c - a) / (n + 2)!, elementwise.
+
+    h_n is the complete homogeneous polynomial of degree n, summed by
+    h_n(0, x, y) = y h_(n-1) + x^n; 300 terms cover spans up to 80.
+    """
+    x, y = b - a, c - a
+    power = term = np.full_like(a, 0.5)  # x^n / (n + 2)! and h_n / (n + 2)! at n = 0
+    total = term.copy()
+    for n in range(1, 300):
+        power = power * x / (n + 2)
+        term = y * term / (n + 2) + power
+        total += term
+    return np.exp(a) * total
+
+
+@PROPERTY
+@given(clustered_spectra())
+def test_exp_divided_differences_match_their_definitions(w):
+    phi1, phi2 = entropy._exp_divided_differences(w)
+    d = len(w)
+    # the definition test_first_differences_match_their_definition uses
+    for i, j in itertools.product(range(d), repeat=2):
+        a, b = w[i], w[j]
+        expect = math.exp(a) if a == b else math.expm1(a - b) * math.exp(b) / (a - b)
+        assert phi1[i, j] == pytest.approx(expect, rel=1e-12)
+    ordered = np.sort(np.stack(np.meshgrid(w, w, w, indexing="ij")), axis=0)
+    np.testing.assert_allclose(phi2, second_difference_series(*ordered), rtol=1e-10, atol=0.0)
+    # divided differences are symmetric in their points
+    assert np.array_equal(phi1, phi1.T)
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(phi2, phi2.transpose(perm))
+
 def channel_isometry(problem, kind, rng):
     """The isometry of a random channel: "haar" draws a Haar isometry of the
     full environment; 1 or 2 a Haar channel of that Kraus rank; and

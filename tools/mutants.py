@@ -257,13 +257,13 @@ MUTANTS = (
     Mutant(
         # the near-degenerate second divided difference of exp takes e^mean, not e^mean / 2
         "mre-phi2-fallback-halved", "src/cmirecon/entropy.py",
-        "np.exp((a + b + c) / 3.0) / 2.0)", "np.exp((a + b + c) / 3.0))",
+        "fallback = np.exp((a + b + c) / 3.0) / 2.0", "fallback = np.exp((a + b + c) / 3.0)",
         "tests/test_entropy.py::TestMeasuredReNewtonStep::test_second_differences_across_the_series_switch[1e-09]",
     ),
     Mutant(
         # a trial point's tr(sigma e^H) weights e^w by sigma's own diagonal, not by S = U^dag sigma U's
         "mre-value-unrotated-sigma", "src/cmirecon/entropy.py",
-        "np.diag(s_try).real", "np.diag(sigma).real",
+        "s_try.diagonal().real @ np.exp(w_try)", "w_sigma @ np.exp(w_try)",
         "tests/test_entropy.py::TestMeasuredReNewtonStep::test_converged_means_the_decrement_is_small",
     ),
     Mutant(
